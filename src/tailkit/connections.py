@@ -1,14 +1,15 @@
 """Markov/Chernoff bridge.
 
-Classifies arbitrary candidate bound functions h(x) by the same sign
-test the engine applies to iterates (h' + f against the tolerance for
-the right tail, h' - f for the left), and builds the concrete h
-instances: the mean-over-x Markov form, its bounded-support variant,
-and the grid-minimized Chernoff envelope.
+Classifies arbitrary candidate bound functions h(x) and builds the
+concrete h instances: the mean-over-x Markov form, its bounded-support
+variant, and the grid-minimized Chernoff envelope.
 
+Only the point evaluator is h's own: it checks h > 0 directly and the
+governing sign (h' + f against the tolerance for the right tail, h' - f
+for the left). The verdict, threshold, limit check and residuals come
+from the rule ``engine._classify_grid`` applies to iterates as well.
 Unlike engine iterates, an h candidate carries no monotonicity
-requirement; only positivity, the governing sign, and the support-edge
-limit are checked.
+requirement, so its ``monotone`` and ``tightness_ok`` stay None.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable
 
 from . import engine as eng
 from .dist import DistributionSpec
-from .engine import Classification, GridSpec, TailSide, Verdict, grid_points
-from .errors import DomainError, MgfDiverged, ParamError, PoleEncountered, WindowTooSmall
+from .engine import Classification, GridSpec, TailSide, grid_points
+from .errors import DomainError, MgfDiverged, ParamError, PoleEncountered
 from .jet import Jet, jet_var
 
 
@@ -41,82 +42,26 @@ def classify_h(
     tol: float = eng.DEFAULT_TOL,
     limit_tol: float = 1e-3,
 ) -> Classification:
-    """Upper/Lower/Invalid verdict for h on the window, with the same
-    threshold search and bisection refinement as engine.classify."""
-    a, b = window
-    xs = grid_points(window, grid, h.side)
+    """Upper/Lower/Invalid verdict for h on the window, by the verdict
+    rule engine.classify applies to iterates (threshold search,
+    bisection refinement, limit check and sampled residuals)."""
     right = h.side is TailSide.RIGHT
 
-    def point(x: float):
+    def point(x: float) -> eng._PointEval:
         try:
             hj = h.evaluator(x, 1)
             f = dist.pdf_jet(x, 0).value
         except (PoleEncountered, DomainError, OverflowError, ValueError):
-            return None
+            return eng._PointEval(False)
         if hj.coeffs[0] <= 0.0:
-            return None
-        resid = hj.coeffs[1] + f if right else hj.coeffs[1] - f
-        up = resid <= tol if right else resid >= -tol
-        lo = resid >= -tol if right else resid <= tol
-        return hj.coeffs[0], resid, up, lo
+            return eng._PointEval(False)
+        return eng._point(right, hj.coeffs[0], hj.coeffs[1], f, tol)
 
-    evals = [point(float(x)) for x in xs]
-    if not any(e is not None for e in evals):
-        raise WindowTooSmall(f"h undefined or non-positive everywhere on [{a}, {b}]")
-    up_all = [e is not None and e[2] for e in evals]
-    lo_all = [e is not None and e[3] for e in evals]
-
-    def run(mask):
-        cnt = 0
-        seq = reversed(mask) if right else iter(mask)
-        for m in seq:
-            if not m:
-                break
-            cnt += 1
-        return cnt
-
-    run_up, run_lo = run(up_all), run(lo_all)
-    if run_up == 0 and run_lo == 0:
-        verdict = Verdict.INVALID
-        threshold = b if right else a
-    else:
-        if run_up == run_lo:
-            verdict = Verdict.EXACT
-        elif run_up > run_lo:
-            verdict = Verdict.UPPER
-        else:
-            verdict = Verdict.LOWER
-        n = len(xs)
-        run_len = max(run_up, run_lo)
-
-        def pred(x: float) -> bool:
-            e = point(x)
-            if e is None:
-                return False
-            if verdict is Verdict.UPPER:
-                return e[2]
-            if verdict is Verdict.LOWER:
-                return e[3]
-            return e[2] and e[3]
-
-        tol_x = 1e-10 * (b - a)
-        if run_len == n:
-            threshold = a if right else b
-        elif right:
-            threshold = eng._refine_boundary(pred, float(xs[n - run_len - 1]), float(xs[n - run_len]), tol_x)
-        else:
-            threshold = eng._refine_boundary(pred, float(xs[run_len]), float(xs[run_len - 1]), tol_x)
-
-    edge = evals[-1 if right else 0]
-    inner = evals[-2 if right else 1]
-    limit_ok = bool(
-        edge is not None
-        and edge[0] <= limit_tol
-        and (inner is None or edge[0] <= inner[0] + tol)
+    cls, _ = eng._classify_grid(
+        point, grid_points(window, grid, h.side), h.side, window, tol, limit_tol,
+        "h undefined or non-positive everywhere",
     )
-    step = max(1, len(evals) // 16)
-    residuals = tuple(math.nan if e is None else e[1] for e in evals[::step])
-    return Classification(verdict, threshold, None, residuals, limit_ok, (a, b), tol)
+    return cls
 
 
 def markov_h(mean: float, r: float = math.inf) -> CandidateH:

@@ -9,12 +9,19 @@ Classification is numeric and honest about it: the conditions
 ("for all x > x0") are verified on a dense grid over a stated window,
 each sign change is refined by bisection, and the result is reported as
 "numerically verified on [a, b] with tolerance tol".
+
+The verdict rule lives in one place, ``_classify_grid``: per-point
+conditions in, verdict, threshold, limit check, sampled residuals and
+the whole-window flag out. ``classify`` feeds it the conditions of an
+iterate and adds tightness and monotonicity; ``connections.classify_h``
+feeds it those of a Markov/Chernoff candidate. ``run_algorithm`` takes
+its "for all x > x0" checks from the classifications it already runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -80,6 +87,12 @@ class Classification:
     limit_ok: bool
     window: tuple[float, float]
     tol: float
+    #: the verdict holds at every grid point, so no threshold lies
+    #: inside the window (the algorithm's "for all x > x0")
+    everywhere: bool
+    #: P' has the tail's sign at every grid point; None for Markov and
+    #: Chernoff candidates, which need no monotonicity
+    monotone: Optional[bool]
 
     def describe(self) -> str:
         a, b = self.window
@@ -238,12 +251,30 @@ def grid_points(window: tuple[float, float], grid: GridSpec, side: TailSide) -> 
 
 @dataclass
 class _PointEval:
+    """The conditions at one grid point. An undefined point (a pole, a
+    non-positive candidate) fails every condition."""
+
     defined: bool
     mono_ok: bool = False
     up_ok: bool = False
     lo_ok: bool = False
     value: float = math.nan
     residual: float = math.nan
+    slope: float = math.nan  # P'(x)
+    f: float = math.nan
+
+
+def _point(right: bool, value: float, slope: float, f: float, tol: float, mono_ok: bool = True) -> _PointEval:
+    """The governing sign conditions of a bound with value P and slope P'
+    against the PDF f: P' + f <= tol (upper) / >= -tol (lower) for the
+    right tail, P' - f >= -tol (upper) / <= tol (lower) for the left."""
+    if right:
+        resid = slope + f
+        up, lo = resid <= tol, resid >= -tol
+    else:
+        resid = slope - f
+        up, lo = resid >= -tol, resid <= tol
+    return _PointEval(True, mono_ok, up, lo, value, resid, slope, f)
 
 
 def _safe_exp(x: float) -> float:
@@ -257,41 +288,101 @@ def _safe_exp(x: float) -> float:
 def _eval_conditions(it: BoundIterate, x: float, tol: float) -> _PointEval:
     """Positivity, monotonicity, and the governing sign condition at one
     grid point."""
-    sign = -1.0 if it.side is TailSide.RIGHT else 1.0
     try:
         lp = it.log_evaluator(x, 1)
         lf = _log_pdf_jet(it.dist, x, 0)
     except PoleEncountered:
         return _PointEval(False)
+    right = it.side is TailSide.RIGHT
     lpd = lp.coeffs[1]
     p = _safe_exp(lp.coeffs[0])
-    f = _safe_exp(lf.coeffs[0])
-    dp = p * lpd
     # monotonicity: P' < 0 (right) / P' > 0 (left)
-    mono = (lpd < 0.0) if it.side is TailSide.RIGHT else (lpd > 0.0)
-    if it.side is TailSide.RIGHT:
-        resid = dp + f       # <= tol for upper, >= -tol for lower
-        up = resid <= tol
-        lo = resid >= -tol
+    mono = (lpd < 0.0) if right else (lpd > 0.0)
+    return _point(right, p, p * lpd, _safe_exp(lf.coeffs[0]), tol, mono)
+
+
+def _classify_grid(
+    point: Callable[[float], _PointEval],
+    xs: np.ndarray,
+    side: TailSide,
+    window: tuple[float, float],
+    tol: float,
+    limit_tol: float,
+    nowhere: str,
+) -> tuple[Classification, list[_PointEval]]:
+    """The verdict rule shared by iterates and Markov/Chernoff candidates.
+
+    ``point`` evaluates the conditions at one abscissa. The verified
+    region is the maximal run of passing grid points touching the
+    support-edge end of the window (the bounds hold from a threshold
+    onward); its boundary is refined by bisection to 1e-10
+    window-relative. Returns the classification (no tightness or
+    monotonicity verdict: those are the iterate's own) and the grid
+    evaluations. ``nowhere`` is the message when no point is defined.
+    """
+    a, b = window
+    evals = [point(float(x)) for x in xs]
+    if not any(e.defined for e in evals):
+        raise WindowTooSmall(f"{nowhere} on [{a}, {b}]")
+    right = side is TailSide.RIGHT
+    n = len(xs)
+    # the grid walked inward from the support-edge end of the window; a
+    # verified run is the number of passing points before the first failure
+    inward = evals[::-1] if right else evals
+    run_up = next((i for i, e in enumerate(inward) if not e.up_ok), n)
+    run_lo = next((i for i, e in enumerate(inward) if not e.lo_ok), n)
+    run = max(run_up, run_lo)
+    if run == 0:
+        verdict = Verdict.INVALID
+    elif run_up == run_lo:
+        # both governing signs hold within tol on the same region
+        verdict = Verdict.EXACT
+    elif run_up > run_lo:
+        verdict = Verdict.UPPER
     else:
-        resid = dp - f       # >= -tol for upper, <= tol for lower
-        up = resid >= -tol
-        lo = resid <= tol
-    return _PointEval(True, mono, up, lo, p, resid)
+        verdict = Verdict.LOWER
 
+    if verdict is Verdict.INVALID:
+        threshold = b if right else a
+    elif run == n:
+        threshold = a if right else b
+    else:
 
-def _refine_boundary(pred, x_bad: float, x_good: float, tol_x: float) -> float:
-    """Bisect the predicate boundary between a failing and a passing
-    abscissa."""
-    for _ in range(200):
-        if abs(x_good - x_bad) <= tol_x:
-            break
-        mid = 0.5 * (x_bad + x_good)
-        if pred(mid):
-            x_good = mid
-        else:
-            x_bad = mid
-    return x_good
+        def pred(x: float) -> bool:
+            e = point(x)
+            if not e.defined:
+                return False
+            if verdict is Verdict.UPPER:
+                return e.up_ok
+            if verdict is Verdict.LOWER:
+                return e.lo_ok
+            return e.up_ok and e.lo_ok
+
+        # bisect between the first failing and the last passing grid point
+        xs_in = xs[::-1] if right else xs
+        x_bad, x_good = float(xs_in[run]), float(xs_in[run - 1])
+        for _ in range(200):
+            if abs(x_good - x_bad) <= 1e-10 * (b - a):
+                break
+            mid = 0.5 * (x_bad + x_good)
+            if pred(mid):
+                x_good = mid
+            else:
+                x_bad = mid
+        threshold = x_good
+
+    # numeric surrogate for the limit condition at the support-edge-most point
+    edge, inner = inward[0], inward[1]
+    limit_ok = bool(
+        edge.defined
+        and edge.value <= limit_tol
+        and (not inner.defined or edge.value <= inner.value + tol)
+    )
+
+    step = max(1, n // 16)
+    residuals = tuple(e.residual for e in evals[::step])
+    cls = Classification(verdict, threshold, None, residuals, limit_ok, (a, b), tol, run == n, None)
+    return cls, evals
 
 
 def classify(
@@ -301,131 +392,46 @@ def classify(
     tol: float = DEFAULT_TOL,
     limit_tol: float = 1e-3,
 ) -> Classification:
-    """Verdict, validity threshold, and diagnostics for one iterate.
+    """Verdict, validity threshold, and diagnostics for one iterate, by
+    the rule of ``_classify_grid`` on the iterate's own conditions.
 
-    The conditions are evaluated on the grid; the verified region is the
-    maximal contiguous run touching the support-edge end of the window
-    (the bounds hold from a threshold onward), and its boundary is
-    refined by bisection to 1e-10 window-relative.
+    The bound verdict needs positivity (implied by the log evaluator
+    being defined) and the governing sign; monotonicity of P_i gates
+    only the construction of the NEXT iterate, and is reported in
+    ``monotone`` for the algorithm loop.
     """
     a, b = window
     if not it.dist.support.contains_open(a) or not it.dist.support.contains_open(b):
         raise DomainError(f"window ({a}, {b}) not inside the open support")
     xs = grid_points(window, grid, it.side)
-    evals = [_eval_conditions(it, float(x), tol) for x in xs]
-
-    # the bound verdict needs positivity (implied by the log evaluator
-    # being defined) and the governing sign; monotonicity of P_i gates
-    # only the construction of the NEXT iterate and is checked by the
-    # algorithm loop, not here
-    ok_base = [e.defined for e in evals]
-    if not any(ok_base):
-        raise WindowTooSmall(
-            f"iterate {it.index} satisfies no base condition anywhere on [{a}, {b}]"
-        )
-    up_all = [base and e.up_ok for base, e in zip(ok_base, evals)]
-    lo_all = [base and e.lo_ok for base, e in zip(ok_base, evals)]
-
-    right = it.side is TailSide.RIGHT
-
-    def verified_run(mask: list[bool]) -> int:
-        """Number of passing points in the maximal run touching the
-        relevant end (right: suffix, left: prefix)."""
-        cnt = 0
-        seq = reversed(mask) if right else iter(mask)
-        for m in seq:
-            if not m:
-                break
-            cnt += 1
-        return cnt
-
-    run_up = verified_run(up_all)
-    run_lo = verified_run(lo_all)
-    if run_up == 0 and run_lo == 0:
-        verdict = Verdict.INVALID
-        run = 0
-    elif run_up == run_lo:
-        # both governing signs hold within tol on the same region
-        verdict = Verdict.EXACT
-        run = run_up
-    elif run_up > run_lo:
-        verdict = Verdict.UPPER
-        run = run_up
-    else:
-        verdict = Verdict.LOWER
-        run = run_lo
-
-    n = len(xs)
-    tol_x = 1e-10 * (b - a)
-    if verdict is Verdict.INVALID:
-        threshold = b if right else a
-    else:
-
-        def pred(x: float) -> bool:
-            e = _eval_conditions(it, x, tol)
-            if not e.defined:
-                return False
-            if verdict is Verdict.UPPER:
-                return e.up_ok
-            if verdict is Verdict.LOWER:
-                return e.lo_ok
-            return e.up_ok and e.lo_ok
-
-        if run == n:
-            threshold = a if right else b
-        elif right:
-            threshold = _refine_boundary(pred, float(xs[n - run - 1]), float(xs[n - run]), tol_x)
-        else:
-            threshold = _refine_boundary(pred, float(xs[run]), float(xs[run - 1]), tol_x)
-
-    # numeric surrogate for the limit condition at the support-edge-most point
-    edge = evals[-1 if right else 0]
-    inner = evals[-2 if right else 1]
-    limit_ok = bool(
-        edge.defined
-        and edge.value <= limit_tol
-        and (not inner.defined or edge.value <= inner.value + tol)
+    cls, evals = _classify_grid(
+        lambda x: _eval_conditions(it, x, tol), xs, it.side, window, tol, limit_tol,
+        f"iterate {it.index} satisfies no base condition anywhere",
     )
-
-    step = max(1, len(evals) // 16)
-    residuals = tuple(e.residual for e in evals[::step])
-
-    tightness_ok = _tightness(it, xs, evals, verdict, tol) if it.prev is not None else None
-
-    return Classification(verdict, threshold, tightness_ok, residuals, limit_ok, (a, b), tol)
+    tightness_ok = _tightness(it, xs, evals, cls.verdict, tol) if it.prev is not None else None
+    monotone = all(e.defined and e.mono_ok for e in evals)
+    return replace(cls, tightness_ok=tightness_ok, monotone=monotone)
 
 
 def _tightness(it, xs, evals, verdict, tol) -> Optional[bool]:
     """Lemma-style tightness condition when the verdict flips from the
-    predecessor: P'_{i+1} + P'_i +- 2f on the verified part of the grid."""
+    predecessor: the sum P_i + P_{i+1} meets the predecessor's governing
+    sign against 2f (P'_{i+1} + P'_i +- 2f) on the defined part of the grid."""
     if verdict not in (Verdict.UPPER, Verdict.LOWER):
         return None
-    prev = it.prev
     right = it.side is TailSide.RIGHT
-    flipped_to_lower = verdict is Verdict.LOWER
-    ok = True
-    checked = 0
+    conds = []
     for x, e in zip(xs, evals):
         if not e.defined:
             continue
         try:
-            lp_prev = prev.log_evaluator(float(x), 1)
-            lp_cur = it.log_evaluator(float(x), 1)
-            lf = _log_pdf_jet(it.dist, float(x), 0)
+            lp_prev = it.prev.log_evaluator(float(x), 1)
         except PoleEncountered:
             continue
         dp_prev = _safe_exp(lp_prev.coeffs[0]) * lp_prev.coeffs[1]
-        dp_cur = _safe_exp(lp_cur.coeffs[0]) * lp_cur.coeffs[1]
-        f = _safe_exp(lf.coeffs[0])
-        if right:
-            t = dp_cur + dp_prev + 2.0 * f
-            cond = (t <= tol) if flipped_to_lower else (t >= -tol)
-        else:
-            t = dp_cur + dp_prev - 2.0 * f
-            cond = (t >= -tol) if flipped_to_lower else (t <= tol)
-        checked += 1
-        ok = ok and cond
-    return ok if checked else None
+        pair = _point(right, math.nan, e.slope + dp_prev, 2.0 * e.f, tol)
+        conds.append(pair.up_ok if verdict is Verdict.LOWER else pair.lo_ok)
+    return all(conds) if conds else None
 
 
 # ---------------------------------------------------------------------------
@@ -444,48 +450,13 @@ class RunResult:
         return [c.verdict for _, c in self.iterates]
 
 
-def _holds_everywhere(it: BoundIterate, xs, tol: float):
-    """Full-window condition booleans for the algorithm's 'for all
-    x > x0' checks: the outer validity conjunction (positive and
-    monotone) and the two governing signs, each over the whole grid.
-    An undefined point (pole, sign violation in the chain) fails all
-    three."""
-    base = True
-    up = True
-    lo = True
-    for x in xs:
-        e = _eval_conditions(it, float(x), tol)
-        if not e.defined:
-            return False, False, False
-        base = base and e.mono_ok
-        up = up and e.up_ok
-        lo = lo and e.lo_ok
-        if not (base or up or lo):
-            break
-    return base, up, lo
-
-
-def _tight_everywhere(cur: BoundIterate, nxt: BoundIterate, xs, tol: float, to_lower: bool) -> bool:
-    right = cur.side is TailSide.RIGHT
-    for x in xs:
-        try:
-            lp_c = cur.log_evaluator(float(x), 1)
-            lp_n = nxt.log_evaluator(float(x), 1)
-            lf = _log_pdf_jet(cur.dist, float(x), 0)
-        except PoleEncountered:
-            return False
-        dp_c = _safe_exp(lp_c.coeffs[0]) * lp_c.coeffs[1]
-        dp_n = _safe_exp(lp_n.coeffs[0]) * lp_n.coeffs[1]
-        f = _safe_exp(lf.coeffs[0])
-        if right:
-            t = dp_n + dp_c + 2.0 * f
-            cond = (t <= tol) if to_lower else (t >= -tol)
-        else:
-            t = dp_n + dp_c - 2.0 * f
-            cond = (t >= -tol) if to_lower else (t <= tol)
-        if not cond:
-            return False
-    return True
+def _holds(cls: Classification) -> tuple[bool, bool]:
+    """Whether the upper and the lower sign condition hold at every grid
+    point (an undefined point fails both)."""
+    return (
+        cls.everywhere and cls.verdict is not Verdict.LOWER,
+        cls.everywhere and cls.verdict is not Verdict.UPPER,
+    )
 
 
 def run_algorithm(
@@ -514,27 +485,26 @@ def run_algorithm(
     if side is TailSide.LEFT and not math.isclose(b, x0):
         raise DomainError("left-tail window must end at x0")
 
-    xs = grid_points(window, grid, side)
     cur = make_seed(dist, seed, side, g_jet=g_jet, h_jet=h_jet)
     try:
         cls = classify(cur, window, grid, tol)
     except WindowTooSmall as exc:
         raise SeedInvalid(f"seed fails classification on ({a}, {b}): {exc}") from exc
-    base0, up0, lo0 = _holds_everywhere(cur, xs, tol)
-    if not base0 or not (up0 or lo0):
+    if not (cls.monotone and cls.everywhere):
         raise SeedInvalid(f"seed classifies as {cls.verdict.name} on ({a}, {b}): {cls.describe()}")
 
     results = [(cur, cls)]
     p_l: Optional[BoundIterate] = None
     p_u: Optional[BoundIterate] = None
     stop = "max-iterations"
-    cur_base, cur_up, cur_lo = base0, up0, lo0
 
     # each pass forms the next iterate first (the published loop does),
     # then applies the outer validity check to the current one; the
     # inner storage branches test only the governing sign and tightness
     # conditions of the new iterate -- its own monotonicity is examined
-    # when it becomes the current one on the next pass
+    # when it becomes the current one on the next pass. The "for all
+    # x > x0" facts come from each iterate's classification; tightness
+    # is consulted only where the new iterate is defined on the whole grid
     for _ in range(max_iter):
         try:
             nxt = iterate(cur)
@@ -543,9 +513,9 @@ def run_algorithm(
             stop = f"iterate-failed: {exc}"
             break
         results.append((nxt, nxt_cls))
-        nxt_base, nxt_up, nxt_lo = _holds_everywhere(nxt, xs, tol)
+        nxt_up, nxt_lo = _holds(nxt_cls)
 
-        if not cur_base:
+        if not cls.monotone:
             stop = "invalid-iterate"
             break
         if nxt_up and nxt_lo:
@@ -554,24 +524,23 @@ def run_algorithm(
             p_l = nxt
             stop = "exact"
             break
-        if cur_up:
+        if _holds(cls)[0]:
             if nxt_up:
                 p_u = nxt
-            elif nxt_lo and _tight_everywhere(cur, nxt, xs, tol, to_lower=True):
+            elif nxt_lo and nxt_cls.tightness_ok:
                 p_l = nxt
             else:
                 stop = "tightness-failed"
                 break
         else:
-            if nxt_up and _tight_everywhere(cur, nxt, xs, tol, to_lower=False):
+            if nxt_up and nxt_cls.tightness_ok:
                 p_u = nxt
             elif nxt_lo:
                 p_l = nxt
             else:
                 stop = "tightness-failed"
                 break
-        cur = nxt
-        cur_base, cur_up, cur_lo = nxt_base, nxt_up, nxt_lo
+        cur, cls = nxt, nxt_cls
 
     return RunResult(results, p_l, p_u, stop)
 
@@ -580,9 +549,21 @@ def run_algorithm(
 # Rate of convergence
 
 
+def _rate_ratio(it: BoundIterate, x: float) -> float:
+    """P_i/P_{i+1} = -+P_i'/f = -+(ln P_i)' e^{ln P_i - ln f} (identical by
+    construction of the next iterate, no need to form it), stable in the
+    far tail where P and f underflow separately."""
+    sign = -1.0 if it.side is TailSide.RIGHT else 1.0
+    try:
+        lp = it.log_evaluator(x, 1)
+        lf = _log_pdf_jet(it.dist, x, 0)
+    except PoleEncountered as exc:
+        raise _as_pole(exc, f"rate at x={x}") from exc
+    return sign * lp.coeffs[1] * math.exp(lp.coeffs[0] - lf.coeffs[0])
+
+
 def convergence_rate(it, x: float) -> float:
-    """|P_i/P_{i+1} - 1| in derivative form |-+P_i'/f - 1| (identical by
-    construction of the next iterate, no need to form it).
+    """|P_i/P_{i+1} - 1| in derivative form |-+P_i'/f - 1|.
 
     Accepts a bare iterate, an (iterate, next_iterate) pair, or an
     (iterate, classification) pair; the rate is always driven by the
@@ -593,16 +574,7 @@ def convergence_rate(it, x: float) -> float:
         if isinstance(second, BoundIterate) and second.index < first.index:
             first = second
         it = first
-    sign = -1.0 if it.side is TailSide.RIGHT else 1.0
-    try:
-        lp = it.log_evaluator(x, 1)
-        lf = _log_pdf_jet(it.dist, x, 0)
-    except PoleEncountered as exc:
-        raise _as_pole(exc, f"rate at x={x}") from exc
-    # P_i/P_{i+1} = -+P_i'/f = sign * (lnP)' * exp(lnP - lnf), stable in
-    # the far tail where P and f underflow separately
-    q = sign * lp.coeffs[1] * math.exp(lp.coeffs[0] - lf.coeffs[0])
-    return abs(q - 1.0)
+    return abs(_rate_ratio(it, x) - 1.0)
 
 
 def convergence_rate_ratio_form(it: BoundIterate, x: float) -> float:
@@ -617,11 +589,4 @@ def figure_rate(it: BoundIterate, x: float) -> float:
     """|P_{i+1}/P_i - 1|, the quantity the reference figures plot (the
     reciprocal orientation of convergence_rate; both vanish together as
     the bounds converge)."""
-    sign = -1.0 if it.side is TailSide.RIGHT else 1.0
-    try:
-        lp = it.log_evaluator(x, 1)
-        lf = _log_pdf_jet(it.dist, x, 0)
-    except PoleEncountered as exc:
-        raise _as_pole(exc, f"rate at x={x}") from exc
-    q = sign * lp.coeffs[1] * math.exp(lp.coeffs[0] - lf.coeffs[0])
-    return abs(1.0 / q - 1.0)
+    return abs(1.0 / _rate_ratio(it, x) - 1.0)

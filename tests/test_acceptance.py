@@ -2,10 +2,10 @@
 line and enforcing its stated tolerance and runtime budget.
 
 Two sub-criteria are mathematically unattainable as stated and are
-marked strict-xfail with the full analysis in notes/decisions.md at the
-repository root (outside the package): the beta prime high-iterate
-slope window (test 04b) and the every-n midpoint comparison of the two
-rate approximations (test 08b).
+marked strict-xfail, each with its analysis in the xfail reason and
+summarised in the README's "Tests and acceptance suite" paragraph: the
+beta prime high-iterate slope window (test 04b) and the every-n
+midpoint comparison of the two rate approximations (test 08b).
 """
 
 import contextlib
@@ -136,7 +136,7 @@ def test_04_convergence_rate_slopes():
     "corrections 13.8x and 27.4x the leading 1/x coefficient, so on the "
     "shared [10, 100] window their fitted slopes are -1.36/-1.87 for any "
     "rate orientation; the 1/x law emerges only beyond x ~ 10^2 "
-    "(see notes/decisions.md)",
+    "(see the README, Tests and acceptance suite)",
 )
 def test_04b_beta_prime_high_iterate_slopes_stated_window():
     with criterion("04b beta prime slopes on [10,100] as stated"):
@@ -210,7 +210,7 @@ def test_08a_asymptotic_rate_reaches_capacity():
     "the normal approximation re-enters the sandwich and sits closer to the "
     "midpoint than the Debye asymptotic beyond n ~ 5e3 (Omega=1) / ~2e5 "
     "(Omega=5); verified against the bounds and the series oracle "
-    "(see notes/decisions.md)",
+    "(see the README, Tests and acceptance suite)",
 )
 def test_08b_asym_beats_na_at_every_large_n_as_stated():
     with criterion("08b asym tighter than NA at every n >= 1e4 (as stated)"):

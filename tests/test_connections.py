@@ -5,9 +5,10 @@ import pytest
 
 from tailkit import connections as C
 from tailkit import dist as D
+from tailkit import engine as E
 from tailkit import jet as J
 from tailkit import oracle as O
-from tailkit.engine import GridSpec, TailSide, Verdict
+from tailkit.engine import GridSpec, SeedKind, TailSide, Verdict
 from tailkit.errors import MgfDiverged, ParamError
 from tailkit.jet import Jet, jet_var
 
@@ -20,6 +21,38 @@ def make_exp1():
         "exp1", {}, D.SupportInterval(0.0, math.inf),
         lambda a, o: J.exp(log_jet(a, o)), lambda x: -x, log_jet,
     )
+
+
+def _chain(dist, seed, side, depth):
+    chain = [E.make_seed(dist, seed, side)]
+    for _ in range(depth):
+        chain.append(E.iterate(chain[-1]))
+    return chain
+
+
+_GAUSS = _chain(D.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT, 3)
+_NCCHI2 = _chain(D.make_noncentral_chi2(10.0, 2.0), SeedKind.SHIFTED_PDF, TailSide.LEFT, 1)
+
+
+class TestSharedVerdictRule:
+    """An iterate handed to classify_h as a candidate h = P_i gets the
+    verdict, threshold and limit check classify gives the iterate."""
+
+    @pytest.mark.parametrize(
+        "it, window",
+        [(it, w) for w in ((0.05, 8.0), (0.1, 8.0)) for it in _GAUSS]
+        + [(_GAUSS[2], (0.7, 1.6))]
+        + [(it, (0.05, 6.0)) for it in _NCCHI2],
+    )
+    def test_iterate_as_candidate(self, it, window):
+        a, b = window
+        want = E.classify(it, window)
+        got = C.classify_h(it.dist, C.CandidateH(it.evaluator, it.side), window)
+        assert got.verdict is want.verdict
+        assert got.limit_ok == want.limit_ok
+        assert abs(got.threshold - want.threshold) <= 1e-10 * (b - a)
+        assert got.everywhere == want.everywhere
+        assert got.monotone is None and got.tightness_ok is None
 
 
 class TestMarkovH:

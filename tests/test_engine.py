@@ -154,6 +154,22 @@ class TestClassify:
         assert cls.verdict is Verdict.UPPER
         assert cls.tightness_ok is False
 
+    def test_for_all_flags(self, chain01):
+        # P0 holds on the whole window and decreases throughout
+        p0 = E.classify(chain01[0], (0.05, 8.0))
+        assert p0.everywhere is True
+        assert p0.monotone is True
+        # P1 holds on the whole window but rises below sqrt(sqrt2-1),
+        # where P2 has its pole
+        p1 = E.classify(chain01[1], (0.05, 8.0))
+        assert p1.everywhere is True
+        assert p1.monotone is False
+        # P2 holds only from its bisected threshold and is undefined below it
+        p2 = E.classify(chain01[2], (0.1, 8.0))
+        assert p2.everywhere is False
+        assert p2.monotone is False
+        assert abs(p2.threshold - SQRT_X2) < 1e-6
+
     def test_exact_verdict_for_exponential(self):
         exp1 = make_exp1()
         seed = E.make_seed(exp1, SeedKind.PDF, TailSide.RIGHT)
