@@ -6,7 +6,7 @@ upper or lower bound with its validity threshold, and applies the
 machinery to finite-blocklength AWGN converse bounds.
 """
 
-from .jet import KERNEL_BACKEND, Jet, jet_arith, jet_const, jet_elementary, jet_shift_derivative, jet_var
+from .jet import Jet, jet_arith, jet_const, jet_elementary, jet_shift_derivative, jet_var
 
 __all__ = [
     "Jet",
@@ -15,7 +15,6 @@ __all__ = [
     "jet_arith",
     "jet_elementary",
     "jet_shift_derivative",
-    "KERNEL_BACKEND",
 ]
 
 __version__ = "0.1.0"

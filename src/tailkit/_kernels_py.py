@@ -1,19 +1,44 @@
-"""Pure-Python jet coefficient kernels.
+"""Jet coefficient kernels.
 
-Each kernel implements a truncated-power-series recurrence on tuples of
-normalized Taylor coefficients (coeffs[k] = F^(k)(x)/k!).  A compiled
-twin of this module (_kernels.pyx) provides the same functions; jet.py
-selects whichever is importable.  Keep the two implementations in exact
-behavioral lockstep -- tests compare them coefficient by coefficient.
+Each kernel implements a truncated-power-series recurrence on a tuple of
+normalized Taylor coefficients (coeffs[k] = F^(k)(x)/k!).  A coefficient
+is a float, or an ndarray holding one value per grid point; the same
+code runs on both, in the same operation order, so a grid result equals
+the scalar result at every point bit for bit.  Two rules keep that true:
+the order-0 transcendentals go through ``each`` (one libm call per
+element, as on a float), and no kernel updates an input array in place.
 
-No domain checking happens here (callers validate); the only hard error
-is ZeroDivisionError from an exactly-zero leading divisor coefficient,
-which callers pre-empt with their own floor check.
+No domain checking happens here (callers validate or mask); the only
+hard error on floats is ZeroDivisionError from an exactly-zero leading
+divisor coefficient, which callers pre-empt with their own floor check.
 """
 
 import math
 
-BACKEND = "python"
+import numpy as np
+
+_ndarray = np.ndarray
+
+
+def each(fn, v):
+    """``fn(v)`` for a float; for an array, ``fn`` on every element by the
+    same libm call (numpy's SIMD exp and log differ from libm in the last
+    bit on some inputs). An element where ``fn`` raises becomes NaN."""
+    if not isinstance(v, _ndarray):
+        return fn(v)
+    flat = v.ravel().tolist()
+    try:
+        out = list(map(fn, flat))
+    except (OverflowError, ValueError):
+        out = [_or_nan(fn, x) for x in flat]
+    return np.array(out).reshape(v.shape)
+
+
+def _or_nan(fn, x):
+    try:
+        return fn(x)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def add(a, b):
@@ -34,7 +59,7 @@ def mul(a, b):
     for k in range(n):
         s = 0.0
         for j in range(k + 1):
-            s += a[j] * b[k - j]
+            s = s + a[j] * b[k - j]
         out[k] = s
     return tuple(out)
 
@@ -47,7 +72,7 @@ def div(a, b):
     for k in range(n):
         s = a[k]
         for j in range(k):
-            s -= out[j] * b[k - j]
+            s = s - out[j] * b[k - j]
         out[k] = s / b0
     return tuple(out)
 
@@ -55,11 +80,11 @@ def div(a, b):
 def exp(a):
     n = len(a)
     out = [0.0] * n
-    out[0] = math.exp(a[0])
+    out[0] = each(math.exp, a[0])
     for k in range(1, n):
         s = 0.0
         for j in range(1, k + 1):
-            s += j * a[j] * out[k - j]
+            s = s + j * a[j] * out[k - j]
         out[k] = s / k
     return tuple(out)
 
@@ -68,11 +93,11 @@ def ln(a):
     n = len(a)
     a0 = a[0]
     out = [0.0] * n
-    out[0] = math.log(a0)
+    out[0] = each(math.log, a0)
     for k in range(1, n):
         s = k * a[k]
         for j in range(1, k):
-            s -= j * out[j] * a[k - j]
+            s = s - j * out[j] * a[k - j]
         out[k] = s / (k * a0)
     return tuple(out)
 
@@ -80,12 +105,12 @@ def ln(a):
 def sqrt(a):
     n = len(a)
     out = [0.0] * n
-    s0 = math.sqrt(a[0])
+    s0 = each(math.sqrt, a[0])
     out[0] = s0
     for k in range(1, n):
         s = a[k]
         for j in range(1, k):
-            s -= out[j] * out[k - j]
+            s = s - out[j] * out[k - j]
         out[k] = s / (2.0 * s0)
     return tuple(out)
 
@@ -95,10 +120,10 @@ def powr(a, p):
     n = len(a)
     a0 = a[0]
     out = [0.0] * n
-    out[0] = math.pow(a0, p)
+    out[0] = each(lambda v: math.pow(v, p), a0)
     for k in range(1, n):
         s = 0.0
         for j in range(1, k + 1):
-            s += ((p + 1.0) * j - k) * a[j] * out[k - j]
+            s = s + ((p + 1.0) * j - k) * a[j] * out[k - j]
         out[k] = s / (k * a0)
     return tuple(out)

@@ -122,24 +122,15 @@ def cmd_bounds(args) -> int:
     grid_desc = f"grid_points={grid.points} spacing={grid.spacing} tol={engine.DEFAULT_TOL:g}"
     lines = _manifest_lines("bounds", params, grid_desc, args)
     lines.append(",".join(header))
-    for x in xs:
-        x = float(x)
-        row = [_fmt(x)]
-        vals = []
-        for it in chain:
-            try:
-                vals.append(it.value(x))
-            except TailkitError:
-                vals.append(math.nan)
-        row += [_fmt(v) for v in vals]
-        row += [c.verdict.value for c in classifications]
-        row += [_fmt(c.threshold) for c in classifications]
-        for it in chain[:-1]:
-            try:
-                row.append(_fmt(engine.figure_rate(it, x)))
-            except TailkitError:
-                row.append("")
-        lines.append(",".join(row))
+    # every row of a column in one batched call; a point where the
+    # iterate is undefined is NaN, written as an empty cell
+    with np.errstate(all="ignore"):
+        columns = [it.value(xs) for it in chain] + [engine.figure_rate(it, xs) for it in chain[:-1]]
+    verdicts = [c.verdict.value for c in classifications]
+    thresholds = [_fmt(c.threshold) for c in classifications]
+    for x, *cells in zip(xs.tolist(), *(col.tolist() for col in columns)):
+        vals, rates = cells[:n_it], cells[n_it:]
+        lines.append(",".join([_fmt(x)] + [_fmt(v) for v in vals] + verdicts + thresholds + [_fmt(r) for r in rates]))
     _write_rows(args.out, lines)
     return 0
 

@@ -6,8 +6,10 @@ variant, and the grid-minimized Chernoff envelope.
 
 Only the point evaluator is h's own: it checks h > 0 directly and the
 governing sign (h' + f against the tolerance for the right tail, h' - f
-for the left). The verdict, threshold, limit check and residuals come
-from the rule ``engine._classify_grid`` applies to iterates as well.
+for the left). Candidate evaluators take one float anchor, so it runs
+point by point over the grid. The verdict, threshold, limit check and
+residuals come from the rule ``engine._classify_grid`` applies to
+iterates as well.
 Unlike engine iterates, an h candidate carries no monotonicity
 requirement, so its ``monotone`` and ``tightness_ok`` stay None.
 """
@@ -57,11 +59,11 @@ def classify_h(
             return eng._PointEval(False)
         return eng._point(right, hj.coeffs[0], hj.coeffs[1], f, tol)
 
-    cls, _ = eng._classify_grid(
-        point, grid_points(window, grid, h.side), h.side, window, tol, limit_tol,
+    xs = grid_points(window, grid, h.side)
+    return eng._classify_grid(
+        eng._stack([point(float(x)) for x in xs]), point, xs, h.side, window, tol, limit_tol,
         "h undefined or non-positive everywhere",
     )
-    return cls
 
 
 def markov_h(mean: float, r: float = math.inf) -> CandidateH:

@@ -9,6 +9,11 @@ PDF jets are assembled in log space and exponentiated at the end; the
 log-jet builder itself is kept on the spec (``log_pdf_jet``) because the
 engine's iterates are formed from log quantities to stay finite far out
 in the tails.
+
+The jet builders take a float anchor or a grid of anchors (see ``jet``);
+the engine calls them with its whole classification grid, so a user
+distribution's jet callables must be built from jet operations too. A
+point outside the support raises on a float anchor and is NaN on a grid.
 """
 
 from __future__ import annotations
@@ -55,8 +60,14 @@ class DistributionSpec:
     log_pdf_jet: Optional[Callable[[float, int], Jet]] = field(default=None, repr=False)
 
 
+def _positive_var(anchor, order: int, message: str) -> Jet:
+    """The identity jet on a positive support: a non-positive anchor raises
+    DomainError, or is NaN on a grid."""
+    return J.check(jet_var(anchor, order), anchor <= 0.0, lambda: DomainError(message))
+
+
 def _spec_from_log_jet(name, params, support, log_jet):
-    def pdf_jet(anchor: float, order: int) -> Jet:
+    def pdf_jet(anchor, order: int) -> Jet:
         return J.exp(log_jet(anchor, order))
 
     def log_pdf(x: float) -> float:
@@ -71,7 +82,7 @@ def make_gaussian(mu: float, sigma: float) -> DistributionSpec:
 
     ln_norm = math.log(sigma) + _LN_SQRT_2PI
 
-    def log_jet(anchor: float, order: int) -> Jet:
+    def log_jet(anchor, order: int) -> Jet:
         x = jet_var(anchor, order)
         y = (x - mu) * (1.0 / sigma)
         return -0.5 * (y * y) - ln_norm
@@ -86,10 +97,8 @@ def make_beta_prime(alpha: float, beta: float) -> DistributionSpec:
 
     ln_b = specfun.log_beta(alpha, beta)
 
-    def log_jet(anchor: float, order: int) -> Jet:
-        if anchor <= 0.0:
-            raise DomainError("beta prime PDF jet needs anchor > 0")
-        x = jet_var(anchor, order)
+    def log_jet(anchor, order: int) -> Jet:
+        x = _positive_var(anchor, order, "beta prime PDF jet needs anchor > 0")
         return (alpha - 1.0) * J.ln(x) - (alpha + beta) * J.ln(1.0 + x) - ln_b
 
     support = SupportInterval(0.0, math.inf)
@@ -113,20 +122,16 @@ def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
     if s == 0.0:
         ln_norm = 0.5 * k * math.log(2.0) + math.lgamma(0.5 * k)
 
-        def log_jet0(anchor: float, order: int) -> Jet:
-            if anchor <= 0.0:
-                raise DomainError("chi2 PDF jet needs anchor > 0")
-            x = jet_var(anchor, order)
+        def log_jet0(anchor, order: int) -> Jet:
+            x = _positive_var(anchor, order, "chi2 PDF jet needs anchor > 0")
             return (0.5 * k - 1.0) * J.ln(x) - 0.5 * x - ln_norm
 
         return _spec_from_log_jet("noncentral_chi2", params, support, log_jet0)
 
     if k >= 4.0:
 
-        def log_jet(anchor: float, order: int) -> Jet:
-            if anchor <= 0.0:
-                raise DomainError("noncentral chi2 PDF jet needs anchor > 0")
-            x = jet_var(anchor, order)
+        def log_jet(anchor, order: int) -> Jet:
+            x = _positive_var(anchor, order, "noncentral chi2 PDF jet needs anchor > 0")
             u = J.sqrt(s * x)
             log_lower, _ = specfun.log_bessel_i_jet(0.5 * k, u)
             # ln f = -ln2 - (x+s)/2 + (k/4 - 1/2) ln(x/s) + u + ln Ie_{k/2-1}
@@ -144,10 +149,8 @@ def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
     half_s = 0.5 * s
     j_cap = int(half_s + 40.0 * math.sqrt(half_s + 1.0) + 60.0)
 
-    def pdf_jet(anchor: float, order: int) -> Jet:
-        if anchor <= 0.0:
-            raise DomainError("noncentral chi2 PDF jet needs anchor > 0")
-        x = jet_var(anchor, order)
+    def pdf_jet(anchor, order: int) -> Jet:
+        x = _positive_var(anchor, order, "noncentral chi2 PDF jet needs anchor > 0")
         expo = J.exp(-0.5 * x)
         total = jet_const(0.0, anchor, order)
         pois_mass = 0.0
@@ -168,7 +171,7 @@ def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
             raise DomainError("log of vanished mixture PDF")
         return math.log(v)
 
-    def log_jet_mix(anchor: float, order: int) -> Jet:
+    def log_jet_mix(anchor, order: int) -> Jet:
         return J.ln(pdf_jet(anchor, order))
 
     return DistributionSpec("noncentral_chi2", params, support, pdf_jet, log_pdf, log_jet_mix)

@@ -10,8 +10,14 @@ Classification is numeric and honest about it: the conditions
 each sign change is refined by bisection, and the result is reported as
 "numerically verified on [a, b] with tolerance tol".
 
-The verdict rule lives in one place, ``_classify_grid``: per-point
-conditions in, verdict, threshold, limit check, sampled residuals and
+Evaluators take an anchor that is a float or the whole grid (see
+``jet``): ``classify`` evaluates an iterate's conditions on its grid in
+one batched pass, where a point at which a single evaluation would raise
+comes back NaN (undefined), and bisects the threshold with scalar
+evaluations of the same evaluators.
+
+The verdict rule lives in one place, ``_classify_grid``: the conditions
+on the grid in, verdict, threshold, limit check, sampled residuals and
 the whole-window flag out. ``classify`` feeds it the conditions of an
 iterate and adds tightness and monotonicity; ``connections.classify_h``
 feeds it those of a Markov/Chernoff candidate. ``run_algorithm`` takes
@@ -28,11 +34,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jet as J
+from ._kernels_py import each
 from .dist import DistributionSpec
 from .errors import (
     DivisionByZeroJet,
     DomainError,
     OrderExhausted,
+    ParamError,
     PoleEncountered,
     SeedIncompatible,
     SeedInvalid,
@@ -108,7 +116,8 @@ class BoundIterate:
 
     ``evaluator`` returns the jet of P_i itself (may under/overflow far
     out in the tails); ``log_evaluator`` returns the jet of ln P_i and
-    is what the engine uses internally.
+    is what the engine uses internally. Both take a float anchor, where
+    an undefined point raises, or an array of points, where it is NaN.
     """
 
     index: int
@@ -119,11 +128,11 @@ class BoundIterate:
     seed: SeedKind
     prev: Optional["BoundIterate"] = None
 
-    def value(self, x: float) -> float:
+    def value(self, x):
         return self.evaluator(x, 0).value
 
 
-def _log_pdf_jet(dist: DistributionSpec, anchor: float, order: int) -> Jet:
+def _log_pdf_jet(dist: DistributionSpec, anchor, order: int) -> Jet:
     if dist.log_pdf_jet is not None:
         return dist.log_pdf_jet(anchor, order)
     return J.ln(dist.pdf_jet(anchor, order))
@@ -135,6 +144,26 @@ def _truncate(j: Jet, order: int) -> Jet:
 
 def _as_pole(exc: Exception, where: str) -> PoleEncountered:
     return PoleEncountered(f"{where}: {exc}")
+
+
+#: What a seed turns into a pole at one point: errors of the jet
+#: arithmetic and of the user's g/h evaluators.
+_POINT_ERRORS = (DomainError, DivisionByZeroJet, OrderExhausted, OverflowError, ValueError)
+
+
+def _pointwise(fn: Callable[[float, int], Jet], anchor, order: int) -> Jet:
+    """A user's jet evaluator, which takes one float anchor, on a float or
+    a grid: on a grid it runs point by point and the results are
+    stacked, NaN where it raises what a seed turns into a pole."""
+    if not isinstance(anchor, np.ndarray):
+        return fn(anchor, order)
+    rows = np.full((order + 1, anchor.size), math.nan)
+    for i, x in enumerate(anchor.tolist()):
+        try:
+            rows[:, i] = fn(x, order).coeffs
+        except (PoleEncountered,) + _POINT_ERRORS:
+            pass
+    return Jet(anchor, tuple(rows))
 
 
 def make_seed(
@@ -159,42 +188,43 @@ def make_seed(
     if seed is SeedKind.DIRECT_H and h_jet is None:
         raise SeedIncompatible("direct-h seed needs an h jet evaluator")
 
-    def log_eval(anchor: float, order: int) -> Jet:
+    def log_eval(anchor, order: int) -> Jet:
         try:
             if seed is SeedKind.DIRECT_H:
-                return J.ln(h_jet(anchor, order))
+                return J.ln(_pointwise(h_jet, anchor, order))
             if seed is SeedKind.PDF:
                 lf = _log_pdf_jet(dist, anchor, order + 1)
                 lfd = jet_shift_derivative(lf)
-                if sign * lfd.value <= 0.0:
-                    raise PoleEncountered(
-                        f"pdf seed needs f {'decreasing' if sign < 0 else 'increasing'} at x={anchor}"
-                    )
+                lfd = J.check(lfd, sign * lfd.value <= 0.0, lambda: PoleEncountered(
+                    f"pdf seed needs f {'decreasing' if sign < 0 else 'increasing'} at x={anchor}"
+                ))
                 return _truncate(lf, order) - J.ln(sign * lfd)
             if seed is SeedKind.SHIFTED_PDF:
                 lo = dist.support.lower
-                if anchor <= lo:
-                    raise PoleEncountered(f"anchor {anchor} at/below support endpoint {lo}")
+                x = J.check(jet_var(anchor, order), anchor <= lo, lambda: PoleEncountered(
+                    f"anchor {anchor} at/below support endpoint {lo}"
+                ))
                 lf = _log_pdf_jet(dist, anchor, order + 1)
                 lfd = jet_shift_derivative(lf)
-                x = jet_var(anchor, order)
                 t = 1.0 + (x - lo) * _truncate(lfd, order)
-                if sign * t.value <= 0.0:
-                    raise PoleEncountered(f"shifted seed denominator sign at x={anchor}")
+                t = J.check(t, sign * t.value <= 0.0, lambda: PoleEncountered(
+                    f"shifted seed denominator sign at x={anchor}"
+                ))
                 return J.ln(x - lo) + _truncate(lf, order) - J.ln(sign * t)
             # CUSTOM_G
-            g = g_jet(anchor, order + 1)
+            g = _pointwise(g_jet, anchor, order + 1)
             gd = jet_shift_derivative(g)
-            if sign * gd.value <= 0.0:
-                raise PoleEncountered(f"custom g not strictly {'decreasing' if sign < 0 else 'increasing'} at x={anchor}")
+            gd = J.check(gd, sign * gd.value <= 0.0, lambda: PoleEncountered(
+                f"custom g not strictly {'decreasing' if sign < 0 else 'increasing'} at x={anchor}"
+            ))
             lf = _log_pdf_jet(dist, anchor, order)
             return lf + J.ln(_truncate(g, order)) - J.ln(sign * gd)
         except PoleEncountered:
             raise
-        except (DomainError, DivisionByZeroJet, OrderExhausted, OverflowError, ValueError) as exc:
+        except _POINT_ERRORS as exc:
             raise _as_pole(exc, f"seed at x={anchor}") from exc
 
-    def evaluator(anchor: float, order: int) -> Jet:
+    def evaluator(anchor, order: int) -> Jet:
         return J.exp(log_eval(anchor, order))
 
     return BoundIterate(0, side, evaluator, log_eval, dist, seed)
@@ -206,24 +236,22 @@ def iterate(prev: BoundIterate) -> BoundIterate:
     new_index = prev.index + 1
     sign = -1.0 if prev.side is TailSide.RIGHT else 1.0
 
-    def log_eval(anchor: float, order: int) -> Jet:
+    def log_eval(anchor, order: int) -> Jet:
         if order + new_index + 1 > MAX_ORDER:
             raise DomainError(
                 f"order {order} at iterate {new_index} exceeds the jet cap {MAX_ORDER}"
             )
-        lp_prev = prev.log_evaluator(anchor, order + 1)
-        lpd = jet_shift_derivative(lp_prev)
-        if sign * lpd.value <= 0.0:
-            raise PoleEncountered(
-                f"P_{prev.index}' has the wrong sign at x={anchor} (iterate pole)"
-            )
+        lpd = jet_shift_derivative(prev.log_evaluator(anchor, order + 1))
+        lpd = J.check(lpd, sign * lpd.value <= 0.0, lambda: PoleEncountered(
+            f"P_{prev.index}' has the wrong sign at x={anchor} (iterate pole)"
+        ))
         try:
             lf = _log_pdf_jet(prev.dist, anchor, order)
             return lf - J.ln(sign * lpd)
         except (DomainError, DivisionByZeroJet, OverflowError, ValueError) as exc:
             raise _as_pole(exc, f"iterate {new_index} at x={anchor}") from exc
 
-    def evaluator(anchor: float, order: int) -> Jet:
+    def evaluator(anchor, order: int) -> Jet:
         return J.exp(log_eval(anchor, order))
 
     return BoundIterate(new_index, prev.side, evaluator, log_eval, prev.dist, prev.seed, prev)
@@ -251,8 +279,9 @@ def grid_points(window: tuple[float, float], grid: GridSpec, side: TailSide) -> 
 
 @dataclass
 class _PointEval:
-    """The conditions at one grid point. An undefined point (a pole, a
-    non-positive candidate) fails every condition."""
+    """The conditions at one point, or on the whole grid with one array
+    per field. An undefined point (a pole, a non-positive candidate)
+    fails every condition."""
 
     defined: bool
     mono_ok: bool = False
@@ -264,20 +293,28 @@ class _PointEval:
     f: float = math.nan
 
 
-def _point(right: bool, value: float, slope: float, f: float, tol: float, mono_ok: bool = True) -> _PointEval:
+def _point(right: bool, value, slope, f, tol: float, mono_ok=True, defined=True) -> _PointEval:
     """The governing sign conditions of a bound with value P and slope P'
     against the PDF f: P' + f <= tol (upper) / >= -tol (lower) for the
-    right tail, P' - f >= -tol (upper) / <= tol (lower) for the left."""
+    right tail, P' - f >= -tol (upper) / <= tol (lower) for the left.
+    Floats or grid arrays; a NaN slope (undefined point) fails both."""
     if right:
         resid = slope + f
         up, lo = resid <= tol, resid >= -tol
     else:
         resid = slope - f
         up, lo = resid >= -tol, resid <= tol
-    return _PointEval(True, mono_ok, up, lo, value, resid, slope, f)
+    return _PointEval(defined, mono_ok, up, lo, value, resid, slope, f)
 
 
-def _safe_exp(x: float) -> float:
+def _stack(evals: list[_PointEval]) -> _PointEval:
+    """Point evaluations as one grid evaluation."""
+    return _PointEval(*(np.array(col) for col in zip(*(vars(e).values() for e in evals))))
+
+
+def _safe_exp(x):
+    if isinstance(x, np.ndarray):
+        return each(_safe_exp, x)
     if x > 700.0:
         return math.exp(700.0)
     if x < -745.0:
@@ -285,23 +322,37 @@ def _safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-def _eval_conditions(it: BoundIterate, x: float, tol: float) -> _PointEval:
-    """Positivity, monotonicity, and the governing sign condition at one
-    grid point."""
-    try:
-        lp = it.log_evaluator(x, 1)
-        lf = _log_pdf_jet(it.dist, x, 0)
-    except PoleEncountered:
-        return _PointEval(False)
+def _conditions(it: BoundIterate, x, tol: float) -> _PointEval:
+    """Positivity, monotonicity, and the governing sign condition at a
+    point, or on a grid in one batched pass (undefined points NaN)."""
+    lp = it.log_evaluator(x, 1)
+    lf = _log_pdf_jet(it.dist, x, 0)
     right = it.side is TailSide.RIGHT
     lpd = lp.coeffs[1]
     p = _safe_exp(lp.coeffs[0])
     # monotonicity: P' < 0 (right) / P' > 0 (left)
     mono = (lpd < 0.0) if right else (lpd > 0.0)
-    return _point(right, p, p * lpd, _safe_exp(lf.coeffs[0]), tol, mono)
+    f = _safe_exp(lf.coeffs[0])
+    defined = ~(np.isnan(p) | np.isnan(f)) if lp.batched else True
+    return _point(right, p, p * lpd, f, tol, mono, defined)
+
+
+def _eval_conditions(it: BoundIterate, x: float, tol: float) -> _PointEval:
+    """The conditions at one point; a pole there leaves it undefined."""
+    try:
+        return _conditions(it, x, tol)
+    except PoleEncountered:
+        return _PointEval(False)
+
+
+def _run(ok: np.ndarray) -> int:
+    """Number of leading passing points."""
+    failing = np.flatnonzero(~ok)
+    return int(failing[0]) if failing.size else ok.size
 
 
 def _classify_grid(
+    grid: _PointEval,
     point: Callable[[float], _PointEval],
     xs: np.ndarray,
     side: TailSide,
@@ -309,28 +360,28 @@ def _classify_grid(
     tol: float,
     limit_tol: float,
     nowhere: str,
-) -> tuple[Classification, list[_PointEval]]:
+) -> Classification:
     """The verdict rule shared by iterates and Markov/Chernoff candidates.
 
-    ``point`` evaluates the conditions at one abscissa. The verified
+    ``grid`` holds the conditions at the points ``xs``; ``point``
+    evaluates them at one abscissa for the bisection. The verified
     region is the maximal run of passing grid points touching the
     support-edge end of the window (the bounds hold from a threshold
     onward); its boundary is refined by bisection to 1e-10
     window-relative. Returns the classification (no tightness or
-    monotonicity verdict: those are the iterate's own) and the grid
-    evaluations. ``nowhere`` is the message when no point is defined.
+    monotonicity verdict: those are the iterate's own). ``nowhere`` is
+    the message when no point is defined.
     """
     a, b = window
-    evals = [point(float(x)) for x in xs]
-    if not any(e.defined for e in evals):
+    if not grid.defined.any():
         raise WindowTooSmall(f"{nowhere} on [{a}, {b}]")
     right = side is TailSide.RIGHT
     n = len(xs)
     # the grid walked inward from the support-edge end of the window; a
     # verified run is the number of passing points before the first failure
-    inward = evals[::-1] if right else evals
-    run_up = next((i for i, e in enumerate(inward) if not e.up_ok), n)
-    run_lo = next((i for i, e in enumerate(inward) if not e.lo_ok), n)
+    inward = slice(None, None, -1) if right else slice(None)
+    run_up = _run(grid.up_ok[inward])
+    run_lo = _run(grid.lo_ok[inward])
     run = max(run_up, run_lo)
     if run == 0:
         verdict = Verdict.INVALID
@@ -359,7 +410,7 @@ def _classify_grid(
             return e.up_ok and e.lo_ok
 
         # bisect between the first failing and the last passing grid point
-        xs_in = xs[::-1] if right else xs
+        xs_in = xs[inward]
         x_bad, x_good = float(xs_in[run]), float(xs_in[run - 1])
         for _ in range(200):
             if abs(x_good - x_bad) <= 1e-10 * (b - a):
@@ -372,17 +423,16 @@ def _classify_grid(
         threshold = x_good
 
     # numeric surrogate for the limit condition at the support-edge-most point
-    edge, inner = inward[0], inward[1]
+    edge, inner = (n - 1, n - 2) if right else (0, 1)
+    value = grid.value
     limit_ok = bool(
-        edge.defined
-        and edge.value <= limit_tol
-        and (not inner.defined or edge.value <= inner.value + tol)
+        grid.defined[edge]
+        and value[edge] <= limit_tol
+        and (not grid.defined[inner] or value[edge] <= value[inner] + tol)
     )
 
-    step = max(1, n // 16)
-    residuals = tuple(e.residual for e in evals[::step])
-    cls = Classification(verdict, threshold, None, residuals, limit_ok, (a, b), tol, run == n, None)
-    return cls, evals
+    residuals = tuple(grid.residual[:: max(1, n // 16)].tolist())
+    return Classification(verdict, threshold, None, residuals, limit_ok, (a, b), tol, run == n, None)
 
 
 def classify(
@@ -399,39 +449,43 @@ def classify(
     being defined) and the governing sign; monotonicity of P_i gates
     only the construction of the NEXT iterate, and is reported in
     ``monotone`` for the algorithm loop.
+
+    Raises OrderExhausted when P_i's slope needs a jet order above the
+    cap (each iterate consumes one order on top of the seed's two).
     """
+    if it.index + 2 > MAX_ORDER:
+        raise OrderExhausted(
+            f"iterate {it.index} needs jet order {it.index + 2}, above the cap {MAX_ORDER}"
+        )
     a, b = window
     if not it.dist.support.contains_open(a) or not it.dist.support.contains_open(b):
         raise DomainError(f"window ({a}, {b}) not inside the open support")
     xs = grid_points(window, grid, it.side)
-    cls, evals = _classify_grid(
-        lambda x: _eval_conditions(it, x, tol), xs, it.side, window, tol, limit_tol,
+    with np.errstate(all="ignore"):
+        cond = _conditions(it, xs, tol)
+    cls = _classify_grid(
+        cond, lambda x: _eval_conditions(it, x, tol), xs, it.side, window, tol, limit_tol,
         f"iterate {it.index} satisfies no base condition anywhere",
     )
-    tightness_ok = _tightness(it, xs, evals, cls.verdict, tol) if it.prev is not None else None
-    monotone = all(e.defined and e.mono_ok for e in evals)
+    tightness_ok = _tightness(it, xs, cond, cls.verdict, tol) if it.prev is not None else None
+    monotone = bool(np.all(cond.defined & cond.mono_ok))
     return replace(cls, tightness_ok=tightness_ok, monotone=monotone)
 
 
-def _tightness(it, xs, evals, verdict, tol) -> Optional[bool]:
+def _tightness(it, xs, cond, verdict, tol) -> Optional[bool]:
     """Lemma-style tightness condition when the verdict flips from the
     predecessor: the sum P_i + P_{i+1} meets the predecessor's governing
     sign against 2f (P'_{i+1} + P'_i +- 2f) on the defined part of the grid."""
     if verdict not in (Verdict.UPPER, Verdict.LOWER):
         return None
     right = it.side is TailSide.RIGHT
-    conds = []
-    for x, e in zip(xs, evals):
-        if not e.defined:
-            continue
-        try:
-            lp_prev = it.prev.log_evaluator(float(x), 1)
-        except PoleEncountered:
-            continue
+    with np.errstate(all="ignore"):
+        lp_prev = it.prev.log_evaluator(xs, 1)
         dp_prev = _safe_exp(lp_prev.coeffs[0]) * lp_prev.coeffs[1]
-        pair = _point(right, math.nan, e.slope + dp_prev, 2.0 * e.f, tol)
-        conds.append(pair.up_ok if verdict is Verdict.LOWER else pair.lo_ok)
-    return all(conds) if conds else None
+        pair = _point(right, math.nan, cond.slope + dp_prev, 2.0 * cond.f, tol)
+    held = pair.up_ok if verdict is Verdict.LOWER else pair.lo_ok
+    counted = held[cond.defined & ~np.isnan(dp_prev)]
+    return bool(counted.all()) if counted.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +531,13 @@ def run_algorithm(
 
     Returns every formed iterate with its classification plus the last
     stored lower/upper bounds; p_l/p_u stay None ("NaN") when no bound of
-    that kind was produced.
+    that kind was produced. Raises ParamError when ``max_iter`` is deeper
+    than the jet order cap can classify (``MAX_ORDER - 2``).
     """
+    if max_iter > MAX_ORDER - 2:
+        raise ParamError(
+            f"max_iter {max_iter} exceeds {MAX_ORDER - 2}, the deepest iterate the jet cap {MAX_ORDER} serves"
+        )
     a, b = window
     if side is TailSide.RIGHT and not math.isclose(a, x0):
         raise DomainError("right-tail window must start at x0")
@@ -549,17 +608,18 @@ def run_algorithm(
 # Rate of convergence
 
 
-def _rate_ratio(it: BoundIterate, x: float) -> float:
+def _rate_ratio(it: BoundIterate, x):
     """P_i/P_{i+1} = -+P_i'/f = -+(ln P_i)' e^{ln P_i - ln f} (identical by
     construction of the next iterate, no need to form it), stable in the
-    far tail where P and f underflow separately."""
+    far tail where P and f underflow separately. At a float x or on an
+    array of points (NaN where undefined)."""
     sign = -1.0 if it.side is TailSide.RIGHT else 1.0
     try:
         lp = it.log_evaluator(x, 1)
         lf = _log_pdf_jet(it.dist, x, 0)
     except PoleEncountered as exc:
         raise _as_pole(exc, f"rate at x={x}") from exc
-    return sign * lp.coeffs[1] * math.exp(lp.coeffs[0] - lf.coeffs[0])
+    return sign * lp.coeffs[1] * each(math.exp, lp.coeffs[0] - lf.coeffs[0])
 
 
 def convergence_rate(it, x: float) -> float:
@@ -585,8 +645,9 @@ def convergence_rate_ratio_form(it: BoundIterate, x: float) -> float:
     return abs(math.exp(lp_i.coeffs[0] - lp_n.coeffs[0]) - 1.0)
 
 
-def figure_rate(it: BoundIterate, x: float) -> float:
+def figure_rate(it: BoundIterate, x):
     """|P_{i+1}/P_i - 1|, the quantity the reference figures plot (the
     reciprocal orientation of convergence_rate; both vanish together as
-    the bounds converge)."""
+    the bounds converge). At a float x or on an array of points (NaN
+    where undefined)."""
     return abs(1.0 / _rate_ratio(it, x) - 1.0)

@@ -23,7 +23,8 @@ class DivisionByZeroJet(TailkitError):
 
 
 class OrderExhausted(TailkitError):
-    """Derivative shift requested on an order-0 jet."""
+    """Derivative shift requested on an order-0 jet, or an iterate deeper
+    than the jet order cap can classify."""
 
 
 class SeedIncompatible(TailkitError):

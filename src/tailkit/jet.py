@@ -1,35 +1,46 @@
-"""Truncated Taylor-series ("jet") arithmetic.
+"""Truncated Taylor-series ("jet") arithmetic, at one point or on a grid.
 
 A jet stores the normalized Taylor coefficients of a scalar function at
-an anchor point: coeffs[k] = F^(k)(x)/k!.  All higher-order derivatives
-that the bound iteration needs are obtained by composing jets, never by
+an anchor: coeffs[k] = F^(k)(x)/k!.  All higher-order derivatives that
+the bound iteration needs are obtained by composing jets, never by
 symbolic algebra or repeated numeric differentiation.
 
-Coefficient recurrences live in a kernel module with two interchangeable
-implementations: a compiled extension (tailkit._kernels, built from
-_kernels.pyx) and a pure-Python fallback (_kernels_py).  The compiled one
-is preferred when importable; set TAILKIT_PURE_PYTHON=1 to force the
-fallback.
+Scalar and batch anchors.  The anchor is a float, or a 1-D ndarray of
+points (a grid).  With a float anchor every coefficient is a float; with
+an array anchor every coefficient is an array of the anchor's shape, so
+one pass of jet arithmetic evaluates a whole grid.  Library code is
+written once for both shapes.
+
+Raising versus NaN masking.  On a scalar anchor an operation outside
+its domain raises, as a single evaluation must: ln, sqrt or pow of a
+non-positive value, a divisor below ``DIV_FLOOR``, exp above 709, a
+non-finite coefficient.  On a grid nothing is raised: a point where the
+scalar operation would raise becomes NaN in every coefficient, and NaN
+carries through every later operation.  The result of a grid pass is
+therefore the scalar result at every point where the scalar path
+succeeds, and NaN exactly where it raises.  ``check`` applies the same
+rule to a caller's own conditions (poles, sign checks).
+
+Same bits on both shapes.  The coefficient recurrences live in one
+module, ``_kernels_py``, and run in the same operation order on floats
+and arrays; numpy's elementwise + - * / round exactly as Python floats
+do.  The order-0 transcendentals are the exception: numpy's SIMD exp
+and log differ from libm in the last bit on some inputs, so they call
+the same ``math`` function per element as the scalar path
+(``_kernels_py.each``), and a grid result is bit-identical to the scalar
+one point by point.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from typing import Callable
 
+import numpy as np
+
+from . import _kernels_py as _k
 from .errors import DivisionByZeroJet, DomainError, OrderExhausted
-
-if os.environ.get("TAILKIT_PURE_PYTHON"):
-    from . import _kernels_py as _k
-else:
-    try:
-        from . import _kernels as _k  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _k
-
-#: Which kernel backend is active ("c" or "python").
-KERNEL_BACKEND = _k.BACKEND
 
 #: Hard cap on the jet order; iteration depth <= 8 and each engine
 #: iteration consumes one order, so 16 leaves ample headroom.
@@ -39,24 +50,35 @@ MAX_ORDER = 16
 #: signals a pole instead of producing garbage.
 DIV_FLOOR = 1e-300
 
+# a module-level name: the scalar path tests for it on every operation
+_ndarray = np.ndarray
+
 
 @dataclass(frozen=True)
 class Jet:
     """Immutable truncated Taylor expansion at ``anchor``.
 
     coeffs[k] is the k-th derivative divided by k!; the order is
-    len(coeffs) - 1.
+    len(coeffs) - 1.  With an ndarray anchor each coefficient is an
+    array of its shape, NaN at the undefined points.
     """
 
-    anchor: float
-    coeffs: tuple[float, ...]
+    anchor: float | np.ndarray
+    coeffs: tuple
+
+    # numpy scalars and arrays on the left of an operator defer to Jet
+    __array_ufunc__ = None
 
     def __post_init__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             raise DomainError("jet needs at least one coefficient")
-        if len(self.coeffs) - 1 > MAX_ORDER:
-            raise DomainError(f"jet order {len(self.coeffs) - 1} exceeds cap {MAX_ORDER}")
-        for c in self.coeffs:
+        if len(coeffs) - 1 > MAX_ORDER:
+            raise DomainError(f"jet order {len(coeffs) - 1} exceeds cap {MAX_ORDER}")
+        if isinstance(self.anchor, _ndarray):
+            object.__setattr__(self, "coeffs", _grid_coeffs(self.anchor.shape, coeffs))
+            return
+        for c in coeffs:
             if not math.isfinite(c):
                 raise DomainError("non-finite jet coefficient")
 
@@ -65,11 +87,16 @@ class Jet:
         return len(self.coeffs) - 1
 
     @property
-    def value(self) -> float:
+    def batched(self) -> bool:
+        """The anchor is a grid of points."""
+        return isinstance(self.anchor, _ndarray)
+
+    @property
+    def value(self):
         """Order-0 truncation: plain function evaluation."""
         return self.coeffs[0]
 
-    def derivative(self, k: int = 1) -> float:
+    def derivative(self, k: int = 1):
         """k-th derivative at the anchor (k <= order)."""
         if k > self.order:
             raise OrderExhausted(f"derivative {k} of an order-{self.order} jet")
@@ -102,31 +129,69 @@ class Jet:
         return Jet(self.anchor, _k.scale(self.coeffs, -1.0))
 
 
+def _grid_coeffs(shape: tuple, coeffs) -> tuple:
+    """Coefficients of a grid jet as arrays of the anchor's shape (float
+    coefficients broadcast), with every point that has a non-finite
+    coefficient set to NaN in all of them."""
+    rows = np.empty((len(coeffs),) + shape)
+    for row, c in zip(rows, coeffs):
+        row[...] = c
+    ok = np.isfinite(rows).all(axis=0)
+    if not ok.all():
+        rows[:, ~ok] = np.nan
+    return tuple(rows)
+
+
+def _nan_at(coeffs: tuple, bad) -> tuple:
+    """Grid coefficients with the points where ``bad`` holds set to NaN."""
+    if not np.any(bad):
+        return coeffs
+    return tuple(np.where(bad, np.nan, c) for c in coeffs)
+
+
+def check(a: Jet, bad, error: Callable[[], Exception]) -> Jet:
+    """``a`` with the points where ``bad`` holds made undefined: a scalar
+    jet raises ``error()`` there, a grid jet gets NaN in every
+    coefficient at those points."""
+    if isinstance(a.anchor, _ndarray):
+        return Jet(a.anchor, _nan_at(a.coeffs, bad)) if np.any(bad) else a
+    if bad:
+        raise error()
+    return a
+
+
 def _promote(x, like: Jet) -> Jet:
     if isinstance(x, Jet):
         return x
     return jet_const(float(x), like.anchor, like.order)
 
 
-def jet_const(c: float, anchor: float, order: int) -> Jet:
+def jet_const(c: float, anchor, order: int) -> Jet:
     """Jet of the constant function c."""
     if order < 0:
         raise DomainError("order must be >= 0")
     return Jet(anchor, (float(c),) + (0.0,) * order)
 
 
-def jet_var(anchor: float, order: int) -> Jet:
+def jet_var(anchor, order: int) -> Jet:
     """Jet of the identity F(x) = x."""
     if order < 0:
         raise DomainError("order must be >= 0")
+    x0 = anchor if isinstance(anchor, _ndarray) else float(anchor)
     if order == 0:
-        return Jet(anchor, (float(anchor),))
-    return Jet(anchor, (float(anchor), 1.0) + (0.0,) * (order - 1))
+        return Jet(anchor, (x0,))
+    return Jet(anchor, (x0, 1.0) + (0.0,) * (order - 1))
 
 
 def _check_compatible(a: Jet, b: Jet):
-    if a.anchor != b.anchor:
-        raise DomainError(f"jet anchors differ: {a.anchor} vs {b.anchor}")
+    pa, pb = a.anchor, b.anchor
+    if pa is not pb:
+        if isinstance(pa, _ndarray) or isinstance(pb, _ndarray):
+            same = isinstance(pa, _ndarray) and isinstance(pb, _ndarray) and np.array_equal(pa, pb)
+        else:
+            same = pa == pb
+        if not same:
+            raise DomainError(f"jet anchors differ: {pa} vs {pb}")
     if a.order != b.order:
         raise DomainError(f"jet orders differ: {a.order} vs {b.order}")
 
@@ -135,41 +200,60 @@ def jet_arith(a: Jet, b: Jet, op: str, div_floor: float = DIV_FLOOR) -> Jet:
     """Coefficient-wise arithmetic on two jets sharing anchor and order."""
     _check_compatible(a, b)
     if op == "add":
-        return Jet(a.anchor, _k.add(a.coeffs, b.coeffs))
-    if op == "sub":
-        return Jet(a.anchor, _k.sub(a.coeffs, b.coeffs))
-    if op == "mul":
-        return Jet(a.anchor, _k.mul(a.coeffs, b.coeffs))
-    if op == "div":
-        if abs(b.coeffs[0]) < div_floor:
-            raise DivisionByZeroJet(
-                f"divisor leading coefficient {b.coeffs[0]!r} below floor at x={a.anchor!r}"
-            )
-        return Jet(a.anchor, _k.div(a.coeffs, b.coeffs))
-    raise DomainError(f"unknown op {op!r}")
+        kernel = _k.add
+    elif op == "sub":
+        kernel = _k.sub
+    elif op == "mul":
+        kernel = _k.mul
+    elif op == "div":
+        kernel = _k.div
+    else:
+        raise DomainError(f"unknown op {op!r}")
+    b0 = b.coeffs[0]
+    if isinstance(a.anchor, _ndarray):
+        with np.errstate(all="ignore"):
+            coeffs = kernel(a.coeffs, b.coeffs)
+        if op == "div":
+            coeffs = _nan_at(coeffs, np.abs(b0) < div_floor)
+        return Jet(a.anchor, coeffs)
+    if op == "div" and abs(b0) < div_floor:
+        raise DivisionByZeroJet(
+            f"divisor leading coefficient {b0!r} below floor at x={a.anchor!r}"
+        )
+    return Jet(a.anchor, kernel(a.coeffs, b.coeffs))
 
 
 def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
     """Compose an elementary function with a jet: exp, ln, sqrt or pow(p)."""
+    a0 = a.coeffs[0]
+    args = ()
     if fn == "exp":
-        if a.coeffs[0] > 709.0:  # exp overflow guard at the value level
-            raise DomainError(f"exp of jet value {a.coeffs[0]} overflows")
-        return Jet(a.anchor, _k.exp(a.coeffs))
-    if fn == "ln":
-        if a.coeffs[0] <= 0.0:
-            raise DomainError(f"ln of non-positive jet value {a.coeffs[0]}")
-        return Jet(a.anchor, _k.ln(a.coeffs))
-    if fn == "sqrt":
-        if a.coeffs[0] <= 0.0:
-            raise DomainError(f"sqrt of non-positive jet value {a.coeffs[0]}")
-        return Jet(a.anchor, _k.sqrt(a.coeffs))
-    if fn == "pow":
+        bad = a0 > 709.0  # exp overflow guard at the value level
+        kernel = _k.exp
+    elif fn == "ln":
+        bad = a0 <= 0.0
+        kernel = _k.ln
+    elif fn == "sqrt":
+        bad = a0 <= 0.0
+        kernel = _k.sqrt
+    elif fn == "pow":
         if p is None:
             raise DomainError("pow needs an exponent")
-        if a.coeffs[0] <= 0.0:
-            raise DomainError(f"pow of non-positive jet value {a.coeffs[0]}")
-        return Jet(a.anchor, _k.powr(a.coeffs, float(p)))
-    raise DomainError(f"unknown elementary function {fn!r}")
+        bad = a0 <= 0.0
+        kernel, args = _k.powr, (float(p),)
+    else:
+        raise DomainError(f"unknown elementary function {fn!r}")
+    if isinstance(a.anchor, _ndarray):
+        # undefined inputs (NaN) and domain failures alike: the kernel
+        # sees NaN there, and its output is NaN there whatever it computes
+        bad = bad | np.isnan(a0)
+        with np.errstate(all="ignore"):
+            return Jet(a.anchor, _nan_at(kernel(_nan_at(a.coeffs, bad), *args), bad))
+    if bad:
+        if fn == "exp":
+            raise DomainError(f"exp of jet value {a0} overflows")
+        raise DomainError(f"{fn} of non-positive jet value {a0}")
+    return Jet(a.anchor, kernel(a.coeffs, *args))
 
 
 def jet_shift_derivative(a: Jet) -> Jet:

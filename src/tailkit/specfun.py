@@ -27,6 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import _kernels_py as _kp
 from . import jet as J
 from .errors import DomainError, ToleranceNotMet
 from .jet import Jet
@@ -363,6 +366,35 @@ def _series_log_scaled(mu: float, u: float) -> float:
     return -u + mu * math.log(0.5 * u) - math.lgamma(mu + 1.0) + math.log(total) + log_scale
 
 
+def _series_log_scaled_grid(mu: float, u: np.ndarray) -> np.ndarray:
+    # _series_log_scaled at every element of u, each result equal to the
+    # scalar one bit for bit: the loop runs until the slowest element
+    # stops, and an element that has stopped gains nothing from the
+    # extra terms (each is below half an ulp of its total)
+    q = 0.25 * u * u
+    term = np.ones_like(u)
+    total = np.ones_like(u)
+    log_scale = np.zeros_like(u)
+    j = 0
+    while True:
+        j += 1
+        term = term * (q / (j * (mu + j)))
+        total = total + term
+        big = total > 1e250
+        if big.any():
+            total = np.where(big, total * 1e-250, total)
+            term = np.where(big, term * 1e-250, term)
+            log_scale = np.where(big, log_scale + 250.0 * math.log(10.0), log_scale)
+        if (term < total * 1e-18).all():
+            break
+        if j > 50000:
+            raise ToleranceNotMet("Bessel series stalled")
+    return (
+        -u + mu * _kp.each(math.log, 0.5 * u) - math.lgamma(mu + 1.0)
+        + _kp.each(math.log, total) + log_scale
+    )
+
+
 def _uniform_log_scaled(mu: float, u: float) -> float:
     # ln(e^{-u} I_mu(u)) from the uniform large-order expansion, mu >= 1
     z = u / mu
@@ -417,27 +449,58 @@ def log_bessel_i_scaled(nu: float, u: float) -> ScaledBesselPair:
     return ScaledBesselPair(lsl, ratio, nu, u)
 
 
-def _log_bessel_ode_coeffs(nu: float, u_coeffs: tuple[float, ...]) -> tuple[list[float], list[float]]:
+def _scaled_seed(nu: float, u0) -> tuple:
+    """ln(e^{-u}I_{nu-1}(u)) and ln(e^{-u}I_nu(u)) at u0: a float, or an
+    array, NaN where the scalar call raises DomainError (u <= 0, nu < 1,
+    or an undefined point). On an array the series regime runs
+    vectorised, the uniform one point by point."""
+    if not isinstance(u0, np.ndarray):
+        pair = log_bessel_i_scaled(nu, u0)
+        return pair.log_scaled_lower, pair.log_scaled_lower + math.log(pair.ratio)
+    lower = np.full(u0.shape, math.nan)
+    upper = np.full(u0.shape, math.nan)
+    if nu < 1.0:
+        return lower, upper
+    ok = (u0 > 0.0) & np.isfinite(u0)
+    series = ok & (u0 < max(30.0, 0.5 * nu)) & (u0 <= _SERIES_U_CAP)
+    if series.any():
+        u = u0[series]
+        lsl = _series_log_scaled_grid(nu - 1.0, u)
+        ratio = _kp.each(math.exp, _series_log_scaled_grid(nu, u) - lsl)
+        lower[series] = lsl
+        upper[series] = lsl + _kp.each(math.log, ratio)
+    for i in np.flatnonzero(ok & ~series).tolist():
+        pair = log_bessel_i_scaled(nu, float(u0[i]))
+        lower[i] = pair.log_scaled_lower
+        upper[i] = pair.log_scaled_lower + math.log(pair.ratio)
+    return lower, upper
+
+
+def _log_bessel_ode_coeffs(nu: float, u_coeffs: tuple) -> tuple[list, list]:
     """Coefficients of ln(e^{-u}I_{nu-1}(u(x))) and ln(e^{-u}I_nu(u(x))).
 
     Propagates A' = (e^{B-A} + (nu-1)/u - 1) u' and
                B' = (e^{A-B} - nu/u - 1) u'
     order by order; A, B come out one order below u only when u carries
-    fewer coefficients than requested, otherwise same order as u.
+    fewer coefficients than requested, otherwise same order as u. The
+    coefficients are floats or grid arrays alike (see ``jet``).
     """
     n = len(u_coeffs) - 1  # target order
-    pair = log_bessel_i_scaled(nu, u_coeffs[0])
-    a = [pair.log_scaled_lower] + [0.0] * n
-    b = [pair.log_scaled_lower + math.log(pair.ratio)] + [0.0] * n
+    lower, upper = _scaled_seed(nu, u_coeffs[0])
+    a = [lower] + [0.0] * n
+    b = [upper] + [0.0] * n
     if n == 0:
         return a, b
-    from . import _kernels_py as _kp  # kernels operate on tuples of any backend
-
     inv_u = _kp.div((1.0,) + (0.0,) * n, u_coeffs)
     du = tuple((k + 1) * u_coeffs[k + 1] for k in range(n))  # order n-1
 
     def conv_at(p, q, m):
-        return sum(p[j] * q[m - j] for j in range(m + 1))
+        # a plain left-to-right sum (builtin sum() of floats is compensated
+        # from Python 3.12 on, which arrays would not match)
+        acc = 0
+        for j in range(m + 1):
+            acc = acc + p[j] * q[m - j]
+        return acc
 
     for m in range(n):
         # rebuild the exp jets through order m (cheap, n <= 16)
@@ -446,9 +509,9 @@ def _log_bessel_ode_coeffs(nu: float, u_coeffs: tuple[float, ...]) -> tuple[list
         e_ba = _kp.exp(diff_ba)
         e_ab = _kp.exp(diff_ab)
         g1 = [e_ba[k] + (nu - 1.0) * inv_u[k] for k in range(m + 1)]
-        g1[0] -= 1.0
+        g1[0] = g1[0] - 1.0
         g2 = [e_ab[k] - nu * inv_u[k] for k in range(m + 1)]
-        g2[0] -= 1.0
+        g2[0] = g2[0] - 1.0
         a[m + 1] = conv_at(g1, du, m) / (m + 1)
         b[m + 1] = conv_at(g2, du, m) / (m + 1)
     return a, b
@@ -458,7 +521,8 @@ def log_bessel_i_jet(nu: float, u: Jet) -> tuple[Jet, Jet]:
     """Jets of ln(e^{-u}I_{nu-1}) and ln(e^{-u}I_nu) along u(x).
 
     This is the scale-robust form used wherever raw scaled values would
-    underflow (blocklengths up to 10^7).
+    underflow (blocklengths up to 10^7). ``u`` may be a grid jet; the
+    points where u is undefined or non-positive come back NaN.
     """
     a, b = _log_bessel_ode_coeffs(nu, u.coeffs)
     return Jet(u.anchor, tuple(a)), Jet(u.anchor, tuple(b))

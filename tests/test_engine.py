@@ -2,13 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from tailkit import connections
 from tailkit import dist as D
 from tailkit import engine as E
 from tailkit import jet as J
 from tailkit import oracle as O
 from tailkit.engine import GridSpec, SeedKind, TailSide, Verdict
-from tailkit.errors import DomainError, PoleEncountered, SeedIncompatible, SeedInvalid, WindowTooSmall
+from tailkit.errors import (
+    DomainError,
+    OrderExhausted,
+    ParamError,
+    PoleEncountered,
+    SeedIncompatible,
+    SeedInvalid,
+    TailkitError,
+    WindowTooSmall,
+)
 from tailkit.jet import jet_var
 
 SQRT_X2 = math.sqrt(math.sqrt(2.0) - 1.0)
@@ -385,3 +397,150 @@ class TestGridPoints:
     def test_linear(self):
         xs = E.grid_points((0.0, 1.0), GridSpec(points=65, spacing="linear"), TailSide.RIGHT)
         assert np.allclose(np.diff(xs), 1.0 / 64)
+
+
+class TestOrderCap:
+    """An iterate deeper than the jet order cap can serve is refused up
+    front with a documented error, not deep inside the chain."""
+
+    def _chain(self, g01, depth):
+        it = E.make_seed(g01, SeedKind.PDF, TailSide.RIGHT)
+        for _ in range(depth):
+            it = E.iterate(it)
+        return it
+
+    def test_classify_refuses_beyond_cap(self, g01):
+        # P_i's slope needs jet order i + 2; the cap is 16
+        with pytest.raises(OrderExhausted, match="iterate 15"):
+            E.classify(self._chain(g01, 15), (2.0, 8.0))
+
+    def test_classify_accepts_deepest_servable(self, g01):
+        cls = E.classify(self._chain(g01, 14), (2.0, 8.0), GridSpec(64))
+        assert cls.verdict in tuple(Verdict)
+
+    def test_run_algorithm_refuses_deep_max_iter(self, g01):
+        with pytest.raises(ParamError, match="max_iter 15"):
+            E.run_algorithm(g01, SeedKind.PDF, TailSide.RIGHT, 2.0, 15, (2.0, 8.0))
+        with pytest.raises(ParamError):
+            E.run_algorithm(g01, SeedKind.PDF, TailSide.RIGHT, 2.0, 20, (2.0, 8.0))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_batch_matches_scalar(it, xs, order=1):
+    """The batched evaluator equals the scalar one at every point of xs:
+    bit-equal coefficients where the scalar call succeeds, NaN in every
+    coefficient exactly where it raises a TailkitError. Returns the number
+    of undefined points."""
+    batch = it.log_evaluator(xs, order)
+    assert batch.batched and batch.order == order
+    undefined = 0
+    for i, x in enumerate(xs.tolist()):
+        got = [c[i] for c in batch.coeffs]
+        try:
+            want = it.log_evaluator(x, order).coeffs
+        except TailkitError:
+            assert all(math.isnan(g) for g in got), (it.index, x, got)
+            undefined += 1
+            continue
+        assert _bits(got) == _bits(want), (it.index, x, got, want)
+    return undefined
+
+
+def _chain_of(dist, seed, side, depth, **kw):
+    chain = [E.make_seed(dist, seed, side, **kw)]
+    for _ in range(depth):
+        chain.append(E.iterate(chain[-1]))
+    return chain
+
+
+class TestBatchedChain:
+    """One batched pass over a grid gives, point by point, what the scalar
+    evaluation gives at that point."""
+
+    def _check(self, chain, xs):
+        undefined = [assert_batch_matches_scalar(it, xs) for it in chain]
+        assert any(undefined), "the grid should reach an undefined point"
+        assert not all(u == len(xs) for u in undefined)
+
+    def test_gaussian_pdf_seed_with_poles(self):
+        # the window contains mu, where the right-tail seed has its pole;
+        # mu itself is a grid point
+        d = D.make_gaussian(-1.7, 1.9)
+        xs = np.sort(np.append(np.linspace(-6.0, 6.0, 60), -1.7))
+        self._check(_chain_of(d, SeedKind.PDF, TailSide.RIGHT, 6), xs)
+
+    def test_beta_prime_shifted_seed(self):
+        d = D.make_beta_prime(2.1, 1.3)
+        xs = np.concatenate(([-0.5, 0.0], np.geomspace(0.02, 80.0, 60)))
+        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 6), xs)
+
+    def test_ncchi2_left_shifted_seed(self):
+        d = D.make_noncentral_chi2(10.0, 2.0)
+        xs = np.concatenate(([0.0], np.geomspace(0.01, 30.0, 50)))
+        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.LEFT, 6), xs)
+
+    def test_ncchi2_both_bessel_regimes(self):
+        # u = sqrt(s x) crosses 30 inside the grid: the Bessel seed takes
+        # its vectorised series below and its per-point uniform branch above
+        d = D.make_noncentral_chi2(10.0, 50.0)
+        xs = np.concatenate(([0.0], np.geomspace(0.05, 90.0, 40)))
+        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.LEFT, 3), xs)
+
+    def test_ncchi2_poisson_mixture(self):
+        # k < 4: the PDF jet is a Poisson mixture of powers
+        d = D.make_noncentral_chi2(3.0, 1.5)
+        xs = np.concatenate(([0.0], np.geomspace(0.05, 25.0, 24)))
+        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 3), xs)
+
+    def test_central_chi2(self):
+        d = D.make_noncentral_chi2(5.0, 0.0)
+        xs = np.concatenate(([-1.0], np.geomspace(0.05, 40.0, 40)))
+        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 4), xs)
+
+    def test_custom_g_seed(self):
+        # g = 1/x raises at x <= 0 (stacked per point on the grid)
+        g = connections.markov_h(1.0).evaluator
+        d = D.make_gaussian(0.0, 1.0)
+        xs = np.linspace(-2.0, 6.0, 41)
+        self._check(_chain_of(d, SeedKind.CUSTOM_G, TailSide.RIGHT, 4, g_jet=g), xs)
+
+    def test_direct_h_seed(self):
+        d = D.make_beta_prime(2.1, 1.3)
+        h = connections.markov_h(2.1 / 0.3).evaluator
+        xs = np.concatenate(([-1.0, 0.0], np.geomspace(0.1, 60.0, 40)))
+        self._check(_chain_of(d, SeedKind.DIRECT_H, TailSide.RIGHT, 4, h_jet=h), xs)
+
+    def test_higher_order(self, chain01):
+        xs = np.linspace(-1.0, 5.0, 31)
+        for it in chain01:
+            assert_batch_matches_scalar(it, xs, order=3)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @seed(20261018)
+    @given(st.data())
+    def test_random_parameters_and_windows(self, data):
+        kind = data.draw(st.sampled_from(["gaussian", "beta-prime", "ncchi2"]), label="kind")
+        side = data.draw(st.sampled_from([TailSide.RIGHT, TailSide.LEFT]), label="side")
+        pos = st.floats(min_value=0.3, max_value=6.0)
+        if kind == "gaussian":
+            mu = data.draw(st.floats(min_value=-3.0, max_value=3.0), label="mu")
+            sigma = data.draw(pos, label="sigma")
+            d, seed_kind = D.make_gaussian(mu, sigma), SeedKind.PDF
+            a = data.draw(st.floats(min_value=mu - 4.0 * sigma, max_value=mu + 4.0 * sigma), label="a")
+        else:
+            if kind == "beta-prime":
+                d = D.make_beta_prime(data.draw(pos, label="alpha"), data.draw(pos, label="beta"))
+            else:
+                k = data.draw(st.floats(min_value=1.0, max_value=20.0), label="k")
+                s = data.draw(st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=10.0)), label="s")
+                d = D.make_noncentral_chi2(k, s)
+            seed_kind = SeedKind.SHIFTED_PDF
+            a = data.draw(st.floats(min_value=0.01, max_value=5.0), label="a")
+        b = a + data.draw(st.floats(min_value=0.1, max_value=30.0), label="width")
+        depth = data.draw(st.integers(min_value=0, max_value=4), label="depth")
+        xs = np.linspace(a, b, 16)
+        for it in _chain_of(d, seed_kind, side, depth):
+            assert_batch_matches_scalar(it, xs)

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit import jet as J
-from tailkit.errors import DivisionByZeroJet, DomainError, OrderExhausted
+from tailkit.errors import DivisionByZeroJet, DomainError, OrderExhausted, TailkitError
 from tailkit.jet import Jet, jet_arith, jet_const, jet_elementary, jet_shift_derivative, jet_var
 
 
@@ -187,5 +188,57 @@ class TestProperties:
                 assert close(d1, fd, rel=1e-6, abso=1e-9)
 
 
-def test_backend_reported():
-    assert J.KERNEL_BACKEND in ("c", "python")
+class TestGridAnchor:
+    """A jet on an array anchor is the scalar jet at every point: the same
+    bits where the scalar operation succeeds, NaN in every coefficient
+    where it raises."""
+
+    XS = np.array([-2.0, -1e-310, 0.0, 1e-310, 0.3, 1.0, 2.5, 700.0, 709.5, 800.0])
+
+    def _agree(self, build):
+        batch = build(self.XS)
+        assert batch.batched
+        for i, x in enumerate(self.XS.tolist()):
+            got = [c[i] for c in batch.coeffs]
+            try:
+                want = build(x).coeffs
+            except TailkitError:
+                assert all(math.isnan(g) for g in got), (x, got)
+                continue
+            assert [g.hex() for g in map(float, got)] == [w.hex() for w in want], (x, got, want)
+
+    @pytest.mark.parametrize("fn", ["ln", "sqrt", "exp"])
+    def test_elementary(self, fn):
+        self._agree(lambda x: jet_elementary(jet_var(x, 4) * 1.0 + 0.25 * jet_var(x, 4), fn))
+
+    def test_pow(self):
+        self._agree(lambda x: J.powj(jet_var(x, 3), 1.7))
+        self._agree(lambda x: J.powj(jet_var(x, 0), 0.0))  # pow(NaN, 0) is 1 in libm
+
+    def test_division_floor(self):
+        self._agree(lambda x: jet_const(1.0, x, 3) / jet_var(x, 3))
+
+    def test_non_finite_coefficient(self):
+        # overflows from x ~ 586 on
+        self._agree(lambda x: J.exp(jet_var(x, 2) * 0.001) * 1e308)
+
+    def test_mixed_chain(self):
+        def build(x):
+            v = jet_var(x, 5)
+            return J.ln(1.0 + v * v) / J.sqrt(v) - J.exp(-0.5 * v)
+
+        self._agree(build)
+
+    def test_check_masks_or_raises(self):
+        xs = np.array([-1.0, 1.0])
+        j = J.check(jet_var(xs, 1), xs < 0.0, lambda: DomainError("negative"))
+        assert math.isnan(j.coeffs[0][0]) and math.isnan(j.coeffs[1][0])
+        assert j.coeffs[0][1] == 1.0 and j.coeffs[1][1] == 1.0
+        with pytest.raises(DomainError, match="negative"):
+            J.check(jet_var(-1.0, 1), True, lambda: DomainError("negative"))
+
+    def test_anchor_arrays_must_match(self):
+        with pytest.raises(DomainError):
+            jet_var(np.array([1.0, 2.0]), 1) + jet_var(np.array([1.0, 3.0]), 1)
+        with pytest.raises(DomainError):
+            jet_var(np.array([1.0, 2.0]), 1) + jet_var(1.0, 1)

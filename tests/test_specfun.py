@@ -189,6 +189,20 @@ class TestScaledBessel:
 
 
 class TestBesselJets:
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 5.0, 60.0, 1000.0])
+    def test_grid_seed_matches_scalar(self, nu):
+        # both regimes (series, uniform, past the series cap) and every
+        # undefined input, bit for bit
+        us = np.concatenate((np.geomspace(1e-3, 2000.0, 120), [0.0, -1.0, math.nan, math.inf]))
+        lower, upper = sf._scaled_seed(nu, us)
+        for i, u in enumerate(us.tolist()):
+            try:
+                want = sf._scaled_seed(nu, u)
+            except DomainError:
+                assert math.isnan(lower[i]) and math.isnan(upper[i]), u
+                continue
+            assert (float(lower[i]).hex(), float(upper[i]).hex()) == tuple(w.hex() for w in want), u
+
     def test_order0_matches_scalar(self):
         pair = sf.log_bessel_i_scaled(25.0, 40.0)
         a, b = sf.bessel_i_jet(25.0, jet_var(40.0, 2))
