@@ -122,10 +122,11 @@ def cmd_bounds(args) -> int:
     grid_desc = f"grid_points={grid.points} spacing={grid.spacing} tol={engine.DEFAULT_TOL:g}"
     lines = _manifest_lines("bounds", params, grid_desc, args)
     lines.append(",".join(header))
-    # every row of a column in one batched call; a point where the
-    # iterate is undefined is NaN, written as an empty cell
+    # every column from one pass of the deepest iterate's chain; a point
+    # where an iterate is undefined is NaN, written as an empty cell
     with np.errstate(all="ignore"):
-        columns = [it.value(xs) for it in chain] + [engine.figure_rate(it, xs) for it in chain[:-1]]
+        levels, lf = engine.log_chain(chain[-1], xs, 0)
+        columns = [engine._value(lp) for lp in levels] + [engine._figure_rate(side, lp, lf) for lp in levels[:-1]]
     verdicts = [c.verdict.value for c in classifications]
     thresholds = [_fmt(c.threshold) for c in classifications]
     for x, *cells in zip(xs.tolist(), *(col.tolist() for col in columns)):
@@ -228,7 +229,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "bounds":
+        if args.points < 1:
+            parser.error(f"bounds: --points must be at least 1, got {args.points}")
+        if not args.x_min < args.x_max:
+            parser.error(f"bounds: --x-min {args.x_min:g} must lie below --x-max {args.x_max:g}")
     try:
         return args.fn(args)
     except SeedInvalid as exc:

@@ -4,12 +4,14 @@ Classifies arbitrary candidate bound functions h(x) and builds the
 concrete h instances: the mean-over-x Markov form, its bounded-support
 variant, and the grid-minimized Chernoff envelope.
 
-Only the point evaluator is h's own: it checks h > 0 directly and the
-governing sign (h' + f against the tolerance for the right tail, h' - f
-for the left). Candidate evaluators take one float anchor, so it runs
-point by point over the grid. The verdict, threshold, limit check and
-residuals come from the rule ``engine._classify_grid`` applies to
-iterates as well.
+Only the conditions are h's own: h > 0 and the governing sign (h' + f
+against the tolerance for the right tail, h' - f for the left), built on
+the whole grid as ``engine.classify`` builds an iterate's. The candidate
+takes one float anchor, so it runs point by point through
+``engine._pointwise``; f comes from one batched ``pdf_jet`` call. A point
+where h raises what a seed turns into a pole is undefined. The verdict,
+threshold, limit check and residuals come from the rule
+``engine._classify_grid`` applies to iterates as well.
 Unlike engine iterates, an h candidate carries no monotonicity
 requirement, so its ``monotone`` and ``tightness_ok`` stay None.
 """
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import engine as eng
+from . import jet as J
 from .dist import DistributionSpec
 from .engine import Classification, GridSpec, TailSide, grid_points
 from .errors import DomainError, MgfDiverged, ParamError, PoleEncountered
@@ -47,21 +50,18 @@ def classify_h(
     """Upper/Lower/Invalid verdict for h on the window, by the verdict
     rule engine.classify applies to iterates (threshold search,
     bisection refinement, limit check and sampled residuals)."""
-    right = h.side is TailSide.RIGHT
-
-    def point(x: float) -> eng._PointEval:
+    def conditions(x) -> eng._PointEval:
         try:
-            hj = h.evaluator(x, 1)
+            hj = eng._pointwise(h.evaluator, x, 1)
+            hj = J.check(hj, hj.value <= 0.0, lambda: PoleEncountered(f"h non-positive at x={x}"))
             f = dist.pdf_jet(x, 0).value
-        except (PoleEncountered, DomainError, OverflowError, ValueError):
+        except (PoleEncountered,) + eng._POINT_ERRORS:
             return eng._PointEval(False)
-        if hj.coeffs[0] <= 0.0:
-            return eng._PointEval(False)
-        return eng._point(right, hj.coeffs[0], hj.coeffs[1], f, tol)
+        return eng._point(h.side is TailSide.RIGHT, hj.coeffs[0], hj.coeffs[1], f, tol)
 
     xs = grid_points(window, grid, h.side)
     return eng._classify_grid(
-        eng._stack([point(float(x)) for x in xs]), point, xs, h.side, window, tol, limit_tol,
+        conditions(xs), conditions, xs, h.side, window, tol, limit_tol,
         "h undefined or non-positive everywhere",
     )
 

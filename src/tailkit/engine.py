@@ -4,17 +4,18 @@ The seed P0 = -+ f g/g' (sign - for the right tail, + for the left) and
 every iterate P_{i+1} = -+ f P_i/P_i' are represented as jets of ln P_i:
 the iteration only ever needs (ln P_i)' and ln f, so the log form stays
 finite arbitrarily far into the tails where raw PDF values underflow.
+An iterate is a link of its chain, and ``log_chain`` evaluates the whole
+chain P_0..P_i in one forward sweep from a single ln f jet.
 
 Classification is numeric and honest about it: the conditions
 ("for all x > x0") are verified on a dense grid over a stated window,
 each sign change is refined by bisection, and the result is reported as
 "numerically verified on [a, b] with tolerance tol".
 
-Evaluators take an anchor that is a float or the whole grid (see
-``jet``): ``classify`` evaluates an iterate's conditions on its grid in
-one batched pass, where a point at which a single evaluation would raise
-comes back NaN (undefined), and bisects the threshold with scalar
-evaluations of the same evaluators.
+Anchors are a float or the whole grid (see ``jet``): ``classify`` reads
+an iterate's conditions, f and the predecessor's slope from one sweep
+on its grid, where a point at which a single evaluation would raise
+comes back NaN (undefined), and bisects the threshold with scalar sweeps.
 
 The verdict rule lives in one place, ``_classify_grid``: the conditions
 on the grid in, verdict, threshold, limit check, sampled residuals and
@@ -114,19 +115,25 @@ class Classification:
 class BoundIterate:
     """One member of the iterative bound sequence.
 
-    ``evaluator`` returns the jet of P_i itself (may under/overflow far
-    out in the tails); ``log_evaluator`` returns the jet of ln P_i and
-    is what the engine uses internally. Both take a float anchor, where
+    A link of its chain; ``log_chain`` evaluates it. ``log_evaluator``
+    returns the jet of ln P_i, ``evaluator`` that of P_i itself (may
+    under/overflow far out in the tails). Both take a float anchor, where
     an undefined point raises, or an array of points, where it is NaN.
     """
 
     index: int
     side: TailSide
-    evaluator: Callable[[float, int], Jet]
-    log_evaluator: Callable[[float, int], Jet]
     dist: DistributionSpec
     seed: SeedKind
+    #: (anchor, order) -> (ln P0 at that order, the ln f jet it read)
+    log_seed: Callable[[float, int], tuple[Jet, Jet]]
     prev: Optional["BoundIterate"] = None
+
+    def log_evaluator(self, anchor, order: int) -> Jet:
+        return log_chain(self, anchor, order)[0][-1]
+
+    def evaluator(self, anchor, order: int) -> Jet:
+        return J.exp(self.log_evaluator(anchor, order))
 
     def value(self, x):
         return self.evaluator(x, 0).value
@@ -188,17 +195,18 @@ def make_seed(
     if seed is SeedKind.DIRECT_H and h_jet is None:
         raise SeedIncompatible("direct-h seed needs an h jet evaluator")
 
-    def log_eval(anchor, order: int) -> Jet:
+    def log_seed(anchor, order: int) -> tuple[Jet, Jet]:
         try:
-            if seed is SeedKind.DIRECT_H:
-                return J.ln(_pointwise(h_jet, anchor, order))
+            if seed is SeedKind.DIRECT_H:  # P_1 reads ln f one order below P0
+                lp = J.ln(_pointwise(h_jet, anchor, order))
+                return lp, _log_pdf_jet(dist, anchor, max(order - 1, 0))
             if seed is SeedKind.PDF:
                 lf = _log_pdf_jet(dist, anchor, order + 1)
                 lfd = jet_shift_derivative(lf)
                 lfd = J.check(lfd, sign * lfd.value <= 0.0, lambda: PoleEncountered(
                     f"pdf seed needs f {'decreasing' if sign < 0 else 'increasing'} at x={anchor}"
                 ))
-                return _truncate(lf, order) - J.ln(sign * lfd)
+                return _truncate(lf, order) - J.ln(sign * lfd), lf
             if seed is SeedKind.SHIFTED_PDF:
                 lo = dist.support.lower
                 x = J.check(jet_var(anchor, order), anchor <= lo, lambda: PoleEncountered(
@@ -210,7 +218,7 @@ def make_seed(
                 t = J.check(t, sign * t.value <= 0.0, lambda: PoleEncountered(
                     f"shifted seed denominator sign at x={anchor}"
                 ))
-                return J.ln(x - lo) + _truncate(lf, order) - J.ln(sign * t)
+                return J.ln(x - lo) + _truncate(lf, order) - J.ln(sign * t), lf
             # CUSTOM_G
             g = _pointwise(g_jet, anchor, order + 1)
             gd = jet_shift_derivative(g)
@@ -218,43 +226,44 @@ def make_seed(
                 f"custom g not strictly {'decreasing' if sign < 0 else 'increasing'} at x={anchor}"
             ))
             lf = _log_pdf_jet(dist, anchor, order)
-            return lf + J.ln(_truncate(g, order)) - J.ln(sign * gd)
+            return lf + J.ln(_truncate(g, order)) - J.ln(sign * gd), lf
         except PoleEncountered:
             raise
         except _POINT_ERRORS as exc:
             raise _as_pole(exc, f"seed at x={anchor}") from exc
 
-    def evaluator(anchor, order: int) -> Jet:
-        return J.exp(log_eval(anchor, order))
-
-    return BoundIterate(0, side, evaluator, log_eval, dist, seed)
+    return BoundIterate(0, side, dist, seed, log_seed)
 
 
 def iterate(prev: BoundIterate) -> BoundIterate:
-    """P_{i+1} = -+ f P_i/P_i' as a fresh iterate (one derivative shift
-    and a division, done on the log jets: ln P_{i+1} = ln f - ln(-+ (ln P_i)'))."""
-    new_index = prev.index + 1
-    sign = -1.0 if prev.side is TailSide.RIGHT else 1.0
+    """P_{i+1} = -+ f P_i/P_i' as the next link of the chain."""
+    return BoundIterate(prev.index + 1, prev.side, prev.dist, prev.seed, prev.log_seed, prev)
 
-    def log_eval(anchor, order: int) -> Jet:
-        if order + new_index + 1 > MAX_ORDER:
-            raise DomainError(
-                f"order {order} at iterate {new_index} exceeds the jet cap {MAX_ORDER}"
-            )
-        lpd = jet_shift_derivative(prev.log_evaluator(anchor, order + 1))
+
+def log_chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], Jet]:
+    """ln P_0 .. ln P_i of ``it``'s chain in one forward sweep, level k
+    at order ``order + i - k``, and the ln f jet the seed read once.
+
+    Each level takes its truncation of ln f (a jet's low coefficients do
+    not depend on its order): ln P_k = ln f - ln(-+ (ln P_{k-1})'). At a
+    float anchor the first pole raises PoleEncountered; on a grid it is NaN.
+    """
+    i = it.index
+    if i and order + i + 1 > MAX_ORDER:
+        raise DomainError(f"order {order} at iterate {i} exceeds the jet cap {MAX_ORDER}")
+    sign = -1.0 if it.side is TailSide.RIGHT else 1.0
+    lp, lf = it.log_seed(anchor, order + i)
+    levels = [lp]
+    for k in range(1, i + 1):
+        lpd = jet_shift_derivative(levels[-1])
         lpd = J.check(lpd, sign * lpd.value <= 0.0, lambda: PoleEncountered(
-            f"P_{prev.index}' has the wrong sign at x={anchor} (iterate pole)"
+            f"P_{k - 1}' has the wrong sign at x={anchor} (iterate pole)"
         ))
         try:
-            lf = _log_pdf_jet(prev.dist, anchor, order)
-            return lf - J.ln(sign * lpd)
+            levels.append(_truncate(lf, order + i - k) - J.ln(sign * lpd))
         except (DomainError, DivisionByZeroJet, OverflowError, ValueError) as exc:
-            raise _as_pole(exc, f"iterate {new_index} at x={anchor}") from exc
-
-    def evaluator(anchor, order: int) -> Jet:
-        return J.exp(log_eval(anchor, order))
-
-    return BoundIterate(new_index, prev.side, evaluator, log_eval, prev.dist, prev.seed, prev)
+            raise _as_pole(exc, f"iterate {k} at x={anchor}") from exc
+    return levels, lf
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +302,13 @@ class _PointEval:
     f: float = math.nan
 
 
-def _point(right: bool, value, slope, f, tol: float, mono_ok=True, defined=True) -> _PointEval:
+def _point(right: bool, value, slope, f, tol: float, mono_ok=True) -> _PointEval:
     """The governing sign conditions of a bound with value P and slope P'
     against the PDF f: P' + f <= tol (upper) / >= -tol (lower) for the
     right tail, P' - f >= -tol (upper) / <= tol (lower) for the left.
-    Floats or grid arrays; a NaN slope (undefined point) fails both."""
+    Floats or grid arrays; a grid point where P or f is NaN is undefined
+    and fails both."""
+    defined = ~(np.isnan(value) | np.isnan(f)) if isinstance(value, np.ndarray) else True
     if right:
         resid = slope + f
         up, lo = resid <= tol, resid >= -tol
@@ -305,11 +316,6 @@ def _point(right: bool, value, slope, f, tol: float, mono_ok=True, defined=True)
         resid = slope - f
         up, lo = resid >= -tol, resid <= tol
     return _PointEval(defined, mono_ok, up, lo, value, resid, slope, f)
-
-
-def _stack(evals: list[_PointEval]) -> _PointEval:
-    """Point evaluations as one grid evaluation."""
-    return _PointEval(*(np.array(col) for col in zip(*(vars(e).values() for e in evals))))
 
 
 def _safe_exp(x):
@@ -322,27 +328,22 @@ def _safe_exp(x):
     return math.exp(x)
 
 
-def _conditions(it: BoundIterate, x, tol: float) -> _PointEval:
+def _conditions(it: BoundIterate, x, tol: float) -> tuple[_PointEval, list[Jet]]:
     """Positivity, monotonicity, and the governing sign condition at a
-    point, or on a grid in one batched pass (undefined points NaN)."""
-    lp = it.log_evaluator(x, 1)
-    lf = _log_pdf_jet(it.dist, x, 0)
+    point, or on a grid (undefined points NaN), from one pass of the
+    chain; with the pass's levels. A pole at a point leaves it undefined."""
+    try:
+        levels, lf = log_chain(it, x, 1)
+    except PoleEncountered:
+        return _PointEval(False), []
     right = it.side is TailSide.RIGHT
+    lp = levels[-1]
     lpd = lp.coeffs[1]
     p = _safe_exp(lp.coeffs[0])
     # monotonicity: P' < 0 (right) / P' > 0 (left)
     mono = (lpd < 0.0) if right else (lpd > 0.0)
     f = _safe_exp(lf.coeffs[0])
-    defined = ~(np.isnan(p) | np.isnan(f)) if lp.batched else True
-    return _point(right, p, p * lpd, f, tol, mono, defined)
-
-
-def _eval_conditions(it: BoundIterate, x: float, tol: float) -> _PointEval:
-    """The conditions at one point; a pole there leaves it undefined."""
-    try:
-        return _conditions(it, x, tol)
-    except PoleEncountered:
-        return _PointEval(False)
+    return _point(right, p, p * lpd, f, tol, mono), levels
 
 
 def _run(ok: np.ndarray) -> int:
@@ -445,10 +446,12 @@ def classify(
     """Verdict, validity threshold, and diagnostics for one iterate, by
     the rule of ``_classify_grid`` on the iterate's own conditions.
 
-    The bound verdict needs positivity (implied by the log evaluator
-    being defined) and the governing sign; monotonicity of P_i gates
-    only the construction of the NEXT iterate, and is reported in
-    ``monotone`` for the algorithm loop.
+    One chain pass on the grid gives the conditions and the predecessor's
+    slope for tightness; the bisection makes scalar passes. The bound
+    verdict needs positivity (implied by P_i being defined) and the
+    governing sign; monotonicity of P_i gates only the construction of
+    the NEXT iterate, and is reported in ``monotone`` for the algorithm
+    loop.
 
     Raises OrderExhausted when P_i's slope needs a jet order above the
     cap (each iterate consumes one order on top of the seed's two).
@@ -462,27 +465,26 @@ def classify(
         raise DomainError(f"window ({a}, {b}) not inside the open support")
     xs = grid_points(window, grid, it.side)
     with np.errstate(all="ignore"):
-        cond = _conditions(it, xs, tol)
+        cond, levels = _conditions(it, xs, tol)
     cls = _classify_grid(
-        cond, lambda x: _eval_conditions(it, x, tol), xs, it.side, window, tol, limit_tol,
+        cond, lambda x: _conditions(it, x, tol)[0], xs, it.side, window, tol, limit_tol,
         f"iterate {it.index} satisfies no base condition anywhere",
     )
-    tightness_ok = _tightness(it, xs, cond, cls.verdict, tol) if it.prev is not None else None
+    tightness_ok = _tightness(it.side, cond, levels[-2], cls.verdict, tol) if it.prev is not None else None
     monotone = bool(np.all(cond.defined & cond.mono_ok))
     return replace(cls, tightness_ok=tightness_ok, monotone=monotone)
 
 
-def _tightness(it, xs, cond, verdict, tol) -> Optional[bool]:
+def _tightness(side: TailSide, cond: _PointEval, lp_prev: Jet, verdict, tol) -> Optional[bool]:
     """Lemma-style tightness condition when the verdict flips from the
     predecessor: the sum P_i + P_{i+1} meets the predecessor's governing
-    sign against 2f (P'_{i+1} + P'_i +- 2f) on the defined part of the grid."""
+    sign against 2f (P'_{i+1} + P'_i +- 2f) on the defined part of the grid;
+    ``lp_prev`` is the predecessor's level in the grid pass."""
     if verdict not in (Verdict.UPPER, Verdict.LOWER):
         return None
-    right = it.side is TailSide.RIGHT
     with np.errstate(all="ignore"):
-        lp_prev = it.prev.log_evaluator(xs, 1)
         dp_prev = _safe_exp(lp_prev.coeffs[0]) * lp_prev.coeffs[1]
-        pair = _point(right, math.nan, cond.slope + dp_prev, 2.0 * cond.f, tol)
+        pair = _point(side is TailSide.RIGHT, math.nan, cond.slope + dp_prev, 2.0 * cond.f, tol)
     held = pair.up_ok if verdict is Verdict.LOWER else pair.lo_ok
     counted = held[cond.defined & ~np.isnan(dp_prev)]
     return bool(counted.all()) if counted.size else None
@@ -608,18 +610,23 @@ def run_algorithm(
 # Rate of convergence
 
 
-def _rate_ratio(it: BoundIterate, x):
+def _rate_ratio(side: TailSide, lp: Jet, lf: Jet):
     """P_i/P_{i+1} = -+P_i'/f = -+(ln P_i)' e^{ln P_i - ln f} (identical by
     construction of the next iterate, no need to form it), stable in the
-    far tail where P and f underflow separately. At a float x or on an
-    array of points (NaN where undefined)."""
-    sign = -1.0 if it.side is TailSide.RIGHT else 1.0
-    try:
-        lp = it.log_evaluator(x, 1)
-        lf = _log_pdf_jet(it.dist, x, 0)
-    except PoleEncountered as exc:
-        raise _as_pole(exc, f"rate at x={x}") from exc
+    far tail where P and f underflow separately. From a pass's level ln P_i
+    (order >= 1) and ln f, at a point or on a grid (NaN where undefined)."""
+    sign = -1.0 if side is TailSide.RIGHT else 1.0
     return sign * lp.coeffs[1] * each(math.exp, lp.coeffs[0] - lf.coeffs[0])
+
+
+def _figure_rate(side: TailSide, lp: Jet, lf: Jet):
+    """|P_{i+1}/P_i - 1| from a pass's level ln P_i (see ``figure_rate``)."""
+    return abs(1.0 / _rate_ratio(side, lp, lf) - 1.0)
+
+
+def _value(lp: Jet):
+    """P_i itself from a pass's level ln P_i."""
+    return J.exp(_truncate(lp, 0)).value
 
 
 def convergence_rate(it, x: float) -> float:
@@ -634,15 +641,14 @@ def convergence_rate(it, x: float) -> float:
         if isinstance(second, BoundIterate) and second.index < first.index:
             first = second
         it = first
-    return abs(_rate_ratio(it, x) - 1.0)
+    levels, lf = log_chain(it, x, 1)
+    return abs(_rate_ratio(it.side, levels[-1], lf) - 1.0)
 
 
 def convergence_rate_ratio_form(it: BoundIterate, x: float) -> float:
     """|P_i/P_{i+1} - 1| by explicitly forming the next iterate."""
-    nxt = iterate(it)
-    lp_i = it.log_evaluator(x, 0)
-    lp_n = nxt.log_evaluator(x, 0)
-    return abs(math.exp(lp_i.coeffs[0] - lp_n.coeffs[0]) - 1.0)
+    levels, _ = log_chain(iterate(it), x, 0)
+    return abs(math.exp(levels[-2].coeffs[0] - levels[-1].coeffs[0]) - 1.0)
 
 
 def figure_rate(it: BoundIterate, x):
@@ -650,4 +656,5 @@ def figure_rate(it: BoundIterate, x):
     reciprocal orientation of convergence_rate; both vanish together as
     the bounds converge). At a float x or on an array of points (NaN
     where undefined)."""
-    return abs(1.0 / _rate_ratio(it, x) - 1.0)
+    levels, lf = log_chain(it, x, 1)
+    return _figure_rate(it.side, levels[-1], lf)

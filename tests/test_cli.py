@@ -85,10 +85,19 @@ class TestBoundsCsv:
         assert rc == 3  # seed invalid on the right-of-mode window
         assert not out.exists()
 
-    def test_bad_flags_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["bounds", "--dist", "gaussian", "--side", "right"])  # missing x range
-        assert exc.value.code == 2
+    def test_bad_flags_exit_2(self, tmp_path):
+        out = tmp_path / "never.csv"
+        for flags in (
+            [],  # missing x range
+            ["--x-min", "1", "--x-max", "3", "--points", "-1"],
+            ["--x-min", "1", "--x-max", "3", "--points", "0"],
+            ["--x-min", "5", "--x-max", "1"],
+            ["--x-min", "2", "--x-max", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run(["bounds", "--dist", "gaussian", "--side", "right", "--out", str(out)] + flags + TS)
+            assert exc.value.code == 2, flags
+            assert not out.exists()
 
     def test_stdout_mode(self, capsys):
         rc = run(["bounds", "--dist", "gaussian", "--side", "right", "--seed", "pdf",

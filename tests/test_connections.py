@@ -9,7 +9,14 @@ from tailkit import engine as E
 from tailkit import jet as J
 from tailkit import oracle as O
 from tailkit.engine import GridSpec, SeedKind, TailSide, Verdict
-from tailkit.errors import MgfDiverged, ParamError
+from tailkit.errors import (
+    DivisionByZeroJet,
+    DomainError,
+    MgfDiverged,
+    OrderExhausted,
+    ParamError,
+    PoleEncountered,
+)
 from tailkit.jet import Jet, jet_var
 
 
@@ -183,3 +190,50 @@ class TestClassifyHInvariant:
         assert cls.verdict is Verdict.UPPER
         for x in np.geomspace(max(cls.threshold, 0.5), 50.0, 30):
             assert h.evaluator(float(x), 0).value >= math.exp(-float(x)) - 1e-9
+
+
+class TestClassifyHErrors:
+    """A point where the candidate raises what a seed turns into a pole
+    is undefined, on the grid and in the bisection alike, as a point
+    where it is non-positive; MgfDiverged is not such an error."""
+
+    @staticmethod
+    def _below(cut, low):
+        h = C.markov_h(1.0)
+
+        def evaluator(anchor, order):
+            if anchor < cut:
+                return low(anchor, order)
+            return h.evaluator(anchor, order)
+
+        return C.CandidateH(evaluator, TailSide.RIGHT)
+
+    @staticmethod
+    def _summary(cls):
+        return (cls.verdict, cls.threshold, [repr(r) for r in cls.residuals], cls.limit_ok, cls.everywhere)
+
+    @pytest.mark.parametrize("error", [
+        DivisionByZeroJet, OrderExhausted, PoleEncountered, DomainError, OverflowError, ValueError,
+    ])
+    def test_raising_point_is_undefined(self, error):
+        exp1 = make_exp1()
+
+        def raising(anchor, order):
+            raise error(f"no candidate at x={anchor}")
+
+        def non_positive(anchor, order):
+            return Jet(anchor, (-1.0,) + (0.0,) * order)
+
+        window = (0.5, 60.0)
+        got = C.classify_h(exp1, self._below(2.0, raising), window, GridSpec(128))
+        want = C.classify_h(exp1, self._below(2.0, non_positive), window, GridSpec(128))
+        assert self._summary(got) == self._summary(want)
+        assert got.verdict is Verdict.UPPER and not got.everywhere
+        assert 2.0 <= got.threshold <= 2.0 + 1e-8 * (window[1] - window[0])
+
+    def test_mgf_diverged_propagates(self):
+        def diverged(anchor, order):
+            raise MgfDiverged(f"MGF non-finite at x={anchor}")
+
+        with pytest.raises(MgfDiverged):
+            C.classify_h(make_exp1(), self._below(2.0, diverged), (0.5, 60.0), GridSpec(128))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -513,6 +514,36 @@ class TestBatchedChain:
         xs = np.concatenate(([-1.0, 0.0], np.geomspace(0.1, 60.0, 40)))
         self._check(_chain_of(d, SeedKind.DIRECT_H, TailSide.RIGHT, 4, h_jet=h), xs)
 
+    @pytest.mark.parametrize("make", [
+        lambda: (D.make_gaussian(-1.7, 1.9), SeedKind.PDF, TailSide.RIGHT, {},
+                 np.sort(np.append(np.linspace(-6.0, 6.0, 60), -1.7))),
+        lambda: (D.make_beta_prime(2.1, 1.3), SeedKind.SHIFTED_PDF, TailSide.RIGHT, {},
+                 np.concatenate(([-0.5, 0.0], np.geomspace(0.02, 80.0, 60)))),
+        lambda: (D.make_noncentral_chi2(10.0, 50.0), SeedKind.SHIFTED_PDF, TailSide.LEFT, {},
+                 np.concatenate(([0.0], np.geomspace(0.05, 90.0, 40)))),
+        lambda: (D.make_gaussian(0.0, 1.0), SeedKind.CUSTOM_G, TailSide.RIGHT,
+                 {"g_jet": connections.markov_h(1.0).evaluator}, np.linspace(-2.0, 6.0, 41)),
+        lambda: (D.make_beta_prime(2.1, 1.3), SeedKind.DIRECT_H, TailSide.RIGHT,
+                 {"h_jet": connections.markov_h(2.1 / 0.3).evaluator},
+                 np.concatenate(([-1.0, 0.0], np.geomspace(0.1, 60.0, 40)))),
+    ], ids=["gaussian-pdf", "beta-prime-shifted", "ncchi2-left", "custom-g", "direct-h"])
+    def test_sweep_levels_match_each_iterate(self, make):
+        # one sweep of P_i gives every P_j at order o + i - j bit for bit,
+        # NaN masks included, and its ln f truncates to the ln f jet of
+        # every lower order
+        d, seed_kind, side, kw, xs = make()
+        chain = _chain_of(d, seed_kind, side, 4, **kw)
+        for o in (0, 1, 2):
+            levels, lf = E.log_chain(chain[-1], xs, o)
+            assert len(levels) == len(chain)
+            for j, (it, level) in enumerate(zip(chain, levels)):
+                want = it.log_evaluator(xs, o + 4 - j)
+                assert level.order == want.order
+                assert [_bits(c) for c in level.coeffs] == [_bits(c) for c in want.coeffs], (o, j)
+            for m in range(lf.order + 1):
+                want = d.log_pdf_jet(xs, m)
+                assert [_bits(c) for c in lf.coeffs[: m + 1]] == [_bits(c) for c in want.coeffs], (o, m)
+
     def test_higher_order(self, chain01):
         xs = np.linspace(-1.0, 5.0, 31)
         for it in chain01:
@@ -544,3 +575,44 @@ class TestBatchedChain:
         xs = np.linspace(a, b, 16)
         for it in _chain_of(d, seed_kind, side, depth):
             assert_batch_matches_scalar(it, xs)
+
+
+class TestOneSweep:
+    """A grid classification reads ln f once: the chain, f and the
+    predecessor's slope for tightness come from one sweep, and each
+    bisection step is one scalar sweep with one more ln f call."""
+
+    @staticmethod
+    def _counted(spec):
+        calls = {"grid": 0, "point": 0}
+        inner = spec.log_pdf_jet
+
+        def counted(anchor, order):
+            calls["grid" if isinstance(anchor, np.ndarray) else "point"] += 1
+            return inner(anchor, order)
+
+        return dataclasses.replace(spec, log_pdf_jet=counted), calls
+
+    @pytest.mark.parametrize("make, seed_kind, side, window, depth, bisects", [
+        (lambda: D.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT, (0.05, 8.0), 1, False),
+        (lambda: D.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT, (0.05, 8.0), 3, True),
+        (lambda: D.make_beta_prime(2.1, 1.3), SeedKind.SHIFTED_PDF, TailSide.RIGHT, (0.5, 60.0), 0, True),
+        (lambda: D.make_beta_prime(2.1, 1.3), SeedKind.SHIFTED_PDF, TailSide.RIGHT, (0.5, 60.0), 4, True),
+        (lambda: D.make_noncentral_chi2(10.0, 2.0), SeedKind.SHIFTED_PDF, TailSide.LEFT, (0.05, 6.0), 2, False),
+    ], ids=["gaussian-P1", "gaussian-P3", "beta-prime-P0", "beta-prime-P4", "ncchi2-P2"])
+    def test_classify_reads_ln_f_once_per_pass(self, monkeypatch, make, seed_kind, side, window, depth, bisects):
+        d, calls = self._counted(make())
+        it = _chain_of(d, seed_kind, side, depth)[-1]
+        passes = {"grid": 0, "point": 0}
+        conditions = E._conditions
+
+        def counted_conditions(it, x, tol):
+            passes["grid" if isinstance(x, np.ndarray) else "point"] += 1
+            return conditions(it, x, tol)
+
+        monkeypatch.setattr(E, "_conditions", counted_conditions)
+        cls = E.classify(it, window)
+        assert cls.everywhere is not bisects
+        assert passes["grid"] == 1 and calls["grid"] == 1
+        assert calls["point"] == passes["point"]
+        assert (passes["point"] > 0) is bisects
