@@ -29,6 +29,7 @@ from .errors import BracketFailed, DomainError, OutOfValidity, ParamError, PoleE
 from .jet import jet_var
 
 _LN2 = math.log(2.0)
+_ULP = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -281,40 +282,78 @@ def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> float:
     return best
 
 
-def oracle_converse(cfg: AwgnConfig, tol: float = 1e-11) -> float:
-    """Exact converse rate from the series CDF oracle (costly; meant for
-    n up to a few thousand): solve 1 - F_MD(n lambda) = eps, then
-    -(1/n) log2 F_FA(n lambda/(1+Omega))."""
-    n, om, eps = cfg.n, cfg.omega, cfg.eps
-    s_md = n / om
+def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
+    """Exact lambda: the root of ln Pr{ncx2(n, n/Omega) > n lambda} = ln eps,
+    with the survival function from the series oracle (tol is its
+    truncation tolerance).
 
-    def md_tail(lam: float) -> float:
-        return 1.0 - oracle.ncchi2_cdf_series(n, s_md, n * lam, tol)
+    The bracket is pushed from the asymptotic correction until it
+    straddles ln eps; then Illinois (regula falsi that halves the stale
+    end's value when the same end is kept twice) runs on the log survival,
+    which is smooth and nearly linear in lambda near the root, until the
+    bracket is at ulp width or the residual reaches rounding level."""
+    n, om = cfg.n, cfg.omega
+    s_md = n / om
+    target = math.log(cfg.eps)
+
+    def excess(lam: float) -> float:
+        return oracle.ncchi2_sf_log(n, s_md, n * lam, tol) - target
 
     lam_0 = lambda0(om)
     corr = lambda_asymptotic(cfg) - lam_0
-    lo, hi = lam_0 + corr * 1e-3, lam_0 + 30.0 * corr
+    lo, hi = lam_0 + corr * 1e-3, lam_0 + 2.0 * corr
     for _ in range(40):
-        if md_tail(lo) > eps:
+        f_lo = excess(lo)
+        if f_lo > 0.0:
             break
         lo = lam_0 + (lo - lam_0) * 0.25
     else:
         raise BracketFailed(f"oracle MD tail below eps all the way to lambda0 at n={n}")
     for _ in range(40):
-        if md_tail(hi) < eps:
+        f_hi = excess(hi)
+        if f_hi < 0.0:
             break
         hi = lam_0 + (hi - lam_0) * 2.0
     else:
         raise BracketFailed(f"oracle MD tail above eps on the whole bracket at n={n}")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    return _illinois(excess, lo, hi, f_lo, f_hi, 4.0 * _ULP * abs(target))
+
+
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, f_tol: float) -> float:
+    """Root of a decreasing f in [lo, hi] with f(lo) > 0 > f(hi): the
+    point with the smallest |f| seen when |f| <= f_tol or the bracket is
+    at ulp width."""
+    best, best_f = (lo, f_lo) if f_lo < -f_hi else (hi, f_hi)
+    kept = 0  # +1: lo was kept by the last step, -1: hi was
+    for _ in range(200):
+        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+        v = f(mid)
+        if abs(v) < abs(best_f):
+            best, best_f = mid, v
+        if abs(v) <= f_tol:
             break
-        if md_tail(mid) > eps:
-            lo = mid
+        if v > 0.0:
+            lo, f_lo = mid, v
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
         else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+            hi, f_hi = mid, v
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+    return best
+
+
+def oracle_converse(cfg: AwgnConfig, tol: float = 1e-11) -> float:
+    """Exact converse rate from the series oracle: -(1/n) log2 F_FA at
+    n lambda/(1+Omega), with lambda from ``oracle_lambda``."""
+    n, om = cfg.n, cfg.omega
+    lam = oracle_lambda(cfg, tol)
     s_fa = n * (1.0 + om) / om
     ln_f_fa = oracle.ncchi2_cdf_log(n, s_fa, n * lam / (1.0 + om), tol)
     return -ln_f_fa / (n * _LN2)

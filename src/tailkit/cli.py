@@ -25,7 +25,7 @@ from . import __version__, awgn, dist, engine, verify
 from .engine import GridSpec, SeedKind, TailSide
 from .errors import SeedInvalid, TailkitError
 
-_ORACLE_N_CAP = 2000
+_ORACLE_N_CAP = 10_000
 
 
 def _fmt(x: float) -> str:

@@ -1,10 +1,10 @@
 """Ground truth at desk scale.
 
 Adaptive quadrature of any distribution's PDF plus closed reference CDFs
-(erfc-based Gaussian, incomplete-beta beta prime, Poisson-weighted
-gamma-series non-central chi-squared).  Everything the acceptance tests
-compare bounds against comes from here, through code paths independent
-of the jet engine.
+(erfc-based Gaussian, incomplete-beta beta prime, and both tails of the
+non-central chi-squared as Poisson mixtures of incomplete gammas, summed
+by recurrence).  Everything the acceptance tests compare bounds against
+comes from here, through code paths independent of the jet engine.
 """
 
 from __future__ import annotations
@@ -112,38 +112,121 @@ def beta_prime_cdf(alpha: float, beta: float, x: float) -> float:
     return specfun.reg_inc_beta(x / (x + 1.0), alpha, beta)
 
 
-def ncchi2_cdf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
-    """ln of the non-central chi-squared CDF, as the Poisson-weighted
-    gamma-P series accumulated in log space.
+# The non-central chi-squared tails are Poisson(s/2) mixtures of central
+# ones: with a = k/2 and y = x/2,
+#
+#   F(x) = sum_j Pois(j; s/2) P(a + j, y),   1 - F(x) = sum_j Pois(j; s/2) Q(a + j, y).
+#
+# Across the mixture index the regularized incomplete gammas obey
+#
+#   Q(b + 1, y) = Q(b, y) + t_b,   P(b, y) = P(b + 1, y) + t_b,
+#   t_b = y^b e^{-y} / Gamma(b + 1)
+#
+# (Ding 1992, AS 275; Benton & Krishnamoorthy 2003), so one incomplete-gamma
+# evaluation at one end of the index window gives the whole window: Q
+# upward from the bottom, P downward from the top.  Every step adds a
+# positive term, so nothing cancels; the sums are accumulated in log space
+# and each ln t_b and Poisson weight takes its own lgamma.
 
-    The gamma terms decrease in the Poisson index, so the remainder
-    after j terms is bounded by (remaining Poisson mass) * (last gamma
-    term); truncation stops when that bound drops below tol relative to
-    the accumulated value (and always by the standard sub-exponential
-    Poisson cap j_max = s/2 + 40 sqrt(s/2+1) + 50).
+
+@lru_cache(maxsize=8)
+def _window(k: float, s: float, from_zero: bool) -> tuple:
+    """The mixture index window and what over it does not depend on x.
+
+    Returns m = s/2, the first index j0, and over j = j0 .. J the orders
+    b = k/2 + j, ln Pois(j; m) and lgamma(b + 1).  The window is
+    [max(0, m - W), m + W] (from 0 for the CDF), W = 40 sqrt(m + 1) + 50:
+    about 40 standard deviations of the Poisson either side of its mean,
+    plus a margin for small m.  It is not centred on the summand's peak,
+    which in the deep right tail sits above the Poisson mean; the
+    remainder check in ``_log_mixture`` catches a window that misses it.
+    Cached, so the repeated tails of one root solve share it."""
+    m = 0.5 * s
+    w = 40.0 * math.sqrt(m + 1.0) + 50.0
+    j0 = 0 if from_zero else max(0, int(m - w))
+    j = np.arange(j0, int(m + w) + 1, dtype=float)
+    b = 0.5 * k + j
+    ln_w = j * math.log(m) - m - _lgamma(j + 1.0)
+    lg = _lgamma(b + 1.0)
+    for arr in (b, ln_w, lg):
+        arr.flags.writeable = False
+    return m, j0, b, ln_w, lg
+
+
+def _lgamma(v: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, v.tolist()), float, len(v))
+
+
+def _log_mixture(
+    m: float, j0: int, ln_w: np.ndarray, ln_g: np.ndarray, ln_g_above: float, tol: float, where: str
+) -> float:
+    """ln sum_j Pois(j; m) g_j over the window j0 .. J, from ln Pois and ln g.
+
+    Outside the window the sum is bounded through the Poisson tails,
+    sum_{j>J} w_j <= w_{J+1} / (1 - m/(J+2)) and
+    sum_{j<j0} w_j <= w_{j0-1} / (1 - (j0-1)/m), times the largest g there:
+    ``ln_g_above`` above the window and g_{j0} below it (g rises in j
+    wherever j0 > 0 is used).  Both remainders must fall below tol
+    relative to the total."""
+    j1 = j0 + len(ln_g) - 1
+    v = ln_w + ln_g
+    top = float(v.max())
+    total = top + math.log(float(np.exp(v - top).sum()))
+    rem = float(ln_w[-1]) + math.log(m / (j1 + 1)) - math.log1p(-m / (j1 + 2)) + ln_g_above
+    if j0 > 0:
+        below = float(ln_w[0] + ln_g[0]) + math.log(j0 / m) - math.log1p(-(j0 - 1) / m)
+        rem = float(np.logaddexp(rem, below))
+    if not rem <= math.log(tol) + total:
+        raise ToleranceNotMet(f"series remainder above tol {tol:.3e} outside j in [{j0}, {j1}] ({where})")
+    return min(0.0, total)
+
+
+def ncchi2_cdf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
+    """ln of the non-central chi-squared CDF.
+
+    One incomplete-gamma evaluation, ln P(a + J, y) at the top of the
+    window j in [0, J] (see ``_window``), then the downward recurrence
+    ln P(b, y) = logaddexp(ln P(b + 1, y), ln t_b) for every lower index,
+    and a log-sum-exp of Poisson weights plus ln P.  P falls in j, so the
+    remainder above J is at most P(a + J, y) times the Poisson mass there.
     """
     if k <= 0.0 or s < 0.0 or x < 0.0:
         raise DomainError("ncchi2_cdf_log needs k > 0, s >= 0, x >= 0")
     if x == 0.0:
         return -math.inf
+    a, y = 0.5 * k, 0.5 * x
     if s == 0.0:
-        return specfun.log_reg_inc_gamma_P(0.5 * k, 0.5 * x)
-    half_s = 0.5 * s
-    j_max = int(half_s + 40.0 * math.sqrt(half_s + 1.0) + 50.0)
-    acc = -math.inf
-    pois_mass = 0.0
-    for j in range(j_max + 1):
-        lw = -half_s + j * math.log(half_s) - math.lgamma(j + 1.0)
-        lp = specfun.log_reg_inc_gamma_P(0.5 * k + j, 0.5 * x)
-        term = lw + lp
-        acc = max(acc, term) + math.log1p(math.exp(-abs(acc - term))) if math.isfinite(acc) else term
-        pois_mass += math.exp(lw)
-        rem = 1.0 - pois_mass
-        if rem <= 0.0 or (math.isfinite(acc) and math.log(max(rem, 1e-320)) + lp <= math.log(tol) + acc):
-            return min(0.0, acc)
-    raise ToleranceNotMet(
-        f"series remainder above tol {tol:.3e} at j={j_max} (k={k}, s={s}, x={x})"
-    )
+        return specfun.log_reg_inc_gamma_P(a, y)
+    m, _, b, ln_w, lg = _window(k, s, True)
+    top = specfun.log_reg_inc_gamma_P(b[-1], y)
+    ln_t = b[-2::-1] * math.log(y) - y - lg[-2::-1]  # from the top down
+    ln_p = np.logaddexp.accumulate(np.concatenate(([top], ln_t)))[::-1]
+    return _log_mixture(m, 0, ln_w, ln_p, top, tol, f"k={k}, s={s}, x={x}")
+
+
+def ncchi2_sf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
+    """ln of the non-central chi-squared survival function Pr{X > x}.
+
+    One incomplete-gamma evaluation, ln Q(a + j0, y) at the bottom of the
+    window j in [j0, J] (see ``_window``), then the upward recurrence
+    ln Q(b + 1, y) = logaddexp(ln Q(b, y), ln t_b), and a log-sum-exp of
+    Poisson weights plus ln Q.  Q rises in j, so the remainder below j0 is
+    at most Q(a + j0, y) times the Poisson mass there, and the one above J
+    at most the Poisson mass there.  Never formed as 1 - CDF, so it keeps
+    its relative accuracy in the far right tail.
+    """
+    if k <= 0.0 or s < 0.0 or x < 0.0:
+        raise DomainError("ncchi2_sf_log needs k > 0, s >= 0, x >= 0")
+    if x == 0.0:
+        return 0.0
+    a, y = 0.5 * k, 0.5 * x
+    if s == 0.0:
+        return specfun.log_reg_inc_gamma_Q(a, y)
+    m, j0, b, ln_w, lg = _window(k, s, False)
+    bottom = specfun.log_reg_inc_gamma_Q(b[0], y)
+    ln_t = b[:-1] * math.log(y) - y - lg[:-1]
+    ln_q = np.logaddexp.accumulate(np.concatenate(([bottom], ln_t)))
+    return _log_mixture(m, j0, ln_w, ln_q, 0.0, tol, f"k={k}, s={s}, x={x}")
 
 
 def ncchi2_cdf_series(k: float, s: float, x: float, tol: float = 1e-12) -> float:
@@ -167,9 +250,11 @@ def oracle_cdf(dist, x: float) -> float:
 
 def oracle_tail(dist, x: float) -> float:
     """Closed-form right tail for the catalog distributions."""
+    p = dist.params
     if dist.name == "gaussian":
-        p = dist.params
         return gaussian_tail(p["mu"], p["sigma"], x)
+    if dist.name == "noncentral_chi2":
+        return math.exp(ncchi2_sf_log(p["k"], p["s"], x))
     return 1.0 - oracle_cdf(dist, x)
 
 

@@ -104,18 +104,7 @@ def reg_inc_gamma_P(a: float, x: float) -> float:
     lead = a * math.log(x) - x - math.lgamma(a)
     if x < a + 1.0:
         # series converges fast on this side
-        term = 1.0 / a
-        total = term
-        n = 0
-        while True:
-            n += 1
-            term *= x / (a + n)
-            total += term
-            if term < total * 1e-17:
-                break
-            if n > 100000:
-                raise ToleranceNotMet("incomplete gamma series stalled")
-        return min(1.0, max(0.0, total * math.exp(lead)))
+        return min(1.0, max(0.0, _gamma_p_series_h(a, x) * math.exp(lead)))
     return min(1.0, max(0.0, 1.0 - math.exp(lead) * _gamma_q_cf_h(a, x)))
 
 
@@ -128,22 +117,42 @@ def log_reg_inc_gamma_P(a: float, x: float) -> float:
         return -math.inf
     lead = a * math.log(x) - x - math.lgamma(a)
     if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        n = 0
-        while True:
-            n += 1
-            term *= x / (a + n)
-            total += term
-            if term < total * 1e-17:
-                break
-            if n > 100000:
-                raise ToleranceNotMet("incomplete gamma series stalled")
-        return lead + math.log(total)
+        return lead + math.log(_gamma_p_series_h(a, x))
     ln_q = lead + math.log(_gamma_q_cf_h(a, x))
     if ln_q >= 0.0:
         return -math.inf
     return math.log1p(-math.exp(ln_q))
+
+
+def log_reg_inc_gamma_Q(a: float, x: float) -> float:
+    """ln Q(a, x) = ln(1 - P(a, x)), usable where Q underflows doubles
+    (deep right tails).  For x >= a + 1 it comes straight from the
+    continued fraction; below, Q >= Q(a, a + 1) and 1 - P from the series
+    loses little."""
+    if a <= 0.0 or x < 0.0:
+        raise DomainError("log_reg_inc_gamma_Q needs a > 0, x >= 0")
+    if x == 0.0:
+        return 0.0
+    lead = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        return math.log1p(-min(1.0, math.exp(lead) * _gamma_p_series_h(a, x)))
+    return min(0.0, lead + math.log(_gamma_q_cf_h(a, x)))
+
+
+def _gamma_p_series_h(a: float, x: float) -> float:
+    # power series for P(a, x); returns the sum h with
+    # P = e^{a ln x - x - lgamma(a)} h
+    term = 1.0 / a
+    total = term
+    n = 0
+    while True:
+        n += 1
+        term *= x / (a + n)
+        total += term
+        if term < total * 1e-17:
+            return total
+        if n > 100000:
+            raise ToleranceNotMet("incomplete gamma series stalled")
 
 
 def _gamma_q_cf_h(a: float, x: float) -> float:

@@ -166,6 +166,12 @@ class TestConverseBounds:
             oc = A.oracle_converse(cfg)
             assert p.r_lower <= oc <= p.r_upper
 
+    def test_oracle_inside_sandwich_at_ten_thousand(self):
+        for om, eps in ((1.0, 1e-3), (5.0, 1e-5)):
+            cfg = A.AwgnConfig(10**4, om, eps)
+            p = A.converse_bounds(cfg)
+            assert p.r_lower <= A.oracle_converse(cfg) <= p.r_upper
+
     def test_gap_shrinks_with_n(self):
         gaps = []
         for n in (200, 500, 1000):

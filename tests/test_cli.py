@@ -110,14 +110,14 @@ class TestAwgnCsv:
     def test_columns_and_oracle_blank_policy(self, tmp_path):
         out = tmp_path / "awgn.csv"
         rc = run(["awgn", "--omega", "1", "--eps", "1e-3",
-                  "--n-list", "200,4000", "--oracle", "on", "--out", str(out)] + TS)
+                  "--n-list", "200,20000", "--oracle", "on", "--out", str(out)] + TS)
         assert rc == 0
         _, header, rows = parse_csv(out)
         assert header == ["n", "lambda_p0", "lambda_p1", "lambda_asym", "r_lower",
                           "r_upper", "r_asym", "r_na", "capacity", "oracle_converse"]
         byn = {int(r[0]): r for r in rows}
         assert byn[200][-1] != ""     # oracle on, below the cap
-        assert byn[4000][-1] == ""    # above the oracle cap: blank
+        assert byn[20000][-1] == ""    # above the oracle cap: blank
         assert float(byn[200][header.index("capacity")]) == 0.5
         oc = float(byn[200][-1])
         assert float(byn[200][4]) <= oc <= float(byn[200][5])

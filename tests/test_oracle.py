@@ -4,11 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tailkit import awgn as A
 from tailkit import dist as D
 from tailkit import oracle as O
 from tailkit import specfun as sf
 from tailkit.engine import TailSide
-from tailkit.errors import DomainError
+from tailkit.errors import DomainError, ToleranceNotMet
 
 mp.mp.dps = 30
 
@@ -87,6 +88,81 @@ class TestNcChi2Series:
     def test_domain(self):
         with pytest.raises(DomainError):
             O.ncchi2_cdf_series(-1.0, 2.0, 1.0)
+
+
+def mp_log_mixture(k, s, x, upper):
+    """ln sum_j Pois(j; s/2) G(k/2 + j, x/2) with G = Q (upper) or P, each
+    G from mpmath's gammainc.  Summed outward from j = s/2 until the terms
+    shrink below 1e-25 of the total (they are unimodal in j)."""
+    with mp.workdps(30):
+        hs, hk, hx = mp.mpf(s) / 2, mp.mpf(k) / 2, mp.mpf(x) / 2
+        lims = (hx, mp.inf) if upper else (0, hx)
+
+        def term(j):
+            g = mp.gammainc(hk + j, *lims, regularized=True)
+            return mp.exp(j * mp.log(hs) - hs - mp.loggamma(j + 1)) * g
+
+        j_mid = int(s) // 2
+        total = term(j_mid)
+        for step in (1, -1):
+            j, prev = j_mid + step, total
+            while j >= 0:
+                t = term(j)
+                total += t
+                if t < prev and t < total * mp.mpf(10) ** -25:
+                    break
+                prev, j = t, j + step
+        return float(mp.log(total))
+
+
+class TestRecurrence:
+    def test_sf_deep_tail_matches_mpmath(self):
+        # the summand peaks near j = 1400, well above the Poisson mean 1040:
+        # a window centred on the mean a dozen deviations wide misses it
+        k, s, x = 1040.0, 2080.0, 1040.0 * 4.958
+        want = mp_log_mixture(k, s, x, upper=True)
+        assert want < -150.0
+        assert abs(O.ncchi2_sf_log(k, s, x) - want) <= 1e-10
+
+    @pytest.mark.parametrize("x", [1.3, 20.0, 60.0, 90.0])
+    def test_oracle_tail_is_the_survival_series(self, catalog, x):
+        # the tail is 1.05e-12 at x = 90, beyond what 1 - CDF resolves
+        want = math.exp(mp_log_mixture(10.0, 2.0, x, upper=True))
+        assert abs(O.oracle_tail(catalog["ncchi2"], x) - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize(
+        "k, s, x",
+        [(10.0, 2.0, 1.3), (10.0, 2.0, 90.0), (0.3, 5.0, 0.01), (400.0, 800.0, 120.0),
+         (2000.0, 4000.0, 6600.0), (7.0, 0.0, 4.0)],
+    )
+    def test_one_special_function_call_per_tail(self, monkeypatch, k, s, x):
+        calls = []
+        for name in ("_gamma_q_cf_h", "_gamma_p_series_h"):
+            kernel = getattr(sf, name)
+            monkeypatch.setattr(sf, name, lambda a, y, kernel=kernel: calls.append(a) or kernel(a, y))
+        for tail in (O.ncchi2_sf_log, O.ncchi2_cdf_log):
+            calls.clear()
+            assert math.isfinite(tail(k, s, x))
+            assert len(calls) == 1, tail.__name__
+
+    def test_sf_and_cdf_complement(self):
+        for k, s, x in ((10.0, 2.0, 5.0), (200.0, 400.0, 610.0), (3.0, 40.0, 41.0)):
+            total = math.exp(O.ncchi2_sf_log(k, s, x)) + math.exp(O.ncchi2_cdf_log(k, s, x))
+            assert abs(total - 1.0) <= 1e-13
+
+    def test_unbounded_remainder_raises(self):
+        # ln sf is near -1165 here (scipy underflows); the Poisson mass
+        # above the window's top m + W, about e^-548, cannot bound the
+        # remainder below tol times that
+        with pytest.raises(ToleranceNotMet):
+            O.ncchi2_sf_log(243.0, 486.0, 5336.0)
+
+    def test_oracle_lambda_meets_eps_against_mpmath(self):
+        # eps = 1e-5 at small n, where a tail taken as 1 - CDF is least accurate
+        cfg = A.AwgnConfig(200, 0.5, 1e-5)
+        lam = A.oracle_lambda(cfg)
+        ln_sf = mp_log_mixture(cfg.n, cfg.n / cfg.omega, cfg.n * lam, upper=True)
+        assert abs(ln_sf - math.log(cfg.eps)) <= 1e-10
 
 
 class TestClosedCdfs:
