@@ -11,7 +11,10 @@ first-iterate bounds on two non-central chi-squared tails:
 with lambda solved from "MD bound = eps".  Everything is assembled in
 log space from exponentially scaled Bessel values; raw probabilities
 like the false-alarm left tail underflow doubles already at n ~ 10^3,
-while the log forms stay exact up to n ~ 10^7.
+while the log forms stay finite.  They are not exact: ln f sums terms of
+size O(n) that cancel, so its rounding grows like n ulp (ln P1,MD is
+within 2e-13 relative of mpmath at n = 10^4 and 4e-12 at 10^5), and the
+lambda solves meet their 1e-10 log residual only up to n ~ 10^6.
 
 Also provides the closed-form asymptotic rate (Lambert-W lambda), the
 normal approximation, and the Debye-side quantities the asymptotics are
@@ -23,10 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import jet as J
 from . import oracle, specfun
 from .errors import BracketFailed, DomainError, OutOfValidity, ParamError, PoleEncountered
-from .jet import jet_var
 
 _LN2 = math.log(2.0)
 _ULP = 2.0**-52
@@ -82,10 +83,11 @@ def _fa_args(cfg: AwgnConfig, lam: float) -> tuple[float, float, float]:
     return float(cfg.n), cfg.n * (1.0 + cfg.omega) / cfg.omega, cfg.n * lam / (1.0 + cfg.omega)
 
 
-def _log_seed(k: float, s: float, x: float, right: bool) -> float:
-    """ln of the ncx2 seed bound 2 x f(x) / bracket, with
-    bracket = x - k + 2 - u I-ratio (right tail, g = f) or
-              k - x + u I-ratio     (left tail, g = x f)."""
+def _seed_parts(k: float, s: float, x: float, right: bool) -> tuple:
+    """What the seed and the first iterate share at x: u = sqrt(s x), the
+    ratio r = I_nu(u)/I_{nu-1}(u) at nu = k/2, ln f, and the seed's
+    denominator bracket = x - k + 2 - u r (right tail, g = f) or
+    k - x + u r (left tail, g = x f)."""
     if x <= 0.0:
         raise OutOfValidity(f"argument x={x} not positive")
     u = math.sqrt(s * x)
@@ -101,30 +103,38 @@ def _log_seed(k: float, s: float, x: float, right: bool) -> float:
         + u
         + pair.log_scaled_lower
     )
+    return u, pair.ratio, ln_f, bracket
+
+
+def _log_seed(k: float, s: float, x: float, right: bool) -> float:
+    """ln of the ncx2 seed bound 2 x f(x) / bracket (see ``_seed_parts``)."""
+    _, _, ln_f, bracket = _seed_parts(k, s, x, right)
     return _LN2 + math.log(x) + ln_f - math.log(bracket)
 
 
 def _log_first_iterate(k: float, s: float, x: float, right: bool) -> float:
     """ln of the first iterate f * P0/P0' (sign per side): ln f at x minus
-    ln of -+(ln P0)', with the derivative taken through order-1 jets of
-    the log quantities."""
-    if x <= 0.0:
-        raise OutOfValidity(f"argument x={x} not positive")
-    xj = jet_var(x, 1)
-    u = J.sqrt(s * xj)
-    log_lower, log_upper = specfun.log_bessel_i_jet(0.5 * k, u)
-    ln_f = -_LN2 - 0.5 * (xj + s) + (0.25 * k - 0.5) * (J.ln(xj) - math.log(s)) + u + log_lower
-    ratio = J.exp(log_upper - log_lower)
-    ur = u * ratio
-    bracket = (xj - k + 2.0 - ur) if right else (k - xj + ur)
-    if bracket.value <= 0.0:
-        raise OutOfValidity(f"seed denominator sign wrong at x={x}")
-    lp0 = _LN2 + J.ln(xj) + ln_f - J.ln(bracket)
-    dlp0 = lp0.coeffs[1]
+    ln of -+(ln P0)'.
+
+    The derivative is closed-form in the ratio r = I_nu/I_{nu-1}, nu = k/2,
+    u = sqrt(s x), du/dx = s/(2u).  From I'_{nu-1} = I_nu + ((nu-1)/u) I_{nu-1}
+    and I'_nu = I_{nu-1} - (nu/u) I_nu (DLMF 10.29.2) r obeys the Riccati
+    equation r' = 1 - (2 nu - 1) r/u - r^2 (Amos 1974), so
+        (ln f)'  = -1/2 + (nu - 1)/x + r s/(2u),
+        (u r)'   = (s/(2u)) (u - (2 nu - 2) r - u r^2),
+        (ln P0)' = 1/x + (ln f)' - bracket'/bracket,
+    with bracket' = 1 - (u r)' on the right tail and (u r)' - 1 on the left.
+    """
+    u, r, ln_f, bracket = _seed_parts(k, s, x, right)
+    nu = 0.5 * k
+    du = s / (2.0 * u)
+    dur = du * (u - (2.0 * nu - 2.0) * r - u * r * r)
+    dbracket = (1.0 - dur) if right else (dur - 1.0)
+    dlp0 = nu / x - 0.5 + r * du - dbracket / bracket  # 1/x + (ln f)' - bracket'/bracket
     sign = -1.0 if right else 1.0
     if sign * dlp0 <= 0.0:
         raise PoleEncountered(f"P0' has the wrong sign at x={x}")
-    return ln_f.value - math.log(sign * dlp0)
+    return ln_f - math.log(sign * dlp0)
 
 
 def log_p0_md(cfg: AwgnConfig, lam: float) -> float:
@@ -212,13 +222,15 @@ def normal_approximation(cfg: AwgnConfig) -> float:
 
 
 def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> float:
-    """lambda with bound(n*lambda) = eps, by bisection on the log bound.
+    """lambda with bound(n*lambda) = eps, by Illinois on the log bound.
 
     The bracket is seeded from the asymptotic correction; both endpoints
     are pushed until they straddle ln(eps).  The bound decreases in
     lambda and blows up at the validity threshold just above
     lambda0 = 1 + 1/Omega, so the low endpoint always reaches a value
-    above eps when n >= n0.
+    above eps when n >= n0.  The root finder (``_illinois``) stops at a
+    log residual of 1e-10 or at ulp width; a step that lands below the
+    validity threshold moves the low end.
     """
     if which not in ("p0", "p1"):
         raise DomainError("which must be 'p0' or 'p1'")
@@ -227,59 +239,40 @@ def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> float:
     lam_0 = lambda0(cfg.omega)
     corr = lambda_asymptotic(cfg) - lam_0
 
-    def eval_log(lam: float) -> float | None:
+    def excess(lam: float) -> float | None:
         try:
-            return log_bound(cfg, lam)
+            return log_bound(cfg, lam) - target
         except (OutOfValidity, PoleEncountered):
             return None
 
     lo = lam_0 + corr / 50.0
-    v_lo = eval_log(lo)
+    f_lo = excess(lo)
     for _ in range(200):
-        if v_lo is not None and v_lo >= target:
+        if f_lo is not None and f_lo >= 0.0:
             break
-        if v_lo is None:
+        if f_lo is None:
             lo = lam_0 + (lo - lam_0) * 1.5  # below validity: move up
         else:
             lo = lam_0 + (lo - lam_0) * 0.25  # above target already: move toward the pole
         if lo - lam_0 > 1e12 * corr or lo - lam_0 < 1e-14 * lam_0:
             raise BracketFailed(f"no valid low bracket endpoint for {which} at n={cfg.n}")
-        v_lo = eval_log(lo)
+        f_lo = excess(lo)
     else:
         raise BracketFailed(f"eps unreachable from below for {which} at n={cfg.n}")
 
     hi = lam_0 + 20.0 * corr
-    v_hi = eval_log(hi)
+    f_hi = excess(hi)
     for _ in range(60):
-        if v_hi is not None and v_hi <= target:
+        if f_hi is not None and f_hi <= 0.0:
             break
         hi = lam_0 + (hi - lam_0) * 2.0
-        v_hi = eval_log(hi)
+        f_hi = excess(hi)
     else:
         raise BracketFailed(f"eps unreachable from above for {which} at n={cfg.n}")
 
     if hi <= lo:
         raise BracketFailed(f"degenerate bracket for {which} at n={cfg.n}")
-
-    best, best_err = lo, abs(v_lo - target)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at ulp width
-            break
-        v = eval_log(mid)
-        if v is None:
-            lo = mid
-            continue
-        err = abs(v - target)
-        if err < best_err:
-            best, best_err = mid, err
-        if err <= 1e-10:
-            return mid
-        if v > target:
-            lo = mid
-        else:
-            hi = mid
-    return best
+    return _illinois(excess, lo, hi, f_lo, f_hi, 1e-10)
 
 
 def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
@@ -322,7 +315,8 @@ def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
 def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, f_tol: float) -> float:
     """Root of a decreasing f in [lo, hi] with f(lo) > 0 > f(hi): the
     point with the smallest |f| seen when |f| <= f_tol or the bracket is
-    at ulp width."""
+    at ulp width.  f may return None where it is undefined left of the
+    root; such a point becomes the new low end, keeping f(lo)."""
     best, best_f = (lo, f_lo) if f_lo < -f_hi else (hi, f_hi)
     kept = 0  # +1: lo was kept by the last step, -1: hi was
     for _ in range(200):
@@ -332,6 +326,9 @@ def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, f_tol: float) -
             if not lo < mid < hi:
                 break
         v = f(mid)
+        if v is None:
+            lo, kept = mid, 0
+            continue
         if abs(v) < abs(best_f):
             best, best_f = mid, v
         if abs(v) <= f_tol:

@@ -189,11 +189,17 @@ def ncchi2_cdf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
     ln P(b, y) = logaddexp(ln P(b + 1, y), ln t_b) for every lower index,
     and a log-sum-exp of Poisson weights plus ln P.  P falls in j, so the
     remainder above J is at most P(a + J, y) times the Poisson mass there.
+
+    Right of the mean k + s, where F nears 1, the sum of P terms carries
+    an absolute error of a few ulp on F and so loses 1 - F; there ln F is
+    log1p(-S) from the survival S of ``ncchi2_sf_log`` instead.
     """
     if k <= 0.0 or s < 0.0 or x < 0.0:
         raise DomainError("ncchi2_cdf_log needs k > 0, s >= 0, x >= 0")
     if x == 0.0:
         return -math.inf
+    if x > k + s:
+        return math.log1p(-math.exp(ncchi2_sf_log(k, s, x, tol)))
     a, y = 0.5 * k, 0.5 * x
     if s == 0.0:
         return specfun.log_reg_inc_gamma_P(a, y)

@@ -1,14 +1,52 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from tailkit import awgn as A
+from tailkit import jet as J
 from tailkit import oracle as O
 from tailkit import specfun as sf
 from tailkit.errors import BracketFailed, OutOfValidity, ParamError
+from tailkit.jet import jet_var
 
 CFG200 = A.AwgnConfig(200, 1.0, 1e-3)
+PAIRS = [(om, eps) for om in (0.5, 1.0, 5.0) for eps in (1e-3, 1e-5)]
+
+
+def mp_log_first_iterate(k, s, x, right):
+    """ln f - ln(-+(ln P0)') at 30 digits from mpmath's I_{nu-1}, I_nu,
+    nu = k/2, u = sqrt(s x), with the derivatives by the quotient rule on
+    I'_{nu-1} = I_nu + ((nu-1)/u) I_{nu-1} and I'_nu = I_{nu-1} - (nu/u) I_nu."""
+    with mp.workdps(30):
+        k, s, x = mp.mpf(k), mp.mpf(s), mp.mpf(x)
+        nu = k / 2
+        u = mp.sqrt(s * x)
+        du = s / (2 * u)
+        i0 = mp.besseli(nu - 1, u, maxterms=10**6)
+        i1 = mp.besseli(nu, u, maxterms=10**6)
+        di0, di1 = i1 + (nu - 1) / u * i0, i0 - nu / u * i1
+        ln_f = -mp.log(2) - (x + s) / 2 + (nu - 1) / 2 * mp.log(x / s) + mp.log(i0)
+        d_ln_f = -mp.mpf(1) / 2 + (nu - 1) / (2 * x) + di0 / i0 * du
+        ur = u * i1 / i0
+        d_ur = du * (i1 / i0 + u * (di1 * i0 - i1 * di0) / (i0 * i0))
+        bracket, d_bracket = (x - k + 2 - ur, 1 - d_ur) if right else (k - x + ur, d_ur - 1)
+        d_lp0 = 1 / x + d_ln_f - d_bracket / bracket
+        return float(ln_f - mp.log(-d_lp0 if right else d_lp0))
+
+
+def jet_log_first_iterate(k, s, x, right):
+    """The same quantity with (ln P0)' read off order-1 jets of the log
+    seed, the Bessel pair propagated along u(x) by its ODE."""
+    xj = jet_var(x, 1)
+    u = J.sqrt(s * xj)
+    log_lower, log_upper = sf.log_bessel_i_jet(0.5 * k, u)
+    ln_f = -math.log(2.0) - 0.5 * (xj + s) + (0.25 * k - 0.5) * (J.ln(xj) - math.log(s)) + u + log_lower
+    ur = u * J.exp(log_upper - log_lower)
+    bracket = (xj - k + 2.0 - ur) if right else (k - xj + ur)
+    dlp0 = (math.log(2.0) + J.ln(xj) + ln_f - J.ln(bracket)).coeffs[1]
+    return ln_f.value - math.log(-dlp0 if right else dlp0)
 
 
 class TestConfig:
@@ -60,6 +98,30 @@ class TestSeedBounds:
             A.p0_md(CFG200, 2.02)
 
 
+class TestFirstIterate:
+    @pytest.mark.parametrize("n", [1000, 10000])
+    @pytest.mark.parametrize("om", [0.5, 1.0, 5.0])
+    def test_matches_mpmath(self, n, om):
+        cfg = A.AwgnConfig(n, om, 1e-3)
+        lam = A.lambda_asymptotic(cfg)
+        for got, args, right in (
+            (A.log_p1_md(cfg, lam), A._md_args(cfg, lam), True),
+            (A.log_p1_fa(cfg, lam), A._fa_args(cfg, lam), False),
+        ):
+            want = mp_log_first_iterate(*args, right)
+            assert abs(got - want) <= 5e-13 * abs(want), (right, got, want)
+
+    @pytest.mark.parametrize("n, om, lam", [(200, 1.0, 2.3), (200, 0.5, 3.4), (1000, 5.0, 1.3), (5000, 1.0, 2.05)])
+    def test_matches_order_one_jets(self, n, om, lam):
+        cfg = A.AwgnConfig(n, om, 1e-3)
+        for got, args, right in (
+            (A.log_p1_md(cfg, lam), A._md_args(cfg, lam), True),
+            (A.log_p1_fa(cfg, lam), A._fa_args(cfg, lam), False),
+        ):
+            want = jet_log_first_iterate(*args, right)
+            assert abs(got - want) <= 1e-10 * abs(want), (right, got, want)
+
+
 class TestSolveLambda:
     def test_residual_contract(self):
         for which, bound in (("p0", A.p0_md), ("p1", A.p1_md)):
@@ -83,6 +145,24 @@ class TestSolveLambda:
                 - A.lambda_asymptotic(A.AwgnConfig(10**6, om, eps))
             )
             assert d6 * 5.0 < d4
+
+    @pytest.mark.parametrize("om, eps", [(1.0, 1e-3), (0.5, 1e-5)])
+    def test_p1_residual_at_one_hundred_thousand(self, om, eps):
+        cfg = A.AwgnConfig(10**5, om, eps)
+        lam = A.solve_lambda(cfg, "p1")
+        assert abs(A.log_p1_md(cfg, lam) - math.log(eps)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [200, 1000, 10000])
+    def test_few_bound_evaluations_per_solve(self, monkeypatch, n):
+        calls = []
+        for name in ("log_p0_md", "log_p1_md"):
+            bound = getattr(A, name)
+            monkeypatch.setattr(A, name, lambda cfg, lam, bound=bound: calls.append(lam) or bound(cfg, lam))
+        for om, eps in PAIRS:
+            for which in ("p0", "p1"):
+                calls.clear()
+                A.solve_lambda(A.AwgnConfig(n, om, eps), which)
+                assert len(calls) <= 16, (om, eps, which, len(calls))
 
     def test_bracket_failure_when_target_unreachable(self, monkeypatch):
         # the MD equation always has a root on the valid branch (the

@@ -130,6 +130,14 @@ class TestRecurrence:
         want = math.exp(mp_log_mixture(10.0, 2.0, x, upper=True))
         assert abs(O.oracle_tail(catalog["ncchi2"], x) - want) <= 1e-10 * want
 
+    @pytest.mark.parametrize("x", [60.0, 90.0])
+    def test_cdf_near_one_through_the_survival(self, catalog, x):
+        # 1 - F is 1.3e-7 at x = 60 and 1.05e-12 at x = 90: a sum of P
+        # terms with a few ulp of error on F would lose it
+        want = mp_log_mixture(10.0, 2.0, x, upper=False)
+        assert abs(O.ncchi2_cdf_log(10.0, 2.0, x) - want) <= 1e-10 * abs(want)
+        assert abs(O.oracle_cdf(catalog["ncchi2"], x) - math.exp(want)) <= 2.0 * 2.0**-53
+
     @pytest.mark.parametrize(
         "k, s, x",
         [(10.0, 2.0, 1.3), (10.0, 2.0, 90.0), (0.3, 5.0, 0.01), (400.0, 800.0, 120.0),
