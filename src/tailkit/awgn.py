@@ -260,7 +260,7 @@ def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> float:
     else:
         raise BracketFailed(f"eps unreachable from below for {which} at n={cfg.n}")
 
-    hi = lam_0 + 20.0 * corr
+    hi = lam_0 + 2.0 * corr
     f_hi = excess(hi)
     for _ in range(60):
         if f_hi is not None and f_hi <= 0.0:

@@ -4,29 +4,27 @@ Classifies arbitrary candidate bound functions h(x) and builds the
 concrete h instances: the mean-over-x Markov form, its bounded-support
 variant, and the grid-minimized Chernoff envelope.
 
-Only the conditions are h's own: h > 0 and the governing sign (h' + f
-against the tolerance for the right tail, h' - f for the left), built on
-the whole grid as ``engine.classify`` builds an iterate's. The candidate
-takes one float anchor, so it runs point by point through
-``engine._pointwise``; f comes from one batched ``pdf_jet`` call. A point
-where h raises what a seed turns into a pole is undefined. The verdict,
-threshold, limit check and residuals come from the rule
-``engine._classify_grid`` applies to iterates as well.
-Unlike engine iterates, an h candidate carries no monotonicity
+A candidate is the direct-h seed P0 = h (``SeedKind.DIRECT_H``), so
+``classify_h`` is ``engine.classify`` of that seed: h > 0 and the
+governing sign (h' + f against the tolerance for the right tail, h' - f
+for the left) on the grid, with the verdict, threshold, limit check and
+residuals every iterate gets. The candidate takes one float anchor and
+runs point by point through ``engine._pointwise``; a point where it
+raises what a seed turns into a pole, or where it is non-positive, is
+undefined. Unlike an iterate, an h candidate carries no monotonicity
 requirement, so its ``monotone`` and ``tightness_ok`` stay None.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import engine as eng
-from . import jet as J
 from .dist import DistributionSpec
-from .engine import Classification, GridSpec, TailSide, grid_points
-from .errors import DomainError, MgfDiverged, ParamError, PoleEncountered
+from .engine import Classification, GridSpec, SeedKind, TailSide
+from .errors import DomainError, MgfDiverged, ParamError
 from .jet import Jet, jet_var
 
 
@@ -45,25 +43,11 @@ def classify_h(
     window: tuple[float, float],
     grid: GridSpec = GridSpec(),
     tol: float = eng.DEFAULT_TOL,
-    limit_tol: float = 1e-3,
 ) -> Classification:
-    """Upper/Lower/Invalid verdict for h on the window, by the verdict
-    rule engine.classify applies to iterates (threshold search,
-    bisection refinement, limit check and sampled residuals)."""
-    def conditions(x) -> eng._PointEval:
-        try:
-            hj = eng._pointwise(h.evaluator, x, 1)
-            hj = J.check(hj, hj.value <= 0.0, lambda: PoleEncountered(f"h non-positive at x={x}"))
-            f = dist.pdf_jet(x, 0).value
-        except (PoleEncountered,) + eng._POINT_ERRORS:
-            return eng._PointEval(False)
-        return eng._point(h.side is TailSide.RIGHT, hj.coeffs[0], hj.coeffs[1], f, tol)
-
-    xs = grid_points(window, grid, h.side)
-    return eng._classify_grid(
-        conditions(xs), conditions, xs, h.side, window, tol, limit_tol,
-        "h undefined or non-positive everywhere",
-    )
+    """Upper/Lower/Invalid verdict for h on the window: ``engine.classify``
+    of the direct-h seed P0 = h, without the monotonicity verdict."""
+    seed = eng.make_seed(dist, SeedKind.DIRECT_H, h.side, h_jet=h.evaluator)
+    return replace(eng.classify(seed, window, grid, tol), monotone=None)
 
 
 def markov_h(mean: float, r: float = math.inf) -> CandidateH:

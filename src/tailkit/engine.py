@@ -17,18 +17,19 @@ an iterate's conditions, f and the predecessor's slope from one sweep
 on its grid, where a point at which a single evaluation would raise
 comes back NaN (undefined), and bisects the threshold with scalar sweeps.
 
-The verdict rule lives in one place, ``_classify_grid``: the conditions
-on the grid in, verdict, threshold, limit check, sampled residuals and
-the whole-window flag out. ``classify`` feeds it the conditions of an
-iterate and adds tightness and monotonicity; ``connections.classify_h``
-feeds it those of a Markov/Chernoff candidate. ``run_algorithm`` takes
-its "for all x > x0" checks from the classifications it already runs.
+The verdict rule lives in one place, ``classify``: an iterate's
+conditions on the grid in; verdict, threshold, limit check, sampled
+residuals, the whole-window flag, tightness and monotonicity out. A
+Markov/Chernoff candidate h is the direct-h seed P0 = h, so
+``connections.classify_h`` is ``classify`` of that seed.
+``run_algorithm`` takes its "for all x > x0" checks from the
+classifications it already runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -54,6 +55,10 @@ from .jet import MAX_ORDER, Jet, jet_shift_derivative, jet_var
 #: of PDFs and decay fast; an absolute floor avoids relative blowup
 #: where f ~ 0).
 DEFAULT_TOL = 1e-12
+
+#: The numeric surrogate of the limit condition: P at the support-edge
+#: end of the window is at most this.
+LIMIT_TOL = 1e-3
 
 
 class TailSide(Enum):
@@ -352,37 +357,46 @@ def _run(ok: np.ndarray) -> int:
     return int(failing[0]) if failing.size else ok.size
 
 
-def _classify_grid(
-    grid: _PointEval,
-    point: Callable[[float], _PointEval],
-    xs: np.ndarray,
-    side: TailSide,
+def classify(
+    it: BoundIterate,
     window: tuple[float, float],
-    tol: float,
-    limit_tol: float,
-    nowhere: str,
+    grid: GridSpec = GridSpec(),
+    tol: float = DEFAULT_TOL,
 ) -> Classification:
-    """The verdict rule shared by iterates and Markov/Chernoff candidates.
+    """Verdict, validity threshold, and diagnostics for one iterate.
 
-    ``grid`` holds the conditions at the points ``xs``; ``point``
-    evaluates them at one abscissa for the bisection. The verified
-    region is the maximal run of passing grid points touching the
-    support-edge end of the window (the bounds hold from a threshold
-    onward); its boundary is refined by bisection to 1e-10
-    window-relative. Returns the classification (no tightness or
-    monotonicity verdict: those are the iterate's own). ``nowhere`` is
-    the message when no point is defined.
+    One chain pass on the grid gives the conditions and the predecessor's
+    slope for tightness. The verified region is the maximal run of
+    passing grid points touching the support-edge end of the window (the
+    bounds hold from a threshold onward); its boundary is refined by
+    bisection, with scalar passes, to 1e-10 window-relative. The bound
+    verdict needs positivity (implied by P_i being defined) and the
+    governing sign; monotonicity of P_i gates only the construction of
+    the NEXT iterate, and is reported in ``monotone`` for the algorithm
+    loop.
+
+    Raises OrderExhausted when P_i's slope needs a jet order above the
+    cap (each iterate consumes one order on top of the seed's two).
     """
+    if it.index + 2 > MAX_ORDER:
+        raise OrderExhausted(
+            f"iterate {it.index} needs jet order {it.index + 2}, above the cap {MAX_ORDER}"
+        )
     a, b = window
-    if not grid.defined.any():
-        raise WindowTooSmall(f"{nowhere} on [{a}, {b}]")
-    right = side is TailSide.RIGHT
+    if not it.dist.support.contains_open(a) or not it.dist.support.contains_open(b):
+        raise DomainError(f"window ({a}, {b}) not inside the open support")
+    xs = grid_points(window, grid, it.side)
+    with np.errstate(all="ignore"):
+        cond, levels = _conditions(it, xs, tol)
+    if not cond.defined.any():
+        raise WindowTooSmall(f"iterate {it.index} satisfies no base condition anywhere on [{a}, {b}]")
+    right = it.side is TailSide.RIGHT
     n = len(xs)
     # the grid walked inward from the support-edge end of the window; a
     # verified run is the number of passing points before the first failure
     inward = slice(None, None, -1) if right else slice(None)
-    run_up = _run(grid.up_ok[inward])
-    run_lo = _run(grid.lo_ok[inward])
+    run_up = _run(cond.up_ok[inward])
+    run_lo = _run(cond.lo_ok[inward])
     run = max(run_up, run_lo)
     if run == 0:
         verdict = Verdict.INVALID
@@ -401,7 +415,7 @@ def _classify_grid(
     else:
 
         def pred(x: float) -> bool:
-            e = point(x)
+            e = _conditions(it, x, tol)[0]
             if not e.defined:
                 return False
             if verdict is Verdict.UPPER:
@@ -425,54 +439,17 @@ def _classify_grid(
 
     # numeric surrogate for the limit condition at the support-edge-most point
     edge, inner = (n - 1, n - 2) if right else (0, 1)
-    value = grid.value
+    value = cond.value
     limit_ok = bool(
-        grid.defined[edge]
-        and value[edge] <= limit_tol
-        and (not grid.defined[inner] or value[edge] <= value[inner] + tol)
+        cond.defined[edge]
+        and value[edge] <= LIMIT_TOL
+        and (not cond.defined[inner] or value[edge] <= value[inner] + tol)
     )
 
-    residuals = tuple(grid.residual[:: max(1, n // 16)].tolist())
-    return Classification(verdict, threshold, None, residuals, limit_ok, (a, b), tol, run == n, None)
-
-
-def classify(
-    it: BoundIterate,
-    window: tuple[float, float],
-    grid: GridSpec = GridSpec(),
-    tol: float = DEFAULT_TOL,
-    limit_tol: float = 1e-3,
-) -> Classification:
-    """Verdict, validity threshold, and diagnostics for one iterate, by
-    the rule of ``_classify_grid`` on the iterate's own conditions.
-
-    One chain pass on the grid gives the conditions and the predecessor's
-    slope for tightness; the bisection makes scalar passes. The bound
-    verdict needs positivity (implied by P_i being defined) and the
-    governing sign; monotonicity of P_i gates only the construction of
-    the NEXT iterate, and is reported in ``monotone`` for the algorithm
-    loop.
-
-    Raises OrderExhausted when P_i's slope needs a jet order above the
-    cap (each iterate consumes one order on top of the seed's two).
-    """
-    if it.index + 2 > MAX_ORDER:
-        raise OrderExhausted(
-            f"iterate {it.index} needs jet order {it.index + 2}, above the cap {MAX_ORDER}"
-        )
-    a, b = window
-    if not it.dist.support.contains_open(a) or not it.dist.support.contains_open(b):
-        raise DomainError(f"window ({a}, {b}) not inside the open support")
-    xs = grid_points(window, grid, it.side)
-    with np.errstate(all="ignore"):
-        cond, levels = _conditions(it, xs, tol)
-    cls = _classify_grid(
-        cond, lambda x: _conditions(it, x, tol)[0], xs, it.side, window, tol, limit_tol,
-        f"iterate {it.index} satisfies no base condition anywhere",
-    )
-    tightness_ok = _tightness(it.side, cond, levels[-2], cls.verdict, tol) if it.prev is not None else None
+    residuals = tuple(cond.residual[:: max(1, n // 16)].tolist())
+    tightness_ok = _tightness(it.side, cond, levels[-2], verdict, tol) if it.prev is not None else None
     monotone = bool(np.all(cond.defined & cond.mono_ok))
-    return replace(cls, tightness_ok=tightness_ok, monotone=monotone)
+    return Classification(verdict, threshold, tightness_ok, residuals, limit_ok, (a, b), tol, run == n, monotone)
 
 
 def _tightness(side: TailSide, cond: _PointEval, lp_prev: Jet, verdict, tol) -> Optional[bool]:

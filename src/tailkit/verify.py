@@ -256,8 +256,8 @@ def _chk_limit_preservation(tols):
         seed_v = chain[0].value(edge_x)
         for it in chain[1:]:
             v = it.value(edge_x)
-            ok = ok and v <= seed_v * (1 + 1e-9) and v <= 1e-3
-    return ok, "edge values below seed and limit_tol"
+            ok = ok and v <= seed_v * (1 + 1e-9) and v <= engine.LIMIT_TOL
+    return ok, "edge values below seed and LIMIT_TOL"
 
 
 def _chk_rate_agreement(tols):

@@ -16,6 +16,7 @@ from tailkit.errors import (
     OrderExhausted,
     ParamError,
     PoleEncountered,
+    WindowTooSmall,
 )
 from tailkit.jet import Jet, jet_var
 
@@ -60,6 +61,20 @@ class TestSharedVerdictRule:
         assert abs(got.threshold - want.threshold) <= 1e-10 * (b - a)
         assert got.everywhere == want.everywhere
         assert got.monotone is None and got.tightness_ok is None
+
+
+class TestCandidateIsDirectHSeed:
+    """classify_h classifies the direct-h seed P0 = h, so it checks the
+    window and words a nowhere-defined candidate as classify does."""
+
+    def test_window_outside_support(self):
+        with pytest.raises(DomainError, match="not inside the open support"):
+            C.classify_h(make_exp1(), C.markov_h(1.0), (-1.0, 5.0), GridSpec(128))
+
+    def test_nowhere_defined(self):
+        h = C.CandidateH(lambda a, o: Jet(a, (-1.0,) + (0.0,) * o), TailSide.RIGHT)
+        with pytest.raises(WindowTooSmall, match="iterate 0 satisfies no base condition anywhere"):
+            C.classify_h(make_exp1(), h, (0.5, 60.0), GridSpec(128))
 
 
 class TestMarkovH:
