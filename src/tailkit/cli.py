@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, awgn, dist, engine, verify
+from . import __version__, awgn, dist, engine
 from .engine import GridSpec, SeedKind, TailSide
 from .errors import SeedInvalid, TailkitError
 
@@ -94,10 +94,12 @@ def cmd_bounds(args) -> int:
     chain = [engine.make_seed(d, seed, side)]
     for _ in range(args.iters):
         chain.append(engine.iterate(chain[-1]))
+    # every iterate classified from one grid sweep of the deepest one
+    levels = engine.classify_chain(chain[-1], window, grid)
     classifications = []
     for it in chain:
         try:
-            cls = engine.classify(it, window, grid)
+            cls = next(levels)
         except TailkitError as exc:
             if it.index == 0:
                 raise SeedInvalid(f"seed fails on ({args.x_min}, {args.x_max}): {exc}") from exc
@@ -174,6 +176,8 @@ def cmd_awgn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command runs the suites
+
     overrides = {}
     for spec_str in args.tol or []:
         key, _, val = spec_str.partition("=")

@@ -16,14 +16,17 @@ Anchors are a float or the whole grid (see ``jet``): ``classify`` reads
 an iterate's conditions, f and the predecessor's slope from one sweep
 on its grid, where a point at which a single evaluation would raise
 comes back NaN (undefined), and bisects the threshold with scalar sweeps.
+``classify_chain`` classifies every iterate of a chain from one sweep of
+the deepest one, whose lower levels are the lower iterates' own sweeps.
 
-The verdict rule lives in one place, ``classify``: an iterate's
+The verdict rule lives in one place, ``_judge``: an iterate's
 conditions on the grid in; verdict, threshold, limit check, sampled
 residuals, the whole-window flag, tightness and monotonicity out. A
 Markov/Chernoff candidate h is the direct-h seed P0 = h, so
 ``connections.classify_h`` is ``classify`` of that seed.
 ``run_algorithm`` takes its "for all x > x0" checks from the
-classifications it already runs.
+classifications it already runs, one iterate at a time, since it may
+stop early.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -162,18 +165,31 @@ def _as_pole(exc: Exception, where: str) -> PoleEncountered:
 #: arithmetic and of the user's g/h evaluators.
 _POINT_ERRORS = (DomainError, DivisionByZeroJet, OrderExhausted, OverflowError, ValueError)
 
+#: What leaves a user's evaluator undefined at a point of a grid, rather
+#: than failing the whole pass.
+_UNDEFINED = (PoleEncountered,) + _POINT_ERRORS
+
+
+def _takes_grid(fn: Callable) -> Callable:
+    """Mark a jet evaluator that takes a grid anchor itself, NaN at every
+    point where its float evaluation raises what a seed turns into a
+    pole, so that ``_pointwise`` hands it the whole grid."""
+    fn._takes_grid = True
+    return fn
+
 
 def _pointwise(fn: Callable[[float, int], Jet], anchor, order: int) -> Jet:
     """A user's jet evaluator, which takes one float anchor, on a float or
     a grid: on a grid it runs point by point and the results are
-    stacked, NaN where it raises what a seed turns into a pole."""
-    if not isinstance(anchor, np.ndarray):
+    stacked, NaN where it raises what a seed turns into a pole. An
+    evaluator marked by ``_takes_grid`` gets the grid whole."""
+    if not isinstance(anchor, np.ndarray) or getattr(fn, "_takes_grid", False):
         return fn(anchor, order)
     rows = np.full((order + 1, anchor.size), math.nan)
     for i, x in enumerate(anchor.tolist()):
         try:
             rows[:, i] = fn(x, order).coeffs
-        except (PoleEncountered,) + _POINT_ERRORS:
+        except _UNDEFINED:
             pass
     return Jet(anchor, tuple(rows))
 
@@ -324,8 +340,12 @@ def _point(right: bool, value, slope, f, tol: float, mono_ok=True) -> _PointEval
 
 
 def _safe_exp(x):
+    """e^x, capped at e^700 and 0 below -745; on a grid by the same libm
+    call per element as at a float."""
     if isinstance(x, np.ndarray):
-        return each(_safe_exp, x)
+        out = each(math.exp, np.minimum(x, 700.0))
+        out[x < -745.0] = 0.0
+        return out
     if x > 700.0:
         return math.exp(700.0)
     if x < -745.0:
@@ -333,28 +353,47 @@ def _safe_exp(x):
     return math.exp(x)
 
 
-def _conditions(it: BoundIterate, x, tol: float) -> tuple[_PointEval, list[Jet]]:
-    """Positivity, monotonicity, and the governing sign condition at a
-    point, or on a grid (undefined points NaN), from one pass of the
-    chain; with the pass's levels. A pole at a point leaves it undefined."""
-    try:
-        levels, lf = log_chain(it, x, 1)
-    except PoleEncountered:
-        return _PointEval(False), []
-    right = it.side is TailSide.RIGHT
-    lp = levels[-1]
+def _level_conditions(side: TailSide, lp: Jet, f, tol: float) -> _PointEval:
+    """Positivity, monotonicity, and the governing sign condition of the
+    level ln P (order >= 1) of a pass against the PDF f."""
+    right = side is TailSide.RIGHT
     lpd = lp.coeffs[1]
     p = _safe_exp(lp.coeffs[0])
     # monotonicity: P' < 0 (right) / P' > 0 (left)
     mono = (lpd < 0.0) if right else (lpd > 0.0)
-    f = _safe_exp(lf.coeffs[0])
-    return _point(right, p, p * lpd, f, tol, mono), levels
+    return _point(right, p, p * lpd, f, tol, mono)
+
+
+def _conditions(it: BoundIterate, x, tol: float) -> tuple[_PointEval, list[Jet]]:
+    """The conditions of ``it`` at a point, or on a grid (undefined points
+    NaN), from one pass of the chain; with the pass's levels. A pole at a
+    point leaves it undefined; a grid pass that raises has failed whole."""
+    try:
+        levels, lf = log_chain(it, x, 1)
+    except PoleEncountered:
+        if isinstance(x, np.ndarray):
+            raise
+        return _PointEval(False), []
+    return _level_conditions(it.side, levels[-1], _safe_exp(lf.coeffs[0]), tol), levels
 
 
 def _run(ok: np.ndarray) -> int:
     """Number of leading passing points."""
     failing = np.flatnonzero(~ok)
     return int(failing[0]) if failing.size else ok.size
+
+
+def _grid(it: BoundIterate, window: tuple[float, float], grid: GridSpec) -> np.ndarray:
+    """The classification grid of ``it`` (and of every iterate below it)
+    on the window, after the order-cap and support checks."""
+    if it.index + 2 > MAX_ORDER:
+        raise OrderExhausted(
+            f"iterate {it.index} needs jet order {it.index + 2}, above the cap {MAX_ORDER}"
+        )
+    a, b = window
+    if not it.dist.support.contains_open(a) or not it.dist.support.contains_open(b):
+        raise DomainError(f"window ({a}, {b}) not inside the open support")
+    return grid_points(window, grid, it.side)
 
 
 def classify(
@@ -378,16 +417,52 @@ def classify(
     Raises OrderExhausted when P_i's slope needs a jet order above the
     cap (each iterate consumes one order on top of the seed's two).
     """
-    if it.index + 2 > MAX_ORDER:
-        raise OrderExhausted(
-            f"iterate {it.index} needs jet order {it.index + 2}, above the cap {MAX_ORDER}"
-        )
-    a, b = window
-    if not it.dist.support.contains_open(a) or not it.dist.support.contains_open(b):
-        raise DomainError(f"window ({a}, {b}) not inside the open support")
-    xs = grid_points(window, grid, it.side)
+    xs = _grid(it, window, grid)
     with np.errstate(all="ignore"):
         cond, levels = _conditions(it, xs, tol)
+    return _judge(it, xs, cond, levels[-2] if it.prev is not None else None, window, tol)
+
+
+def classify_chain(
+    it: BoundIterate,
+    window: tuple[float, float],
+    grid: GridSpec = GridSpec(),
+    tol: float = DEFAULT_TOL,
+) -> Iterator[Classification]:
+    """``classify`` of P_0 .. P_i of ``it``'s chain, in that order, from
+    one grid sweep of P_i: a sweep's lower levels are those of the lower
+    iterates' own sweeps bit for bit, so each level's conditions, and the
+    level below it for tightness, come from the one sweep. Thresholds are
+    bisected per level with scalar passes. A generator, so that a caller
+    stops at the first level that fails; the sweep runs on the first
+    ``next``, and the checks are those of ``classify`` of P_i.
+    """
+    xs = _grid(it, window, grid)
+    with np.errstate(all="ignore"):
+        levels, lf = log_chain(it, xs, 1)
+        f = _safe_exp(lf.coeffs[0])
+    links = [it]
+    while links[-1].prev is not None:
+        links.append(links[-1].prev)
+    for k, link in enumerate(reversed(links)):
+        with np.errstate(all="ignore"):
+            cond = _level_conditions(it.side, levels[k], f, tol)
+        yield _judge(link, xs, cond, levels[k - 1] if k else None, window, tol)
+
+
+def _judge(
+    it: BoundIterate,
+    xs: np.ndarray,
+    cond: _PointEval,
+    lp_prev: Optional[Jet],
+    window: tuple[float, float],
+    tol: float,
+) -> Classification:
+    """The classification of ``it`` from its conditions on the grid
+    ``xs`` and its predecessor's level ``lp_prev`` of the same sweep (None
+    for a seed): the verdict, the bisected threshold, the limit check,
+    the sampled residuals, tightness and monotonicity."""
+    a, b = window
     if not cond.defined.any():
         raise WindowTooSmall(f"iterate {it.index} satisfies no base condition anywhere on [{a}, {b}]")
     right = it.side is TailSide.RIGHT
@@ -447,7 +522,7 @@ def classify(
     )
 
     residuals = tuple(cond.residual[:: max(1, n // 16)].tolist())
-    tightness_ok = _tightness(it.side, cond, levels[-2], verdict, tol) if it.prev is not None else None
+    tightness_ok = _tightness(it.side, cond, lp_prev, verdict, tol) if lp_prev is not None else None
     monotone = bool(np.all(cond.defined & cond.mono_ok))
     return Classification(verdict, threshold, tightness_ok, residuals, limit_ok, (a, b), tol, run == n, monotone)
 

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import os
 
+import numpy as np
 import pytest
 
-from tailkit import cli
+from tailkit import cli, dist, engine
+from tailkit.engine import SeedKind, TailSide
 
 TS = ["--timestamp", "2026-01-01T00:00:00+00:00"]
 
@@ -153,3 +156,60 @@ class TestVerifyCommand:
 
     def test_unknown_tol_key(self):
         assert run(["verify", "--suite", "jet", "--tol", "nope=1"]) == 1
+
+
+_FIGS = [
+    ["--dist", "gaussian", "--mu", "-1.7", "--sigma", "1.9", "--side", "right", "--seed", "pdf",
+     "--x-min", "1", "--x-max", "30"],
+    ["--dist", "beta-prime", "--alpha", "2.1", "--beta", "1.3", "--side", "right", "--seed", "shifted-pdf",
+     "--x-min", "2", "--x-max", "60"],
+    ["--dist", "ncchi2", "--k", "10", "--s", "2", "--side", "left", "--seed", "shifted-pdf",
+     "--x-min", "0.05", "--x-max", "6"],
+]
+
+
+class TestBoundsOneSweep:
+    """`tailkit bounds` classifies every iterate from one grid sweep, and
+    writes the verdicts and thresholds that classifying each iterate on
+    its own sweep gives."""
+
+    @staticmethod
+    def _counting(monkeypatch, calls):
+        for name in ("make_gaussian", "make_beta_prime", "make_noncentral_chi2"):
+            factory = getattr(dist, name)
+
+            def make(*args, factory=factory):
+                spec = factory(*args)
+                inner = spec.log_pdf_jet
+
+                def counted(anchor, order):
+                    calls.append((isinstance(anchor, np.ndarray), spec))
+                    return inner(anchor, order)
+
+                return dataclasses.replace(spec, log_pdf_jet=counted)
+
+            monkeypatch.setattr(dist, name, make)
+
+    @pytest.mark.parametrize("iters", ["4", "8"])
+    @pytest.mark.parametrize("fig", range(len(_FIGS)), ids=["fig1", "fig2", "fig3"])
+    def test_one_classification_sweep(self, monkeypatch, tmp_path, fig, iters):
+        calls = []
+        self._counting(monkeypatch, calls)
+        out = tmp_path / "b.csv"
+        assert run(["bounds"] + _FIGS[fig] + ["--iters", iters, "--points", "25", "--out", str(out)] + TS) == 0
+        # one sweep classifies, one more writes the P_i and R_i columns
+        assert sum(grid for grid, _ in calls) == 2
+
+        _, header, rows = parse_csv(out)
+        d = calls[0][1]
+        args = _FIGS[fig]
+        side = TailSide(args[args.index("--side") + 1])
+        seed_kind = SeedKind(args[args.index("--seed") + 1])
+        window = (float(args[args.index("--x-min") + 1]), float(args[args.index("--x-max") + 1]))
+        chain = [engine.make_seed(d, seed_kind, side)]
+        for _ in range(int(iters)):
+            chain.append(engine.iterate(chain[-1]))
+        for i, it in enumerate(chain):
+            cls = engine.classify(it, window)
+            assert rows[0][header.index(f"verdict_{i}")] == cls.verdict.value
+            assert rows[0][header.index(f"threshold_{i}")] == format(cls.threshold, ".17g")

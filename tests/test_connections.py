@@ -252,3 +252,180 @@ class TestClassifyHErrors:
 
         with pytest.raises(MgfDiverged):
             C.classify_h(make_exp1(), self._below(2.0, diverged), (0.5, 60.0), GridSpec(128))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+_FIG1_GRID = E.grid_points((1.0, 30.0), GridSpec(), TailSide.RIGHT)
+
+
+def _gauss_mgf(mu, sigma):
+    return lambda t: math.exp(mu * t + 0.5 * sigma * sigma * t * t)
+
+
+def _chernoff_reference(mgf, t_grid, x, r=math.inf, refine=True):
+    """(h, h') at one float x by the per-point minimisation, one scalar
+    ``mgf`` call per branch: the reference for the lock-step evaluator."""
+    ts = sorted(float(t) for t in t_grid)
+
+    def branch(t):
+        m = mgf(t)
+        v = m * math.exp(-t * x)
+        if math.isfinite(r):
+            v -= m * math.exp(-t * r)
+        return v
+
+    vals = [branch(t) for t in ts]
+    j = min(range(len(ts)), key=lambda i: (vals[i], ts[i]))
+    t_star, v_star = ts[j], vals[j]
+    if refine and len(ts) > 1:
+        lo = ts[j - 1] if j > 0 else ts[0]
+        hi = ts[j + 1] if j + 1 < len(ts) else ts[-1]
+        if hi > lo:
+            invphi = (math.sqrt(5.0) - 1.0) / 2.0
+            c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+            fc, fd = branch(c), branch(d)
+            for _ in range(120):
+                if hi - lo <= 1e-12 * (1.0 + abs(t_star)):
+                    break
+                if fc < fd:
+                    hi, d, fd = d, c, fc
+                    c = hi - invphi * (hi - lo)
+                    fc = branch(c)
+                else:
+                    lo, c, fc = c, d, fd
+                    d = lo + invphi * (hi - lo)
+                    fd = branch(d)
+            t_ref = 0.5 * (lo + hi)
+            v_ref = branch(t_ref)
+            if v_ref < v_star:
+                t_star, v_star = t_ref, v_ref
+    return v_star, -t_star * mgf(t_star) * math.exp(-t_star * x)
+
+
+class TestGridCandidates:
+    """The Markov and Chernoff evaluators take the whole grid, and give
+    at every grid point the bits of their float evaluation there, which
+    for Chernoff are those of the per-point minimisation."""
+
+    @pytest.mark.parametrize("mgf, ts, kw", [
+        (_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), {}),
+        (_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), {"refine": False}),
+        (_gauss_mgf(0.0, 1.0), list(np.linspace(0.05, 3.0, 30)), {"r": 40.0}),
+        (_gauss_mgf(-1.7, 1.9), [0.5, 0.5, 1.0, 2.0, 2.0, 3.0, 6.0, 6.0], {}),
+        (lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40)), {}),
+    ], ids=["chernoff", "scan-only", "bounded", "repeated-t", "zero-ties"])
+    def test_chernoff_matches_per_point_reference(self, mgf, ts, kw):
+        grid = C.chernoff_h(mgf, ts, **kw).evaluator(_FIG1_GRID, 1)
+        want = [_chernoff_reference(mgf, ts, x, **kw) for x in _FIG1_GRID.tolist()]
+        assert _bits(grid.coeffs[0]) == _bits([v for v, _ in want])
+        assert _bits(grid.coeffs[1]) == _bits([dv for _, dv in want])
+
+    @staticmethod
+    def _assert_grid_is_pointwise(h, xs, order):
+        grid = h.evaluator(xs, order)
+        assert grid.order == order
+        for i, x in enumerate(xs.tolist()):
+            point = h.evaluator(x, order)
+            assert _bits([c[i] for c in grid.coeffs]) == _bits(point.coeffs), (x, order)
+
+    @pytest.mark.parametrize("make", [
+        lambda: C.chernoff_h(_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80))),
+        lambda: C.chernoff_h(_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), refine=False),
+        lambda: C.chernoff_h(_gauss_mgf(0.0, 1.0), list(np.linspace(0.05, 3.0, 30)), r=40.0),
+        lambda: C.chernoff_h(_gauss_mgf(0.0, 1.0), [0.5, 2.0, 5.0], r=31.0, refine=False),
+        # exact ties in the scan: repeated t values, and values that
+        # underflow to 0.0 for every large t
+        lambda: C.chernoff_h(_gauss_mgf(-1.7, 1.9), [0.5, 0.5, 1.0, 2.0, 2.0, 3.0, 6.0, 6.0]),
+        lambda: C.chernoff_h(lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40))),
+        lambda: C.chernoff_h(lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40)), refine=False),
+        lambda: C.markov_h(2.1 / 0.3),
+        lambda: C.markov_h(2.1 / 0.3, r=45.0),
+    ], ids=["chernoff", "chernoff-scan-only", "chernoff-bounded", "chernoff-bounded-scan-only",
+            "chernoff-repeated-t", "chernoff-zero-ties", "chernoff-zero-ties-scan-only",
+            "markov", "markov-bounded"])
+    def test_fig1_grid_bit_for_bit(self, make):
+        h = make()
+        for order in (0, 1, 2):
+            self._assert_grid_is_pointwise(h, _FIG1_GRID, order)
+
+    def test_scan_ties_are_exercised(self):
+        # the tie cases above do reach equal minima in the scan
+        for mgf, ts in ((_gauss_mgf(-1.7, 1.9), [0.5, 0.5, 1.0, 2.0, 2.0, 3.0, 6.0, 6.0]),
+                        (lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40)))):
+            tied = 0
+            for x in _FIG1_GRID.tolist():
+                vals = [mgf(t) * math.exp(-t * x) for t in ts]
+                tied += vals.count(min(vals)) > 1
+            assert tied > 0
+
+    def test_scan_calls_mgf_once_per_t(self):
+        ts = list(np.linspace(0.05, 12.0, 80))
+        calls = []
+        mgf = _gauss_mgf(-1.7, 1.9)
+        h = C.chernoff_h(lambda t: calls.append(t) or mgf(t), ts, refine=False)
+        h.evaluator(_FIG1_GRID, 1)
+        assert len(calls) == len(ts)
+
+    def test_markov_non_positive_anchor(self):
+        h = C.markov_h(1.0)
+        jet = h.evaluator(np.array([-1.0, 0.0, 2.0]), 1)
+        assert all(math.isnan(c[0]) and math.isnan(c[1]) for c in jet.coeffs)
+        assert (jet.coeffs[0][2], jet.coeffs[1][2]) == (0.5, -0.25)
+        for x in (-1.0, 0.0):
+            with pytest.raises(DomainError):
+                h.evaluator(x, 1)
+
+    def test_chernoff_overflow_is_undefined(self):
+        # e^{-tx} overflows at x = -100 before M(t) e^{-tx} does: a float
+        # raises, as the scalar minimisation did, and the grid point is NaN
+        h = C.chernoff_h(_gauss_mgf(-100.0, 1.0), list(np.linspace(0.05, 12.0, 80)))
+        with pytest.raises(OverflowError):
+            h.evaluator(-100.0, 1)
+        jet = h.evaluator(np.array([-100.0, 2.0]), 1)
+        assert math.isnan(jet.coeffs[0][0]) and math.isnan(jet.coeffs[1][0])
+        assert _bits([c[1] for c in jet.coeffs]) == _bits(h.evaluator(2.0, 1).coeffs)
+
+    def test_mgf_diverged_propagates_from_the_grid(self):
+        # M(t) is finite up to t = 5 only; every point's scan reaches t > 5
+        mgf = _gauss_mgf(0.0, 1.0)
+        h = C.chernoff_h(lambda t: mgf(t) if t <= 5.0 else math.inf, list(np.linspace(0.05, 12.0, 80)))
+        with pytest.raises(MgfDiverged):
+            h.evaluator(_FIG1_GRID, 1)
+        with pytest.raises(MgfDiverged):
+            C.classify_h(D.make_gaussian(0.0, 1.0), h, (1.0, 30.0))
+
+    def test_failed_grid_pass_raises(self):
+        # an evaluator that takes the grid and fails on it fails the pass,
+        # with the error a seed gives, not as a grid of undefined points
+        def broken(anchor, order):
+            raise ValueError("no candidate on this grid")
+
+        h = C.CandidateH(E._takes_grid(broken), TailSide.RIGHT)
+        with pytest.raises(PoleEncountered, match="no candidate on this grid"):
+            C.classify_h(D.make_gaussian(0.0, 1.0), h, (1.0, 5.0))
+
+    def test_classify_h_takes_the_grid_whole(self, monkeypatch):
+        # a marked candidate is evaluated once on the grid, not per point
+        calls = []
+        pointwise = E._pointwise
+
+        def counted(fn, anchor, order):
+            calls.append(isinstance(anchor, np.ndarray))
+            return pointwise(fn, anchor, order)
+
+        monkeypatch.setattr(E, "_pointwise", counted)
+        for h in (C.markov_h(2.1 / 0.3), C.chernoff_h(_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)))):
+            calls.clear()
+            evaluated = []
+            inner = h.evaluator
+
+            def evaluator(anchor, order, inner=inner):
+                evaluated.append(anchor)
+                return inner(anchor, order)
+
+            cls = C.classify_h(D.make_gaussian(-1.7, 1.9), C.CandidateH(E._takes_grid(evaluator), h.side), (1.0, 30.0))
+            assert cls.everywhere
+            assert calls == [True] and len(evaluated) == 1

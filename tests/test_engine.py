@@ -616,3 +616,68 @@ class TestOneSweep:
         assert passes["grid"] == 1 and calls["grid"] == 1
         assert calls["point"] == passes["point"]
         assert (passes["point"] > 0) is bisects
+
+
+def _outcomes(classifications):
+    """Each level's classification in comparable form, up to and
+    including the first level that raises."""
+    out = []
+    try:
+        for c in classifications:
+            out.append((c.verdict, repr(c.threshold), [repr(r) for r in c.residuals], c.limit_ok,
+                        c.tightness_ok, c.everywhere, c.monotone, c.window, c.tol))
+    except TailkitError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+_SETTINGS = {
+    "fig1": (lambda: D.make_gaussian(-1.7, 1.9), SeedKind.PDF, TailSide.RIGHT, (1.0, 30.0)),
+    "fig2": (lambda: D.make_beta_prime(2.1, 1.3), SeedKind.SHIFTED_PDF, TailSide.RIGHT, (2.0, 60.0)),
+    "fig3": (lambda: D.make_noncentral_chi2(10.0, 2.0), SeedKind.SHIFTED_PDF, TailSide.LEFT, (0.05, 6.0)),
+    "tour": (lambda: D.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT, (2.0, 8.0)),
+    "narrow": (lambda: D.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT, (0.7, 1.6)),
+}
+
+
+class TestClassifyChain:
+    """One grid sweep of the deepest iterate classifies every iterate of
+    the chain as ``classify`` does each one on its own sweep."""
+
+    @pytest.mark.parametrize("depth", [4, 8])
+    @pytest.mark.parametrize("name", sorted(_SETTINGS))
+    def test_equals_per_iterate_classify(self, name, depth):
+        make, seed_kind, side, window = _SETTINGS[name]
+        chain = _chain_of(make(), seed_kind, side, depth)
+        want = _outcomes(E.classify(it, window) for it in chain)
+        got = _outcomes(E.classify_chain(chain[-1], window))
+        assert got == want
+        if name == "narrow" and depth == 8:
+            assert want[-1][0] is WindowTooSmall  # a level that fails stops both
+
+    def test_checks_before_the_sweep(self, g01):
+        chain = _chain_of(g01, SeedKind.PDF, TailSide.RIGHT, 2)
+        with pytest.raises(DomainError, match="not inside the open support"):
+            next(E.classify_chain(chain[-1], (-math.inf, 3.0)))
+
+    def test_one_grid_sweep(self, monkeypatch):
+        d, calls = TestOneSweep._counted(D.make_beta_prime(2.1, 1.3))
+        it = _chain_of(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 4)[-1]
+        passes = []
+        conditions = E._conditions
+        monkeypatch.setattr(E, "_conditions", lambda it, x, tol: passes.append(x) or conditions(it, x, tol))
+        levels = list(E.classify_chain(it, (0.5, 60.0)))
+        assert len(levels) == 5 and not all(c.everywhere for c in levels)
+        assert calls["grid"] == 1
+        # the bisections are the scalar passes, one ln f each
+        assert passes and not any(isinstance(x, np.ndarray) for x in passes)
+        assert calls["point"] == len(passes)
+
+
+class TestSafeExp:
+    def test_grid_is_pointwise(self):
+        xs = np.array([math.nan, math.inf, -math.inf, -745.05, -745.0, -744.9, 700.1, 700.0,
+                       709.5, 1e308, -1e308, 0.0, -0.0, 1.5, -3.25e-5])
+        got = E._safe_exp(xs)
+        want = [E._safe_exp(x) for x in xs.tolist()]
+        assert _bits(got) == _bits(want)
