@@ -14,7 +14,8 @@ like the false-alarm left tail underflow doubles already at n ~ 10^3,
 while the log forms stay finite.  They are not exact: ln f sums terms of
 size O(n) that cancel, so its rounding grows like n ulp (ln P1,MD is
 within 2e-13 relative of mpmath at n = 10^4 and 4e-12 at 10^5), and the
-lambda solves meet their 1e-10 log residual only up to n ~ 10^6.
+lambda solves meet their 1e-10 log residual only up to n ~ 10^6;
+``AwgnPoint`` carries the residual each solve reached.
 
 Also provides the closed-form asymptotic rate (Lambert-W lambda), the
 normal approximation, and the Debye-side quantities the asymptotics are
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import oracle, specfun
+from . import oracle, rootfind, specfun
 from .errors import BracketFailed, DomainError, OutOfValidity, ParamError, PoleEncountered
 
 _LN2 = math.log(2.0)
@@ -59,6 +60,11 @@ class AwgnPoint:
     r_asym: float
     r_na: float
     capacity: float
+    #: |ln P0,MD(lambda_p0) - ln eps| and |ln P1,MD(lambda_p1) - ln eps| in
+    #: tailkit's own evaluation, where the solves stopped: above 1e-10 the
+    #: solve reached ulp width without meeting its target
+    log_residual_p0: float
+    log_residual_p1: float
 
 
 def lambda0(omega: float) -> float:
@@ -221,16 +227,29 @@ def normal_approximation(cfg: AwgnConfig) -> float:
 # Solving the missed-detection equation for lambda
 
 
-def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> float:
+class Lambda(float):
+    """A solved lambda: the float itself, carrying ``log_residual``, the
+    |ln bound - ln eps| the root finder reached there."""
+
+    __slots__ = ("log_residual",)
+
+    def __new__(cls, lam: float, log_residual: float):
+        obj = super().__new__(cls, lam)
+        obj.log_residual = log_residual
+        return obj
+
+
+def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> Lambda:
     """lambda with bound(n*lambda) = eps, by Illinois on the log bound.
 
     The bracket is seeded from the asymptotic correction; both endpoints
     are pushed until they straddle ln(eps).  The bound decreases in
     lambda and blows up at the validity threshold just above
     lambda0 = 1 + 1/Omega, so the low endpoint always reaches a value
-    above eps when n >= n0.  The root finder (``_illinois``) stops at a
-    log residual of 1e-10 or at ulp width; a step that lands below the
-    validity threshold moves the low end.
+    above eps when n >= n0.  The root finder (``rootfind.illinois``)
+    stops at a log residual of 1e-10 or at ulp width; a step that lands
+    below the validity threshold moves the low end.  The result is a
+    float that carries the residual reached (``Lambda.log_residual``).
     """
     if which not in ("p0", "p1"):
         raise DomainError("which must be 'p0' or 'p1'")
@@ -272,7 +291,8 @@ def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> float:
 
     if hi <= lo:
         raise BracketFailed(f"degenerate bracket for {which} at n={cfg.n}")
-    return _illinois(excess, lo, hi, f_lo, f_hi, 1e-10)
+    lam, resid = rootfind.illinois(excess, lo, hi, f_lo, f_hi, 1e-10)
+    return Lambda(lam, abs(resid))
 
 
 def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
@@ -309,41 +329,7 @@ def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
         hi = lam_0 + (hi - lam_0) * 2.0
     else:
         raise BracketFailed(f"oracle MD tail above eps on the whole bracket at n={n}")
-    return _illinois(excess, lo, hi, f_lo, f_hi, 4.0 * _ULP * abs(target))
-
-
-def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, f_tol: float) -> float:
-    """Root of a decreasing f in [lo, hi] with f(lo) > 0 > f(hi): the
-    point with the smallest |f| seen when |f| <= f_tol or the bracket is
-    at ulp width.  f may return None where it is undefined left of the
-    root; such a point becomes the new low end, keeping f(lo)."""
-    best, best_f = (lo, f_lo) if f_lo < -f_hi else (hi, f_hi)
-    kept = 0  # +1: lo was kept by the last step, -1: hi was
-    for _ in range(200):
-        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-        v = f(mid)
-        if v is None:
-            lo, kept = mid, 0
-            continue
-        if abs(v) < abs(best_f):
-            best, best_f = mid, v
-        if abs(v) <= f_tol:
-            break
-        if v > 0.0:
-            lo, f_lo = mid, v
-            if kept == -1:
-                f_hi *= 0.5
-            kept = -1
-        else:
-            hi, f_hi = mid, v
-            if kept == 1:
-                f_lo *= 0.5
-            kept = 1
-    return best
+    return rootfind.illinois(excess, lo, hi, f_lo, f_hi, 4.0 * _ULP * abs(target))[0]
 
 
 def oracle_converse(cfg: AwgnConfig, tol: float = 1e-11) -> float:
@@ -368,14 +354,16 @@ def converse_bounds(cfg: AwgnConfig) -> AwgnPoint:
     r_upper = -log_p1_fa(cfg, lam_p1) / (cfg.n * _LN2)
     return AwgnPoint(
         config=cfg,
-        lambda_p0=lam_p0,
-        lambda_p1=lam_p1,
+        lambda_p0=float(lam_p0),
+        lambda_p1=float(lam_p1),
         lambda_asym=lambda_asymptotic(cfg),
         r_lower=r_lower,
         r_upper=r_upper,
         r_asym=rate_asymptotic(cfg),
         r_na=normal_approximation(cfg),
         capacity=capacity(cfg.omega),
+        log_residual_p0=lam_p0.log_residual,
+        log_residual_p1=lam_p1.log_residual,
     )
 
 

@@ -76,7 +76,13 @@ def markov_h(mean: float, r: float = math.inf) -> CandidateH:
     return CandidateH(evaluator, TailSide.RIGHT, desc)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Brent's golden-section fraction (3 - sqrt 5)/2.
+_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))
+
+#: Relative stop of the t* search: Brent closes its bracket to this width
+#: around t*. The parabolic steps put t* itself much closer; the probes at
+#: this distance must differ from t*'s in phi by more than its rounding.
+_T_RTOL = 1e-6
 
 #: Points per block of the Chernoff scan, whose arrays hold one value
 #: per t and point.
@@ -90,6 +96,21 @@ def _pick(cond, a, b):
     return a if cond else b
 
 
+def _copysign(a, b):
+    """|a| with the sign of b: at a float or elementwise."""
+    if isinstance(b, np.ndarray):
+        return np.copysign(a, b)
+    return math.copysign(a, b)
+
+
+def _log(v):
+    """ln v, NaN where v is not positive: at a float, or elementwise by the
+    same libm call."""
+    if isinstance(v, np.ndarray):
+        return each(math.log, np.where(v > 0.0, v, math.nan))
+    return math.log(v) if v > 0.0 else math.nan
+
+
 def chernoff_h(
     mgf: Callable[[float], float],
     t_grid: list[float],
@@ -97,21 +118,29 @@ def chernoff_h(
     refine: bool = True,
 ) -> CandidateH:
     """h(x) = min over t of M(t) e^{-tx} (minus M(t) e^{-tr} when r is
-    finite), minimized by a grid scan with optional golden-section
-    refinement between the bracketing grid points; ties break toward the
+    finite), minimized by a grid scan with optional refinement between
+    the bracketing grid points; ties in the scan break toward the
     smaller t.
 
     h'(x) is the envelope derivative -t* M(t*) e^{-t* x} of the active
     branch.
 
+    The refinement is Brent's safeguarded parabolic minimisation (Brent
+    1973, ch. 5) of phi(t) = ln M(t) - t x, or of the ln of the branch
+    value when r is finite, started from the scan's minimum and its two
+    grid neighbours, and stopped once its bracket is within 1e-6
+    relative of t*. phi of a Gaussian is a parabola, so its t* comes out
+    to rounding. The refined t* replaces the scan's only where its branch
+    value is smaller.
+
     The evaluator takes a float or a grid of points, by one code path:
     the scan is one array over t (and x), with one ``mgf`` call per t, and
-    the golden section runs in lock-step over the points, each with its
-    own bracket and stop. Each step is the float evaluation's arithmetic,
-    with libm's exp, so a grid point gets the bits a float evaluation
-    gets there. Where that evaluation raises what a seed turns into a
-    pole (e^{-tx} overflows, or ``mgf`` raises such an error) a grid
-    point is NaN; anything else it raises, such as MgfDiverged for a
+    the refinement runs in lock-step over the points, each with its own
+    bracket and stop. Each step is the float evaluation's arithmetic,
+    with libm's exp and log, so a grid point gets the bits a float
+    evaluation gets there. Where that evaluation raises what a seed turns
+    into a pole (e^{-tx} overflows, or ``mgf`` raises such an error) a
+    grid point is NaN; anything else it raises, such as MgfDiverged for a
     non-finite M(t) or branch value, the grid evaluation raises too.
     """
     ts = np.array(sorted(float(t) for t in t_grid))
@@ -189,58 +218,95 @@ def chernoff_h(
         (v[k],), (m[k],) = branch(t[k][None], x[k], fates, k)
         return v, m
 
+    def phi(v, m, t, x):
+        """The refinement's objective from a branch value v and M(t) = m:
+        ln M(t) - t x, or ln v when r is finite; NaN where the log is
+        not defined."""
+        if math.isfinite(r):
+            return _log(v)
+        return _log(m) - t * x
+
     def scan(x: np.ndarray, fates: dict):
         """The t-grid scan at the points x, in blocks of points to keep its
-        arrays small: t*, the minimum, M(t*) and the grid neighbours
-        (lo, hi) of t*."""
+        arrays small: t*, the minimum and M(t*), and the grid neighbours
+        lo and hi of t* with phi there."""
         mr = moments(ts[:, None])
         j = np.empty(x.size, dtype=np.intp)
-        v_star = np.empty(x.size)
+        v_star, v_lo, v_hi = np.empty(x.size), np.empty(x.size), np.empty(x.size)
         for s in range(0, x.size, _SCAN_BLOCK):
             e = min(s + _SCAN_BLOCK, x.size)
+            cols = np.arange(e - s)
             vals, _ = branch(ts[:, None], x[s:e], fates, np.arange(s, e), mr)
             j[s:e] = np.argmin(vals, axis=0)  # the first minimum: the smaller t on a tie
-            v_star[s:e] = vals[j[s:e], np.arange(e - s)]
-        return ts[j], v_star, mr[0][j, 0], ts[np.maximum(j - 1, 0)], ts[np.minimum(j + 1, top)]
+            v_star[s:e] = vals[j[s:e], cols]
+            v_lo[s:e] = vals[np.maximum(j[s:e] - 1, 0), cols]
+            v_hi[s:e] = vals[np.minimum(j[s:e] + 1, top), cols]
+        jl, jh = np.maximum(j - 1, 0), np.minimum(j + 1, top)
+        m = mr[0][:, 0]
+        return (ts[j], v_star, m[j], ts[jl], ts[jh],
+                phi(v_lo, m[jl], ts[jl], x), phi(v_hi, m[jh], ts[jh], x))
 
     def minimize(x, fates: dict):
         """t*, the minimum and M(t*) at a float x, or at every point of a
         grid x (NaN where the float evaluation raises: why is in
-        ``fates``). Masks are bools at a float; ``v == v`` is "not NaN"."""
+        ``fates``). Masks are bools at a float; ``v == v`` is "not NaN".
+
+        Brent's state per point: the bracket [lo, hi], the best point t
+        and the two before it, tw and tv, with phi there, the last step d
+        and the one before it, e."""
         if isinstance(x, np.ndarray):
-            t_star, v_star, m_star, lo, hi = scan(x, fates)
+            t_star, v_star, m_star, lo, hi, f_lo, f_hi = scan(x, fates)
         else:
             found = scan(np.array([x]), fates)
             if fates:
                 raise fates[0]
-            t_star, v_star, m_star, lo, hi = (a.item() for a in found)
+            t_star, v_star, m_star, lo, hi, f_lo, f_hi = (a.item() for a in found)
         if not (refine and top):
             return t_star, v_star, m_star
-        tol = 1e-12 * (1.0 + abs(t_star))
-        ok = (hi > lo) & (v_star == v_star)
-        c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-        fc, _ = at(ok, c, x, fates)
-        ok = ok & (fc == fc)
-        fd, _ = at(ok, d, x, fates)
-        ok = ok & (fd == fd)
-        for _ in range(120):
-            go = ok & (hi - lo > tol)
+        t, v_t, m_t = t_star, v_star, m_star
+        f_t = phi(v_star, m_star, t_star, x)
+        tw, f_w, tv, f_v = lo, f_lo, hi, f_hi
+        d = e = hi - lo
+        ok = (hi > lo) & (f_t == f_t)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            tol1 = _T_RTOL * t
+            tol2 = 2.0 * tol1
+            go = ok & (abs(t - mid) > tol2 - 0.5 * (hi - lo))
             if not (go.any() if isinstance(go, np.ndarray) else go):
                 break
-            left = fc < fd
-            lo_n, hi_n = _pick(left, lo, c), _pick(left, d, hi)
-            t_new = _pick(left, hi_n - _INVPHI * (hi_n - lo_n), lo_n + _INVPHI * (hi_n - lo_n))
-            f_new, _ = at(go, t_new, x, fates)
-            c, d, fc, fd = (
-                _pick(go, _pick(left, t_new, d), c), _pick(go, _pick(left, c, t_new), d),
-                _pick(go, _pick(left, f_new, fd), fc), _pick(go, _pick(left, fc, f_new), fd),
-            )
-            lo, hi = _pick(go, lo_n, lo), _pick(go, hi_n, hi)
-            ok = _pick(go, f_new == f_new, ok)
-        t_ref = 0.5 * (lo + hi)
-        v_ref, m_ref = at(ok, t_ref, x, fates)
-        better = v_ref < v_star
-        return _pick(better, t_ref, t_star), _pick(better, v_ref, v_star), _pick(better, m_ref, m_star)
+            # the vertex of the parabola through t, tw and tv, taken when it
+            # lies inside the bracket and moves less than half the step
+            # before last; else a golden-section step into the larger part
+            pr = (t - tw) * (f_t - f_v)
+            q = (t - tv) * (f_t - f_w)
+            p = (t - tv) * q - (t - tw) * pr
+            q = 2.0 * (q - pr)
+            p = _pick(q > 0.0, -p, p)
+            q = abs(q)
+            para = (abs(e) > tol1) & (abs(p) < abs(0.5 * q * e)) & (p > q * (lo - t)) & (p < q * (hi - t))
+            d_para = p / _pick(para, q, 1.0)
+            u = t + d_para
+            d_para = _pick((u - lo < tol2) | (hi - u < tol2), _copysign(tol1, mid - t), d_para)
+            e_gold = _pick(t >= mid, lo - t, hi - t)
+            e = _pick(go, _pick(para, d, e_gold), e)
+            d = _pick(go, _pick(para, d_para, _CGOLD * e_gold), d)
+            u = _pick(abs(d) >= tol1, t + d, t + _copysign(tol1, d))
+            v_u, m_u = at(go, u, x, fates)
+            f_u = phi(v_u, m_u, u, x)
+            live = go & (f_u == f_u)
+            ok = _pick(go, live, ok)
+            best = live & (f_u <= f_t)
+            worse = live & (f_u > f_t)
+            lo = _pick(best & (u >= t), t, _pick(worse & (u < t), u, lo))
+            hi = _pick(best & (u < t), t, _pick(worse & (u >= t), u, hi))
+            second = worse & ((f_u <= f_w) | (tw == t))
+            third = worse & ((f_u <= f_v) | (tv == t) | (tv == tw))  # where not ``second``
+            tv, f_v = _pick(best | second, tw, _pick(third, u, tv)), _pick(best | second, f_w, _pick(third, f_u, f_v))
+            tw, f_w = _pick(best, t, _pick(second, u, tw)), _pick(best, f_t, _pick(second, f_u, f_w))
+            t, f_t, v_t, m_t = _pick(best, u, t), _pick(best, f_u, f_t), _pick(best, v_u, v_t), _pick(best, m_u, m_t)
+        better = v_t < v_star
+        return _pick(better, t, t_star), _pick(better, v_t, v_star), _pick(better, m_t, m_star)
 
     @eng._takes_grid
     def evaluator(anchor, order: int) -> Jet:

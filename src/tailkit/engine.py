@@ -9,13 +9,19 @@ chain P_0..P_i in one forward sweep from a single ln f jet.
 
 Classification is numeric and honest about it: the conditions
 ("for all x > x0") are verified on a dense grid over a stated window,
-each sign change is refined by bisection, and the result is reported as
-"numerically verified on [a, b] with tolerance tol".
+the threshold where they start to hold is refined by root finding, and
+the result is reported as "numerically verified on [a, b] with
+tolerance tol".
 
 Anchors are a float or the whole grid (see ``jet``): ``classify`` reads
 an iterate's conditions, f and the predecessor's slope from one sweep
 on its grid, where a point at which a single evaluation would raise
-comes back NaN (undefined), and bisects the threshold with scalar sweeps.
+comes back NaN (undefined). The sweep also carries the chain's margins,
+the quantities whose sign decides where each level is defined (the
+seed's denominator and each -+(ln P_k)'). A threshold is the root of
+the quantity that fails first at the first failing grid point (a
+margin, at a pole, or else the residual), found by Illinois with scalar
+sweeps and closed by one more sweep on the passing side.
 ``classify_chain`` classifies every iterate of a chain from one sweep of
 the deepest one, whose lower levels are the lower iterates' own sweeps.
 
@@ -39,6 +45,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import jet as J
+from . import rootfind
 from ._kernels_py import each
 from .dist import DistributionSpec
 from .errors import (
@@ -133,8 +140,9 @@ class BoundIterate:
     side: TailSide
     dist: DistributionSpec
     seed: SeedKind
-    #: (anchor, order) -> (ln P0 at that order, the ln f jet it read)
-    log_seed: Callable[[float, int], tuple[Jet, Jet]]
+    #: (anchor, order) -> (ln P0 at that order, the ln f jet it read, the
+    #: seed's denominator: P0 is defined where it is positive)
+    log_seed: Callable[[float, int], tuple[Jet, Jet, object]]
     prev: Optional["BoundIterate"] = None
 
     def log_evaluator(self, anchor, order: int) -> Jet:
@@ -216,18 +224,23 @@ def make_seed(
     if seed is SeedKind.DIRECT_H and h_jet is None:
         raise SeedIncompatible("direct-h seed needs an h jet evaluator")
 
-    def log_seed(anchor, order: int) -> tuple[Jet, Jet]:
+    def log_seed(anchor, order: int) -> tuple[Jet, Jet, object]:
         try:
             if seed is SeedKind.DIRECT_H:  # P_1 reads ln f one order below P0
-                lp = J.ln(_pointwise(h_jet, anchor, order))
-                return lp, _log_pdf_jet(dist, anchor, max(order - 1, 0))
+                h = _pointwise(h_jet, anchor, order)
+                d = h.value
+                h = J.check(h, d <= 0.0, lambda: PoleEncountered(
+                    f"candidate h not positive at x={anchor}", margins=(d,)
+                ))
+                return J.ln(h), _log_pdf_jet(dist, anchor, max(order - 1, 0)), d
             if seed is SeedKind.PDF:
                 lf = _log_pdf_jet(dist, anchor, order + 1)
                 lfd = jet_shift_derivative(lf)
-                lfd = J.check(lfd, sign * lfd.value <= 0.0, lambda: PoleEncountered(
-                    f"pdf seed needs f {'decreasing' if sign < 0 else 'increasing'} at x={anchor}"
+                d = sign * lfd.value
+                lfd = J.check(lfd, d <= 0.0, lambda: PoleEncountered(
+                    f"pdf seed needs f {'decreasing' if sign < 0 else 'increasing'} at x={anchor}", margins=(d,)
                 ))
-                return _truncate(lf, order) - J.ln(sign * lfd), lf
+                return _truncate(lf, order) - J.ln(sign * lfd), lf, d
             if seed is SeedKind.SHIFTED_PDF:
                 lo = dist.support.lower
                 x = J.check(jet_var(anchor, order), anchor <= lo, lambda: PoleEncountered(
@@ -236,18 +249,20 @@ def make_seed(
                 lf = _log_pdf_jet(dist, anchor, order + 1)
                 lfd = jet_shift_derivative(lf)
                 t = 1.0 + (x - lo) * _truncate(lfd, order)
-                t = J.check(t, sign * t.value <= 0.0, lambda: PoleEncountered(
-                    f"shifted seed denominator sign at x={anchor}"
+                d = sign * t.value
+                t = J.check(t, d <= 0.0, lambda: PoleEncountered(
+                    f"shifted seed denominator sign at x={anchor}", margins=(d,)
                 ))
-                return J.ln(x - lo) + _truncate(lf, order) - J.ln(sign * t), lf
+                return J.ln(x - lo) + _truncate(lf, order) - J.ln(sign * t), lf, d
             # CUSTOM_G
             g = _pointwise(g_jet, anchor, order + 1)
             gd = jet_shift_derivative(g)
-            gd = J.check(gd, sign * gd.value <= 0.0, lambda: PoleEncountered(
-                f"custom g not strictly {'decreasing' if sign < 0 else 'increasing'} at x={anchor}"
+            d = sign * gd.value
+            gd = J.check(gd, d <= 0.0, lambda: PoleEncountered(
+                f"custom g not strictly {'decreasing' if sign < 0 else 'increasing'} at x={anchor}", margins=(d,)
             ))
             lf = _log_pdf_jet(dist, anchor, order)
-            return lf + J.ln(_truncate(g, order)) - J.ln(sign * gd), lf
+            return lf + J.ln(_truncate(g, order)) - J.ln(sign * gd), lf, d
         except PoleEncountered:
             raise
         except _POINT_ERRORS as exc:
@@ -269,22 +284,33 @@ def log_chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], Jet]:
     not depend on its order): ln P_k = ln f - ln(-+ (ln P_{k-1})'). At a
     float anchor the first pole raises PoleEncountered; on a grid it is NaN.
     """
+    return _chain(it, anchor, order)[:2]
+
+
+def _chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], Jet, list]:
+    """``log_chain`` with the chain's margins: the seed's denominator and
+    -+(ln P_k)' for k < i, each of which must be positive for the next
+    level to be defined. On a grid they are arrays, NaN where a lower
+    level is undefined; at a float anchor the PoleEncountered of the
+    first that is not positive carries the margins up to it."""
     i = it.index
     if i and order + i + 1 > MAX_ORDER:
         raise DomainError(f"order {order} at iterate {i} exceeds the jet cap {MAX_ORDER}")
     sign = -1.0 if it.side is TailSide.RIGHT else 1.0
-    lp, lf = it.log_seed(anchor, order + i)
-    levels = [lp]
+    lp, lf, d = it.log_seed(anchor, order + i)
+    levels, margins = [lp], [d]
     for k in range(1, i + 1):
         lpd = jet_shift_derivative(levels[-1])
-        lpd = J.check(lpd, sign * lpd.value <= 0.0, lambda: PoleEncountered(
-            f"P_{k - 1}' has the wrong sign at x={anchor} (iterate pole)"
+        m = sign * lpd.value
+        margins.append(m)
+        lpd = J.check(lpd, m <= 0.0, lambda: PoleEncountered(
+            f"P_{k - 1}' has the wrong sign at x={anchor} (iterate pole)", margins=tuple(margins)
         ))
         try:
             levels.append(_truncate(lf, order + i - k) - J.ln(sign * lpd))
         except (DomainError, DivisionByZeroJet, OverflowError, ValueError) as exc:
             raise _as_pole(exc, f"iterate {k} at x={anchor}") from exc
-    return levels, lf
+    return levels, lf, margins
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +390,19 @@ def _level_conditions(side: TailSide, lp: Jet, f, tol: float) -> _PointEval:
     return _point(right, p, p * lpd, f, tol, mono)
 
 
-def _conditions(it: BoundIterate, x, tol: float) -> tuple[_PointEval, list[Jet]]:
+def _conditions(it: BoundIterate, x, tol: float) -> tuple[_PointEval, list[Jet], list]:
     """The conditions of ``it`` at a point, or on a grid (undefined points
-    NaN), from one pass of the chain; with the pass's levels. A pole at a
-    point leaves it undefined; a grid pass that raises has failed whole."""
+    NaN), from one pass of the chain; with the pass's levels and margins
+    (see ``_chain``). A pole at a point leaves it undefined, with the
+    margins up to the pole when a sign check found it; a grid pass that
+    raises has failed whole."""
     try:
-        levels, lf = log_chain(it, x, 1)
-    except PoleEncountered:
+        levels, lf, margins = _chain(it, x, 1)
+    except PoleEncountered as exc:
         if isinstance(x, np.ndarray):
             raise
-        return _PointEval(False), []
-    return _level_conditions(it.side, levels[-1], _safe_exp(lf.coeffs[0]), tol), levels
+        return _PointEval(False), [], exc.margins
+    return _level_conditions(it.side, levels[-1], _safe_exp(lf.coeffs[0]), tol), levels, margins
 
 
 def _run(ok: np.ndarray) -> int:
@@ -407,8 +435,9 @@ def classify(
     One chain pass on the grid gives the conditions and the predecessor's
     slope for tightness. The verified region is the maximal run of
     passing grid points touching the support-edge end of the window (the
-    bounds hold from a threshold onward); its boundary is refined by
-    bisection, with scalar passes, to 1e-10 window-relative. The bound
+    bounds hold from a threshold onward); its boundary is refined by root
+    finding on the quantity that fails there (``_threshold``), with
+    scalar passes, to 1e-10 window-relative. The bound
     verdict needs positivity (implied by P_i being defined) and the
     governing sign; monotonicity of P_i gates only the construction of
     the NEXT iterate, and is reported in ``monotone`` for the algorithm
@@ -419,8 +448,8 @@ def classify(
     """
     xs = _grid(it, window, grid)
     with np.errstate(all="ignore"):
-        cond, levels = _conditions(it, xs, tol)
-    return _judge(it, xs, cond, levels[-2] if it.prev is not None else None, window, tol)
+        cond, levels, margins = _conditions(it, xs, tol)
+    return _judge(it, xs, cond, levels, margins, window, tol)
 
 
 def classify_chain(
@@ -431,15 +460,16 @@ def classify_chain(
 ) -> Iterator[Classification]:
     """``classify`` of P_0 .. P_i of ``it``'s chain, in that order, from
     one grid sweep of P_i: a sweep's lower levels are those of the lower
-    iterates' own sweeps bit for bit, so each level's conditions, and the
-    level below it for tightness, come from the one sweep. Thresholds are
-    bisected per level with scalar passes. A generator, so that a caller
+    iterates' own sweeps bit for bit, so each level's conditions and
+    margins, and the level below it for tightness, come from the one
+    sweep. Each level's threshold is root-found with scalar passes of its
+    own chain, as ``classify`` finds it. A generator, so that a caller
     stops at the first level that fails; the sweep runs on the first
     ``next``, and the checks are those of ``classify`` of P_i.
     """
     xs = _grid(it, window, grid)
     with np.errstate(all="ignore"):
-        levels, lf = log_chain(it, xs, 1)
+        levels, lf, margins = _chain(it, xs, 1)
         f = _safe_exp(lf.coeffs[0])
     links = [it]
     while links[-1].prev is not None:
@@ -447,21 +477,23 @@ def classify_chain(
     for k, link in enumerate(reversed(links)):
         with np.errstate(all="ignore"):
             cond = _level_conditions(it.side, levels[k], f, tol)
-        yield _judge(link, xs, cond, levels[k - 1] if k else None, window, tol)
+        yield _judge(link, xs, cond, levels[: k + 1], margins[: k + 1], window, tol)
 
 
 def _judge(
     it: BoundIterate,
     xs: np.ndarray,
     cond: _PointEval,
-    lp_prev: Optional[Jet],
+    levels: list[Jet],
+    margins: list,
     window: tuple[float, float],
     tol: float,
 ) -> Classification:
     """The classification of ``it`` from its conditions on the grid
-    ``xs`` and its predecessor's level ``lp_prev`` of the same sweep (None
-    for a seed): the verdict, the bisected threshold, the limit check,
-    the sampled residuals, tightness and monotonicity."""
+    ``xs`` and the levels and margins of the same sweep, up to its own:
+    the verdict, the threshold (``_threshold``), the limit check, the
+    sampled residuals, tightness against the predecessor's level and
+    monotonicity."""
     a, b = window
     if not cond.defined.any():
         raise WindowTooSmall(f"iterate {it.index} satisfies no base condition anywhere on [{a}, {b}]")
@@ -488,29 +520,9 @@ def _judge(
     elif run == n:
         threshold = a if right else b
     else:
-
-        def pred(x: float) -> bool:
-            e = _conditions(it, x, tol)[0]
-            if not e.defined:
-                return False
-            if verdict is Verdict.UPPER:
-                return e.up_ok
-            if verdict is Verdict.LOWER:
-                return e.lo_ok
-            return e.up_ok and e.lo_ok
-
-        # bisect between the first failing and the last passing grid point
-        xs_in = xs[inward]
-        x_bad, x_good = float(xs_in[run]), float(xs_in[run - 1])
-        for _ in range(200):
-            if abs(x_good - x_bad) <= 1e-10 * (b - a):
-                break
-            mid = 0.5 * (x_bad + x_good)
-            if pred(mid):
-                x_good = mid
-            else:
-                x_bad = mid
-        threshold = x_good
+        # between the first failing and the last passing grid point
+        at = (n - 1 - run, n - run) if right else (run, run - 1)
+        threshold = _threshold(it, verdict, cond, margins, xs, at, window, tol)
 
     # numeric surrogate for the limit condition at the support-edge-most point
     edge, inner = (n - 1, n - 2) if right else (0, 1)
@@ -522,9 +534,93 @@ def _judge(
     )
 
     residuals = tuple(cond.residual[:: max(1, n // 16)].tolist())
+    lp_prev = levels[-2] if len(levels) > 1 else None
     tightness_ok = _tightness(it.side, cond, lp_prev, verdict, tol) if lp_prev is not None else None
     monotone = bool(np.all(cond.defined & cond.mono_ok))
     return Classification(verdict, threshold, tightness_ok, residuals, limit_ok, (a, b), tol, run == n, monotone)
+
+
+def _threshold(
+    it: BoundIterate,
+    verdict: Verdict,
+    cond: _PointEval,
+    margins: list,
+    xs: np.ndarray,
+    at: tuple[int, int],
+    window: tuple[float, float],
+    tol: float,
+) -> float:
+    """A passing point within 1e-10 (b - a) of where the verdict starts to
+    hold, between the failing and the passing grid point (indices ``at``
+    into ``xs``).
+
+    The search is on the quantity that fails first at the failing point:
+    the first margin that is not positive there (a pole of the next
+    level, or the seed's own denominator), or else the residual against
+    tol. Illinois (``rootfind.illinois``) brackets its root to half of
+    1e-10 (b - a), with one scalar pass of the chain per step; one more
+    pass, that half width past the point it returns, closes the bracket
+    on the other side. Where that quantity is undefined at either end, or
+    the closing pass does not cross, the bracket is bisected on the
+    conditions.
+    """
+    a, b = window
+    x_tol = 1e-10 * (b - a)
+    bad, good = at
+    x_bad, x_good = float(xs[bad]), float(xs[good])
+
+    def passes(e: _PointEval) -> bool:
+        if not e.defined:
+            return False
+        if verdict is Verdict.UPPER:
+            return e.up_ok
+        if verdict is Verdict.LOWER:
+            return e.lo_ok
+        return e.up_ok and e.lo_ok
+
+    # q, positive on the passing side: the first margin not positive at
+    # the failing point, else how far the residual r is inside the
+    # condition that fails there: tol - s r for the upper one, tol + s r
+    # for the lower, s = 1 on the right tail
+    first = next((k for k, m in enumerate(margins) if not m[bad] > 0.0), None)
+    if first is not None:
+        q_bad, q_good = margins[first][bad], margins[first][good]
+
+        def q_of(e: _PointEval, ms):
+            return ms[first] if len(ms) > first else None
+    else:
+        s = 1.0 if it.side is TailSide.RIGHT else -1.0
+        if not cond.up_ok[bad]:
+            s = -s
+        q_bad, q_good = tol + s * cond.residual[bad], tol + s * cond.residual[good]
+
+        def q_of(e: _PointEval, ms):
+            return tol + s * e.residual if e.defined else None
+
+    seen = {x_bad: False, x_good: True}
+
+    def minus_q(x: float):
+        e, _, ms = _conditions(it, x, tol)
+        seen[x] = passes(e)
+        q = q_of(e, ms)
+        return None if q is None else -q
+
+    if math.isfinite(q_bad) and q_good > 0.0:
+        # to half the width, so that rounding cannot carry the result past it
+        x, _ = rootfind.illinois(minus_q, x_bad, x_good, -q_bad, -q_good, 0.0, 0.5 * x_tol)
+        ok = seen[x]
+        close = x + math.copysign(0.5 * x_tol, x_good - x_bad) * (-1.0 if ok else 1.0)
+        if passes(_conditions(it, close, tol)[0]) != ok:
+            return float(x if ok else close)
+    for _ in range(200):
+        if abs(x_good - x_bad) <= x_tol:
+            break
+        mid = 0.5 * (x_bad + x_good)
+        if passes(_conditions(it, mid, tol)[0]):
+            x_good = mid
+        else:
+            x_bad = mid
+    return x_good
 
 
 def _tightness(side: TailSide, cond: _PointEval, lp_prev: Jet, verdict, tol) -> Optional[bool]:

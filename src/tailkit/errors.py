@@ -36,7 +36,16 @@ class SeedInvalid(TailkitError):
 
 
 class PoleEncountered(TailkitError):
-    """Iterate evaluation hit a pole (P' ~ 0 or a sign violation)."""
+    """Iterate evaluation hit a pole (P' ~ 0 or a sign violation).
+
+    ``margins`` holds, when the engine's own sign check raised, the chain's
+    margins up to and including the one that is not positive (see
+    ``engine.log_chain``); it is empty otherwise.
+    """
+
+    def __init__(self, *args, margins: tuple = ()):
+        super().__init__(*args)
+        self.margins = margins
 
 
 class WindowTooSmall(TailkitError):

@@ -20,6 +20,9 @@ from .errors import DomainError, ToleranceNotMet
 
 _MAX_SUBDIVISIONS = 10_000
 
+#: How many times ``ncchi2_sf_log`` may carry its window a width upward.
+_EXTENSIONS = 4
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -220,6 +223,16 @@ def ncchi2_sf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
     at most Q(a + j0, y) times the Poisson mass there, and the one above J
     at most the Poisson mass there.  Never formed as 1 - CDF, so it keeps
     its relative accuracy in the far right tail.
+
+    Far out in the right tail the sum is much smaller than the Poisson
+    mass above J, so Q <= 1 bounds the remainder there too loosely, and
+    bounding Q by Q(a + j1, y) up to some j1 does not close the gap: the
+    weights above j1 fall below tol of the sum only where Q(a + j1, y)
+    has grown far past Q(a + J, y) (by e^322 at k = 243, s = 486,
+    x = 5336, where j1 = 1338 and J = 917).  Where the remainder check
+    fails, the recurrence is carried on above the window, a window's
+    width at a time (at most ``_EXTENSIONS`` times), until the Poisson
+    mass left above is below tol of the sum.
     """
     if k <= 0.0 or s < 0.0 or x < 0.0:
         raise DomainError("ncchi2_sf_log needs k > 0, s >= 0, x >= 0")
@@ -229,10 +242,23 @@ def ncchi2_sf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
     if s == 0.0:
         return specfun.log_reg_inc_gamma_Q(a, y)
     m, j0, b, ln_w, lg = _window(k, s, False)
+    ln_y = math.log(y)
     bottom = specfun.log_reg_inc_gamma_Q(b[0], y)
-    ln_t = b[:-1] * math.log(y) - y - lg[:-1]
+    ln_t = b[:-1] * ln_y - y - lg[:-1]
     ln_q = np.logaddexp.accumulate(np.concatenate(([bottom], ln_t)))
-    return _log_mixture(m, j0, ln_w, ln_q, 0.0, tol, f"k={k}, s={s}, x={x}")
+    where = f"k={k}, s={s}, x={x}"
+    width = len(b)
+    for _ in range(_EXTENSIONS):
+        try:
+            return _log_mixture(m, j0, ln_w, ln_q, 0.0, tol, where)
+        except ToleranceNotMet:
+            pass
+        j = np.arange(j0 + len(ln_q), j0 + len(ln_q) + width, dtype=float)
+        b_up = np.concatenate(([0.5 * k + j[0] - 1.0], 0.5 * k + j[:-1]))  # the orders t_b steps from
+        ln_t = b_up * ln_y - y - _lgamma(b_up + 1.0)
+        ln_q = np.concatenate((ln_q, np.logaddexp.accumulate(np.concatenate(([ln_q[-1]], ln_t)))[1:]))
+        ln_w = np.concatenate((ln_w, j * math.log(m) - m - _lgamma(j + 1.0)))
+    return _log_mixture(m, j0, ln_w, ln_q, 0.0, tol, where)
 
 
 def ncchi2_cdf_series(k: float, s: float, x: float, tol: float = 1e-12) -> float:

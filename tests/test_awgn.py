@@ -164,6 +164,25 @@ class TestSolveLambda:
                 A.solve_lambda(A.AwgnConfig(n, om, eps), which)
                 assert len(calls) <= 16, (om, eps, which, len(calls))
 
+    @pytest.mark.parametrize("n", [10**4, 10**7])
+    def test_point_carries_the_solve_residuals(self, monkeypatch, n):
+        cfg = A.AwgnConfig(n, 1.0, 1e-3)
+        calls = []
+        for name in ("log_p0_md", "log_p1_md"):
+            bound = getattr(A, name)
+            monkeypatch.setattr(A, name, lambda cfg, lam, bound=bound: calls.append(lam) or bound(cfg, lam))
+        p = A.converse_bounds(cfg)
+        in_bounds = len(calls)
+        calls.clear()
+        for which in ("p0", "p1"):
+            A.solve_lambda(cfg, which)
+        assert in_bounds == len(calls)  # the residuals cost no evaluation
+        monkeypatch.undo()
+        assert p.log_residual_p0 == abs(A.log_p0_md(cfg, p.lambda_p0) - math.log(cfg.eps))
+        assert p.log_residual_p1 == abs(A.log_p1_md(cfg, p.lambda_p1) - math.log(cfg.eps))
+        if n == 10**4:
+            assert max(p.log_residual_p0, p.log_residual_p1) <= 1e-10
+
     def test_bracket_failure_when_target_unreachable(self, monkeypatch):
         # the MD equation always has a root on the valid branch (the
         # bound blows up at the validity wall), so unreachability is

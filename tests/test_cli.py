@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,3 +215,18 @@ class TestBoundsOneSweep:
             cls = engine.classify(it, window)
             assert rows[0][header.index(f"verdict_{i}")] == cls.verdict.value
             assert rows[0][header.index(f"threshold_{i}")] == format(cls.threshold, ".17g")
+
+
+class TestImports:
+    def test_library_imports_no_heavy_modules(self):
+        # the command-line path and the library modules load neither scipy
+        # nor mpmath, nor the verify suites: they count in every run's set-up
+        code = (
+            "import sys\n"
+            "import tailkit.cli, tailkit.engine, tailkit.connections, tailkit.awgn, tailkit.oracle, tailkit.rootfind\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath') or m == 'tailkit.verify'))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"

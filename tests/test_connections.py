@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -267,7 +268,10 @@ def _gauss_mgf(mu, sigma):
 
 def _chernoff_reference(mgf, t_grid, x, r=math.inf, refine=True):
     """(h, h') at one float x by the per-point minimisation, one scalar
-    ``mgf`` call per branch: the reference for the lock-step evaluator."""
+    ``mgf`` call per branch: the scan, then Brent's parabolic minimisation
+    of phi(t) (ln M(t) - t x, or ln of the branch value when r is finite)
+    from the scan's minimum and its neighbours. The reference for the
+    lock-step evaluator."""
     ts = sorted(float(t) for t in t_grid)
 
     def branch(t):
@@ -275,34 +279,66 @@ def _chernoff_reference(mgf, t_grid, x, r=math.inf, refine=True):
         v = m * math.exp(-t * x)
         if math.isfinite(r):
             v -= m * math.exp(-t * r)
-        return v
+        return v, m
+
+    def phi(v, m, t):
+        if math.isfinite(r):
+            return math.log(v) if v > 0.0 else math.nan
+        return (math.log(m) if m > 0.0 else math.nan) - t * x
 
     vals = [branch(t) for t in ts]
-    j = min(range(len(ts)), key=lambda i: (vals[i], ts[i]))
-    t_star, v_star = ts[j], vals[j]
+    j = min(range(len(ts)), key=lambda i: (vals[i][0], ts[i]))
+    t_star, (v_star, m_star) = ts[j], vals[j]
     if refine and len(ts) > 1:
-        lo = ts[j - 1] if j > 0 else ts[0]
-        hi = ts[j + 1] if j + 1 < len(ts) else ts[-1]
-        if hi > lo:
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-            fc, fd = branch(c), branch(d)
-            for _ in range(120):
-                if hi - lo <= 1e-12 * (1.0 + abs(t_star)):
-                    break
-                if fc < fd:
-                    hi, d, fd = d, c, fc
-                    c = hi - invphi * (hi - lo)
-                    fc = branch(c)
+        jl, jh = max(j - 1, 0), min(j + 1, len(ts) - 1)
+        lo, hi = ts[jl], ts[jh]
+        t, v_t, m_t, f_t = t_star, v_star, m_star, phi(v_star, m_star, t_star)
+        tw, f_w, tv, f_v = lo, phi(*vals[jl], lo), hi, phi(*vals[jh], hi)
+        d = e = hi - lo
+        for _ in range(100 if hi > lo and f_t == f_t else 0):
+            mid = 0.5 * (lo + hi)
+            tol1 = 1e-6 * t
+            tol2 = 2.0 * tol1
+            if abs(t - mid) <= tol2 - 0.5 * (hi - lo):
+                break
+            pr = (t - tw) * (f_t - f_v)
+            q = (t - tv) * (f_t - f_w)
+            p = (t - tv) * q - (t - tw) * pr
+            q = 2.0 * (q - pr)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(e) > tol1 and abs(p) < abs(0.5 * q * e) and q * (lo - t) < p < q * (hi - t):
+                e, d = d, p / q
+                if t + d - lo < tol2 or hi - (t + d) < tol2:
+                    d = math.copysign(tol1, mid - t)
+            else:
+                e = lo - t if t >= mid else hi - t
+                d = 0.5 * (3.0 - math.sqrt(5.0)) * e
+            u = t + d if abs(d) >= tol1 else t + math.copysign(tol1, d)
+            v_u, m_u = branch(u)
+            f_u = phi(v_u, m_u, u)
+            if f_u != f_u:
+                break
+            if f_u <= f_t:
+                if u >= t:
+                    lo = t
                 else:
-                    lo, c, fc = c, d, fd
-                    d = lo + invphi * (hi - lo)
-                    fd = branch(d)
-            t_ref = 0.5 * (lo + hi)
-            v_ref = branch(t_ref)
-            if v_ref < v_star:
-                t_star, v_star = t_ref, v_ref
-    return v_star, -t_star * mgf(t_star) * math.exp(-t_star * x)
+                    hi = t
+                tv, f_v, tw, f_w = tw, f_w, t, f_t
+                t, f_t, v_t, m_t = u, f_u, v_u, m_u
+            else:
+                if u < t:
+                    lo = u
+                else:
+                    hi = u
+                if f_u <= f_w or tw == t:
+                    tv, f_v, tw, f_w = tw, f_w, u, f_u
+                elif f_u <= f_v or tv == t or tv == tw:
+                    tv, f_v = u, f_u
+        if v_t < v_star:
+            t_star, v_star, m_star = t, v_t, m_t
+    return v_star, -t_star * m_star * math.exp(-t_star * x)
 
 
 class TestGridCandidates:
@@ -368,6 +404,24 @@ class TestGridCandidates:
         h = C.chernoff_h(lambda t: calls.append(t) or mgf(t), ts, refine=False)
         h.evaluator(_FIG1_GRID, 1)
         assert len(calls) == len(ts)
+
+    def test_refinement_calls_mgf_a_few_times_per_point(self):
+        calls = []
+        mgf = _gauss_mgf(-1.7, 1.9)
+        h = C.chernoff_h(lambda t: calls.append(t) or mgf(t), list(np.linspace(0.05, 12.0, 80)))
+        h.evaluator(_FIG1_GRID, 1)
+        assert len(calls) <= 80 + 8 * _FIG1_GRID.size
+
+    def test_envelope_slope_is_exact_for_a_gaussian(self):
+        # phi(t) = ln M(t) - t x is a parabola with its vertex at
+        # t* = (x - mu)/sigma^2, so the parabolic step lands on it
+        mu, sigma = -1.7, 1.9
+        jet = C.chernoff_h(_gauss_mgf(mu, sigma), list(np.linspace(0.05, 12.0, 80))).evaluator(_FIG1_GRID, 1)
+        for x, h, dh in zip(_FIG1_GRID.tolist(), *(c.tolist() for c in jet.coeffs)):
+            t = (mp.mpf(x) - mu) / mp.mpf(sigma) ** 2
+            want = mp.exp(-((mp.mpf(x) - mu) ** 2) / (2 * mp.mpf(sigma) ** 2))
+            assert abs(h / want - 1) <= 1e-12
+            assert abs(dh / (-t * want) - 1) <= 1e-12
 
     def test_markov_non_positive_anchor(self):
         h = C.markov_h(1.0)

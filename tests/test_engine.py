@@ -11,6 +11,7 @@ from tailkit import dist as D
 from tailkit import engine as E
 from tailkit import jet as J
 from tailkit import oracle as O
+from tailkit import rootfind
 from tailkit.engine import GridSpec, SeedKind, TailSide, Verdict
 from tailkit.errors import (
     DomainError,
@@ -672,6 +673,103 @@ class TestClassifyChain:
         # the bisections are the scalar passes, one ln f each
         assert passes and not any(isinstance(x, np.ndarray) for x in passes)
         assert calls["point"] == len(passes)
+
+
+def _passes(it, verdict, x):
+    """Whether ``it`` meets the conditions of its verdict at x (one scalar
+    pass)."""
+    e = E._conditions(it, x, E.DEFAULT_TOL)[0]
+    return e.defined and {Verdict.UPPER: e.up_ok, Verdict.LOWER: e.lo_ok}.get(verdict, e.up_ok and e.lo_ok)
+
+
+class TestThresholdSearch:
+    """A threshold inside the window is the root of the quantity that
+    fails first at the failing grid point, found by Illinois with one
+    scalar pass per step and closed by one more pass on the passing side;
+    where that quantity is undefined the bracket is bisected."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        passes, searches = [], []
+        conditions, illinois = E._conditions, rootfind.illinois
+
+        def counted(it, x, tol):
+            if not isinstance(x, np.ndarray):
+                passes.append(x)
+            return conditions(it, x, tol)
+
+        monkeypatch.setattr(E, "_conditions", counted)
+        monkeypatch.setattr(rootfind, "illinois", lambda *a, **k: searches.append(a) or illinois(*a, **k))
+        return passes, searches
+
+    @staticmethod
+    def _bisected(it, verdict, fail, ok):
+        """The pass/fail boundary between a failing and a passing point, by
+        plain bisection of the conditions to rounding."""
+        assert not _passes(it, verdict, fail) and _passes(it, verdict, ok)
+        for _ in range(200):
+            mid = 0.5 * (fail + ok)
+            if not (min(fail, ok) < mid < max(fail, ok)):
+                break
+            if _passes(it, verdict, mid):
+                ok = mid
+            else:
+                fail = mid
+        return ok
+
+    @pytest.mark.parametrize("depth, verdict", [(2, Verdict.UPPER), (3, Verdict.LOWER)])
+    def test_gaussian_pole_in_few_passes(self, monkeypatch, chain01, depth, verdict):
+        # P2's pole, and P3's edge with it, is the zero of (ln P1)' at
+        # sqrt(sqrt2 - 1): bisection took 25 passes to get there
+        passes, searches = self._counting(monkeypatch)
+        a, b = 0.1, 8.0
+        cls = E.classify(chain01[depth], (a, b))
+        assert cls.verdict is verdict
+        assert 0.0 <= cls.threshold - SQRT_X2 <= 1e-10 * (b - a)
+        assert len(searches) == 1 and len(passes) <= 8
+        assert _passes(chain01[depth], verdict, cls.threshold)
+
+    @pytest.mark.parametrize("side, window", [(TailSide.RIGHT, (0.5, 60.0)), (TailSide.RIGHT, (2.0, 60.0)),
+                                              (TailSide.LEFT, (0.05, 3.0))])
+    def test_beta_prime_shifted_seed(self, monkeypatch, side, window):
+        # the seed's own denominator alpha - (alpha + beta) x/(1 + x) has its
+        # zero at alpha/beta; the deeper thresholds are poles of the levels
+        alpha, beta = 2.1, 1.3
+        chain = _chain_of(D.make_beta_prime(alpha, beta), SeedKind.SHIFTED_PDF, side, 4 if side is TailSide.RIGHT else 3)
+        a, b = window
+        into = 1.0 if side is TailSide.RIGHT else -1.0  # toward the passing side
+        searched = 0
+        for it in chain:
+            passes, searches = self._counting(monkeypatch)
+            cls = E.classify(it, window)
+            monkeypatch.undo()
+            if cls.everywhere:
+                continue
+            searched += 1
+            assert len(searches) == 1 and len(passes) <= 10
+            step = 1e-6 * (b - a)
+            root = self._bisected(it, cls.verdict, cls.threshold - into * step, cls.threshold + into * step)
+            assert 0.0 <= into * (cls.threshold - root) <= 1e-10 * (b - a)
+            if it.index == 0:
+                assert 0.0 <= into * (cls.threshold - alpha / beta) <= 1e-10 * (b - a)
+        assert searched >= 3
+
+    def test_undefined_quantity_is_bisected(self, monkeypatch):
+        # a custom g that raises below x = 4 leaves P0 undefined there
+        # without a sign to search on: the bracket is bisected
+        d = D.make_beta_prime(2.1, 1.3)
+
+        def g_jet(anchor, order):
+            if anchor < 4.0:
+                raise DomainError("no g below 4")
+            return jet_var(anchor, order) * J.exp(d.log_pdf_jet(anchor, order))
+
+        it = E.make_seed(d, SeedKind.CUSTOM_G, TailSide.RIGHT, g_jet=g_jet)
+        passes, searches = self._counting(monkeypatch)
+        cls = E.classify(it, (2.0, 60.0))
+        assert cls.verdict is Verdict.UPPER and not searches
+        assert 20 <= len(passes) <= 40
+        assert 0.0 <= cls.threshold - 4.0 <= 1e-10 * 58.0
 
 
 class TestSafeExp:

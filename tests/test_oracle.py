@@ -158,12 +158,20 @@ class TestRecurrence:
             total = math.exp(O.ncchi2_sf_log(k, s, x)) + math.exp(O.ncchi2_cdf_log(k, s, x))
             assert abs(total - 1.0) <= 1e-13
 
-    def test_unbounded_remainder_raises(self):
+    def test_sf_far_tail_above_the_window(self):
         # ln sf is near -1165 here (scipy underflows); the Poisson mass
         # above the window's top m + W, about e^-548, cannot bound the
-        # remainder below tol times that
+        # remainder below tol times that, so the recurrence carries on
+        # above the window
+        want = mp_log_mixture(243.0, 486.0, 5336.0, upper=True)
+        assert abs(want + 1164.99376607119) < 1e-9
+        assert abs(O.ncchi2_sf_log(243.0, 486.0, 5336.0) - want) <= 1e-10 * abs(want)
+
+    def test_unbounded_remainder_raises(self):
+        # the summand peaks near j = y - a ~ 3e4, beyond every extension
+        # of the window above m + W
         with pytest.raises(ToleranceNotMet):
-            O.ncchi2_sf_log(243.0, 486.0, 5336.0)
+            O.ncchi2_sf_log(243.0, 486.0, 6e4)
 
     def test_oracle_lambda_meets_eps_against_mpmath(self):
         # eps = 1e-5 at small n, where a tail taken as 1 - CDF is least accurate
