@@ -89,16 +89,17 @@ def exp(a):
     return tuple(out)
 
 
-def ln(a):
+def ln(a, shift=0.0):
+    # ln(shift + a); shift 1 is log1p, whose value libm keeps accurate near a = 0
     n = len(a)
-    a0 = a[0]
+    b0 = shift + a[0] if shift else a[0]
     out = [0.0] * n
-    out[0] = each(math.log, a0)
+    out[0] = each(math.log1p if shift else math.log, a[0])
     for k in range(1, n):
         s = k * a[k]
         for j in range(1, k):
             s = s - j * out[j] * a[k - j]
-        out[k] = s / (k * a0)
+        out[k] = s / (k * b0)
     return tuple(out)
 
 

@@ -22,6 +22,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, awgn, dist, engine
+from ._kernels_py import each
 from .engine import GridSpec, SeedKind, TailSide
 from .errors import SeedInvalid, TailkitError
 
@@ -61,15 +62,18 @@ def _write_rows(out_path: str | None, lines: list[str]):
         sys.stdout.write(payload)
         return
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tailkit-", dir=directory)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(payload)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=".tailkit-", dir=directory)
+        try:
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                fh.write(payload)
+            os.replace(tmp, out_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise TailkitError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _build_dist(args):
@@ -124,11 +128,12 @@ def cmd_bounds(args) -> int:
     grid_desc = f"grid_points={grid.points} spacing={grid.spacing} tol={engine.DEFAULT_TOL:g}"
     lines = _manifest_lines("bounds", params, grid_desc, args)
     lines.append(",".join(header))
-    # every column from one pass of the deepest iterate's chain; a point
-    # where an iterate is undefined is NaN, written as an empty cell
+    # every column from one pass of the deepest iterate's chain: P_i =
+    # e^{ln f + q_i} and R_i = |expm1(d_i)| from its step; a point where
+    # an iterate is undefined is NaN, written as an empty cell
     with np.errstate(all="ignore"):
-        levels, lf = engine.log_chain(chain[-1], xs, 0)
-        columns = [engine._value(lp) for lp in levels] + [engine._figure_rate(side, lp, lf) for lp in levels[:-1]]
+        qs, steps, lf, _ = engine._chain(chain[-1], xs, 0)
+        columns = [each(math.exp, lf.value + q.value) for q in qs] + [abs(engine._flip(a)) for a in steps]
     verdicts = [c.verdict.value for c in classifications]
     thresholds = [_fmt(c.threshold) for c in classifications]
     for x, *cells in zip(xs.tolist(), *(col.tolist() for col in columns)):
@@ -178,14 +183,16 @@ def cmd_awgn(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # only this command runs the suites
 
-    overrides = {}
-    for spec_str in args.tol or []:
-        key, _, val = spec_str.partition("=")
-        if not val:
-            raise TailkitError(f"bad --tol override {spec_str!r} (want KEY=VALUE)")
-        overrides[key] = float(val)
-    ok = verify.run_suites([args.suite], overrides)
+    ok = verify.run_suites([args.suite], dict(args.tol or []))
     return 0 if ok else 1
+
+
+def _tol_override(spec: str) -> tuple[str, float]:
+    key, _, val = spec.partition("=")
+    try:
+        return key, float(val)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad override {spec!r} (want KEY=VALUE, VALUE a number)") from None
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -227,7 +234,8 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the invariant suites")
     v.add_argument("--suite", choices=["jet", "specfun", "bounds", "awgn", "cli", "all"], default="all")
-    v.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override (repeatable)")
+    v.add_argument("--tol", action="append", type=_tol_override, metavar="KEY=VALUE",
+                   help="tolerance override (repeatable)")
     v.set_defaults(fn=cmd_verify)
     return p
 
@@ -238,6 +246,8 @@ def main(argv=None) -> int:
     if args.command == "bounds":
         if args.points < 1:
             parser.error(f"bounds: --points must be at least 1, got {args.points}")
+        if not (math.isfinite(args.x_min) and math.isfinite(args.x_max)):
+            parser.error(f"bounds: --x-min and --x-max must be finite, got {args.x_min:g} and {args.x_max:g}")
         if not args.x_min < args.x_max:
             parser.error(f"bounds: --x-min {args.x_min:g} must lie below --x-max {args.x_max:g}")
     try:

@@ -6,9 +6,9 @@ variant, and the grid-minimized Chernoff envelope.
 
 A candidate is the direct-h seed P0 = h (``SeedKind.DIRECT_H``), so
 ``classify_h`` is ``engine.classify`` of that seed: h > 0 and the
-governing sign (h' + f against the tolerance for the right tail, h' - f
-for the left) on the grid, with the verdict, threshold, limit check and
-residuals every iterate gets. A point where the candidate raises what a
+governing sign (the relative residual f/(-h') - 1 against the tolerance
+for the right tail, f/h' - 1 for the left) on the grid, with the
+verdict, threshold, limit check and residuals every iterate gets. A point where the candidate raises what a
 seed turns into a pole, or where it is non-positive, is undefined.
 ``markov_h`` and ``chernoff_h`` evaluate the whole grid at once, by the
 same code as at a float, so a grid point has the bits of a float

@@ -1,11 +1,22 @@
 """Seed construction, bound iteration, and numeric classification.
 
 The seed P0 = -+ f g/g' (sign - for the right tail, + for the left) and
-every iterate P_{i+1} = -+ f P_i/P_i' are represented as jets of ln P_i:
-the iteration only ever needs (ln P_i)' and ln f, so the log form stays
-finite arbitrarily far into the tails where raw PDF values underflow.
-An iterate is a link of its chain, and ``log_chain`` evaluates the whole
-chain P_0..P_i in one forward sweep from a single ln f jet.
+every iterate P_{i+1} = -+ f P_i/P_i' are represented relative to f, as
+jets of the log Mills ratio q_i = ln(P_i/f), and of the steps d_i =
+q_{i+1} - q_i = ln(P_{i+1}/P_i). The chain runs on q_0 and on a_i =
+expm1(-d_i) = P_i/P_{i+1} - 1, by d_{i-1} = -log1p(a_{i-1}) and
+a_i = d_{i-1}'/((ln f)' + q_{i-1}'), with q_i = q_{i-1} + d_{i-1}: no
+term of size ln f enters, so q and the steps keep their digits
+arbitrarily far into the tails, where f and P underflow and ln P and
+ln f cancel. An iterate is a link of its chain, and ``_chain``
+evaluates the whole chain P_0..P_i in one forward sweep from a single
+ln f jet; ``log_chain`` gives ln P_k = ln f + q_k.
+
+Every condition of the paper is the sign of P' +- f, which relative to
+f is the residual expm1(d_i) = P_{i+1}/P_i - 1 = f/(-+P_i') - 1: upper
+where it is at most tol, lower where it is at least -tol. The same
+step gives the tightness sum, the threshold search and the rates
+(``figure_rate`` |expm1(d_i)|, ``convergence_rate`` |expm1(-d_i)|).
 
 Classification is numeric and honest about it: the conditions
 ("for all x > x0") are verified on a dense grid over a stated window,
@@ -14,13 +25,13 @@ the result is reported as "numerically verified on [a, b] with
 tolerance tol".
 
 Anchors are a float or the whole grid (see ``jet``): ``classify`` reads
-an iterate's conditions, f and the predecessor's slope from one sweep
-on its grid, where a point at which a single evaluation would raise
-comes back NaN (undefined). The sweep also carries the chain's margins,
-the quantities whose sign decides where each level is defined (the
-seed's denominator and each -+(ln P_k)'). A threshold is the root of
-the quantity that fails first at the first failing grid point (a
-margin, at a pole, or else the residual), found by Illinois with scalar
+an iterate's step and its predecessor's from one sweep on its grid,
+where a point at which a single evaluation would raise comes back NaN
+(undefined). The sweep also carries the chain's margins, the quantities
+whose sign decides where each level is defined (the seed's denominator
+and each -+(ln P_k)'). A threshold is the root of the quantity that
+fails first at the first failing grid point (a margin, at a pole, or
+else the step against the tolerance), found by Illinois with scalar
 sweeps and closed by one more sweep on the passing side.
 ``classify_chain`` classifies every iterate of a chain from one sweep of
 the deepest one, whose lower levels are the lower iterates' own sweeps.
@@ -61,9 +72,10 @@ from .errors import (
 from .jet import MAX_ORDER, Jet, jet_shift_derivative, jet_var
 
 
-#: Default absolute tolerance on condition residuals (they are products
-#: of PDFs and decay fast; an absolute floor avoids relative blowup
-#: where f ~ 0).
+#: Default tolerance on the relative residual expm1(d_i) = f/(-+P_i') - 1
+#: of the conditions. Relative, so that it means the same where f is
+#: 1e-300 as where it is 1: an upper bound verified on [x, inf) with P -> 0
+#: satisfies P >= tail/(1 + tol) there, a lower one P <= tail/(1 - tol).
 DEFAULT_TOL = 1e-12
 
 #: The numeric surrogate of the limit condition: P at the support-edge
@@ -107,6 +119,8 @@ class Classification:
     verdict: Verdict
     threshold: float
     tightness_ok: Optional[bool]
+    #: expm1(d_i) = f/(-+P_i') - 1 sampled along the grid: below -1 where
+    #: P_i is not monotone, NaN where it is undefined
     residuals: tuple[float, ...]
     limit_ok: bool
     window: tuple[float, float]
@@ -140,13 +154,16 @@ class BoundIterate:
     side: TailSide
     dist: DistributionSpec
     seed: SeedKind
-    #: (anchor, order) -> (ln P0 at that order, the ln f jet it read, the
-    #: seed's denominator: P0 is defined where it is positive)
-    log_seed: Callable[[float, int], tuple[Jet, Jet, object]]
+    #: (anchor, order) -> (q_0 = ln(P0/f) at that order, a_0 = P0/P1 - 1 one
+    #: order lower where it has a closed form (else, and at order 0, None),
+    #: the ln f jet it read, the seed's denominator: P0 is defined where it
+    #: is positive)
+    log_seed: Callable[[float, int], tuple[Jet, Optional[Jet], Jet, object]]
     prev: Optional["BoundIterate"] = None
 
     def log_evaluator(self, anchor, order: int) -> Jet:
-        return log_chain(self, anchor, order)[0][-1]
+        qs, _, lf, _ = _chain(self, anchor, order)
+        return _truncate(lf, order) + qs[-1]
 
     def evaluator(self, anchor, order: int) -> Jet:
         return J.exp(self.log_evaluator(anchor, order))
@@ -163,10 +180,6 @@ def _log_pdf_jet(dist: DistributionSpec, anchor, order: int) -> Jet:
 
 def _truncate(j: Jet, order: int) -> Jet:
     return Jet(j.anchor, j.coeffs[: order + 1])
-
-
-def _as_pole(exc: Exception, where: str) -> PoleEncountered:
-    return PoleEncountered(f"{where}: {exc}")
 
 
 #: What a seed turns into a pole at one point: errors of the jet
@@ -224,37 +237,41 @@ def make_seed(
     if seed is SeedKind.DIRECT_H and h_jet is None:
         raise SeedIncompatible("direct-h seed needs an h jet evaluator")
 
-    def log_seed(anchor, order: int) -> tuple[Jet, Jet, object]:
+    def log_seed(anchor, order: int) -> tuple[Jet, Optional[Jet], Jet, object]:
         try:
-            if seed is SeedKind.DIRECT_H:  # P_1 reads ln f one order below P0
+            if seed is SeedKind.DIRECT_H:  # q_0 = ln h - ln f
                 h = _pointwise(h_jet, anchor, order)
                 d = h.value
                 h = J.check(h, d <= 0.0, lambda: PoleEncountered(
                     f"candidate h not positive at x={anchor}", margins=(d,)
                 ))
-                return J.ln(h), _log_pdf_jet(dist, anchor, max(order - 1, 0)), d
-            if seed is SeedKind.PDF:
+                lf = _log_pdf_jet(dist, anchor, order)
+                return J.ln(h) - lf, None, lf, d
+            if seed is SeedKind.PDF:  # q_0 = -ln(-+(ln f)'), a_0 = q_0'/(ln f)'
                 lf = _log_pdf_jet(dist, anchor, order + 1)
                 lfd = jet_shift_derivative(lf)
                 d = sign * lfd.value
                 lfd = J.check(lfd, d <= 0.0, lambda: PoleEncountered(
                     f"pdf seed needs f {'decreasing' if sign < 0 else 'increasing'} at x={anchor}", margins=(d,)
                 ))
-                return _truncate(lf, order) - J.ln(sign * lfd), lf, d
-            if seed is SeedKind.SHIFTED_PDF:
+                q = -J.ln(sign * lfd)
+                return q, jet_shift_derivative(q) / _truncate(lfd, order - 1) if order else None, lf, d
+            if seed is SeedKind.SHIFTED_PDF:  # t = 1 + (x - lo)(ln f)', a_0 = -(x - lo) t'/t^2
                 lo = dist.support.lower
                 x = J.check(jet_var(anchor, order), anchor <= lo, lambda: PoleEncountered(
                     f"anchor {anchor} at/below support endpoint {lo}"
                 ))
                 lf = _log_pdf_jet(dist, anchor, order + 1)
-                lfd = jet_shift_derivative(lf)
-                t = 1.0 + (x - lo) * _truncate(lfd, order)
+                u = x - lo
+                t = 1.0 + u * _truncate(jet_shift_derivative(lf), order)
                 d = sign * t.value
                 t = J.check(t, d <= 0.0, lambda: PoleEncountered(
                     f"shifted seed denominator sign at x={anchor}", margins=(d,)
                 ))
-                return J.ln(x - lo) + _truncate(lf, order) - J.ln(sign * t), lf, d
-            # CUSTOM_G
+                lt = J.ln(sign * t)
+                a = -(jet_shift_derivative(lt) * _truncate(u, order - 1)) / _truncate(t, order - 1) if order else None
+                return J.ln(u) - lt, a, lf, d
+            # CUSTOM_G: q_0 = ln g - ln(-+g')
             g = _pointwise(g_jet, anchor, order + 1)
             gd = jet_shift_derivative(g)
             d = sign * gd.value
@@ -262,11 +279,11 @@ def make_seed(
                 f"custom g not strictly {'decreasing' if sign < 0 else 'increasing'} at x={anchor}", margins=(d,)
             ))
             lf = _log_pdf_jet(dist, anchor, order)
-            return lf + J.ln(_truncate(g, order)) - J.ln(sign * gd), lf, d
+            return J.ln(_truncate(g, order)) - J.ln(sign * gd), None, lf, d
         except PoleEncountered:
             raise
         except _POINT_ERRORS as exc:
-            raise _as_pole(exc, f"seed at x={anchor}") from exc
+            raise PoleEncountered(f"seed at x={anchor}: {exc}") from exc
 
     return BoundIterate(0, side, dist, seed, log_seed)
 
@@ -278,39 +295,63 @@ def iterate(prev: BoundIterate) -> BoundIterate:
 
 def log_chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], Jet]:
     """ln P_0 .. ln P_i of ``it``'s chain in one forward sweep, level k
-    at order ``order + i - k``, and the ln f jet the seed read once.
+    at order ``order + i - k``, and the ln f jet the seed read once: ln P_k
+    = ln f + q_k (see ``_chain``). At a float anchor the first pole raises
+    PoleEncountered; on a grid it is NaN.
+    """
+    qs, _, lf, _ = _chain(it, anchor, order)
+    return [_truncate(lf, q.order) + q for q in qs], lf
+
+
+def _chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], list, Jet, list]:
+    """q_0 .. q_i of ``it``'s chain, q_k = ln(P_k/f) at order ``order + i
+    - k``; the values of the steps a_k = P_k/P_{k+1} - 1 = expm1(-d_k) of
+    the levels k whose q_k has order >= 1; the ln f jet the seed read; and
+    the chain's margins: the seed's denominator and -+(ln P_k)' = -+((ln
+    f)' + q_k') for k < i, each of which must be positive for the next
+    level to be defined.
 
     Each level takes its truncation of ln f (a jet's low coefficients do
-    not depend on its order): ln P_k = ln f - ln(-+ (ln P_{k-1})'). At a
-    float anchor the first pole raises PoleEncountered; on a grid it is NaN.
-    """
-    return _chain(it, anchor, order)[:2]
-
-
-def _chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], Jet, list]:
-    """``log_chain`` with the chain's margins: the seed's denominator and
-    -+(ln P_k)' for k < i, each of which must be positive for the next
-    level to be defined. On a grid they are arrays, NaN where a lower
-    level is undefined; at a float anchor the PoleEncountered of the
-    first that is not positive carries the margins up to it."""
+    not depend on its order): d_k = -log1p(a_k), q_{k+1} = q_k + d_k, and
+    a_{k+1} = d_k'/((ln f)' + q_k'). A seed without a closed form for a_0
+    starts from q_1 = -ln(-+(ln P0)') and a_0 = -+(ln P0)' e^{q_0} - 1,
+    with e^{q_0} capped at e^709 where P0/f overflows (only its sign
+    against 1 is read there). On a grid the margins are arrays, NaN where
+    a lower level is undefined; at a float anchor the PoleEncountered of
+    the first that is not positive carries the margins up to it."""
     i = it.index
     if i and order + i + 1 > MAX_ORDER:
         raise DomainError(f"order {order} at iterate {i} exceeds the jet cap {MAX_ORDER}")
     sign = -1.0 if it.side is TailSide.RIGHT else 1.0
-    lp, lf, d = it.log_seed(anchor, order + i)
-    levels, margins = [lp], [d]
-    for k in range(1, i + 1):
-        lpd = jet_shift_derivative(levels[-1])
-        m = sign * lpd.value
+    q, a, lf, d = it.log_seed(anchor, order + i)
+    qs, steps, margins = [q], [], [d]
+    neg_lfd = -jet_shift_derivative(lf) if q.order else None
+    for k in range(i + 1):
+        n = qs[-1].order  # a_k is one order lower
+        if n == 0:
+            break
+        if k < i or a is None:
+            neg_lpd = _truncate(neg_lfd, n - 1) - jet_shift_derivative(qs[-1])  # -(ln P_k)'
+            m = -sign * neg_lpd.value
+        steps.append(a.value if a is not None else m * each(math.exp, np.minimum(q.value, 709.0)) - 1.0)
+        if k == i:
+            break
         margins.append(m)
-        lpd = J.check(lpd, m <= 0.0, lambda: PoleEncountered(
-            f"P_{k - 1}' has the wrong sign at x={anchor} (iterate pole)", margins=tuple(margins)
-        ))
-        try:
-            levels.append(_truncate(lf, order + i - k) - J.ln(sign * lpd))
-        except (DomainError, DivisionByZeroJet, OverflowError, ValueError) as exc:
-            raise _as_pole(exc, f"iterate {k} at x={anchor}") from exc
-    return levels, lf, margins
+        pole = lambda: PoleEncountered(
+            f"P_{k}' has the wrong sign at x={anchor} (iterate pole)", margins=tuple(margins)
+        )
+        try:  # e = -d_k = ln(P_k/P_{k+1})
+            if a is None:
+                nxt = -J.ln(J.check(-sign * neg_lpd, m <= 0.0, pole))
+                e = _truncate(qs[-1], n - 1) - nxt
+            else:
+                e = J.jet_elementary(J.check(a, m <= 0.0, pole), "log1p")
+                nxt = _truncate(qs[-1], n - 1) - e
+            qs.append(nxt)
+            a = jet_shift_derivative(e) / _truncate(neg_lpd, n - 2) if n > 1 else None
+        except _POINT_ERRORS as exc:
+            raise PoleEncountered(f"iterate {k + 1} at x={anchor}: {exc}") from exc
+    return qs, steps, lf, margins
 
 
 # ---------------------------------------------------------------------------
@@ -335,74 +376,45 @@ def grid_points(window: tuple[float, float], grid: GridSpec, side: TailSide) -> 
 
 @dataclass
 class _PointEval:
-    """The conditions at one point, or on the whole grid with one array
-    per field. An undefined point (a pole, a non-positive candidate)
-    fails every condition."""
+    """The conditions of a level at one point, or on the whole grid with
+    one array per field (see ``_level``). An undefined point (a pole, a
+    non-positive candidate) fails every condition."""
 
     defined: bool
-    mono_ok: bool = False
     up_ok: bool = False
     lo_ok: bool = False
-    value: float = math.nan
-    residual: float = math.nan
-    slope: float = math.nan  # P'(x)
-    f: float = math.nan
+    step: float = math.nan  # a = P_i/P_{i+1} - 1 = expm1(-d_i)
 
 
-def _point(right: bool, value, slope, f, tol: float, mono_ok=True) -> _PointEval:
-    """The governing sign conditions of a bound with value P and slope P'
-    against the PDF f: P' + f <= tol (upper) / >= -tol (lower) for the
-    right tail, P' - f >= -tol (upper) / <= tol (lower) for the left.
-    Floats or grid arrays; a grid point where P or f is NaN is undefined
+def _flip(v):
+    """expm1(d) from expm1(-d), and back: -v/(1 + v)."""
+    return -v / (1.0 + v)
+
+
+def _level(a, tol: float) -> _PointEval:
+    """The conditions of a level P_i from its step a = expm1(-d_i): the
+    residual expm1(d_i) = _flip(a) at most tol (upper) or at least -tol
+    (lower, which every residual meets once tol >= 1), compared as a,
+    which stays finite through a pole of P_{i+1}: where a <= -1, P_i' has
+    the wrong sign (P_i is not monotone), so the lower condition holds and
+    the upper one fails. Floats or grid arrays; a NaN point is undefined
     and fails both."""
-    defined = ~(np.isnan(value) | np.isnan(f)) if isinstance(value, np.ndarray) else True
-    if right:
-        resid = slope + f
-        up, lo = resid <= tol, resid >= -tol
-    else:
-        resid = slope - f
-        up, lo = resid >= -tol, resid <= tol
-    return _PointEval(defined, mono_ok, up, lo, value, resid, slope, f)
+    return _PointEval(a == a, a >= _flip(tol), a <= (_flip(-tol) if tol < 1.0 else math.inf), a)
 
 
-def _safe_exp(x):
-    """e^x, capped at e^700 and 0 below -745; on a grid by the same libm
-    call per element as at a float."""
-    if isinstance(x, np.ndarray):
-        out = each(math.exp, np.minimum(x, 700.0))
-        out[x < -745.0] = 0.0
-        return out
-    if x > 700.0:
-        return math.exp(700.0)
-    if x < -745.0:
-        return 0.0
-    return math.exp(x)
-
-
-def _level_conditions(side: TailSide, lp: Jet, f, tol: float) -> _PointEval:
-    """Positivity, monotonicity, and the governing sign condition of the
-    level ln P (order >= 1) of a pass against the PDF f."""
-    right = side is TailSide.RIGHT
-    lpd = lp.coeffs[1]
-    p = _safe_exp(lp.coeffs[0])
-    # monotonicity: P' < 0 (right) / P' > 0 (left)
-    mono = (lpd < 0.0) if right else (lpd > 0.0)
-    return _point(right, p, p * lpd, f, tol, mono)
-
-
-def _conditions(it: BoundIterate, x, tol: float) -> tuple[_PointEval, list[Jet], list]:
+def _conditions(it: BoundIterate, x, tol: float) -> tuple[_PointEval, Optional[tuple], list]:
     """The conditions of ``it`` at a point, or on a grid (undefined points
-    NaN), from one pass of the chain; with the pass's levels and margins
-    (see ``_chain``). A pole at a point leaves it undefined, with the
-    margins up to the pole when a sign check found it; a grid pass that
-    raises has failed whole."""
+    NaN), from one pass of the chain; with the pass (its q levels, steps
+    and ln f) and its margins (see ``_chain``). A pole at a point leaves
+    it undefined, with the margins up to the pole when a sign check found
+    it; a grid pass that raises has failed whole."""
     try:
-        levels, lf, margins = _chain(it, x, 1)
+        qs, steps, lf, margins = _chain(it, x, 1)
     except PoleEncountered as exc:
         if isinstance(x, np.ndarray):
             raise
-        return _PointEval(False), [], exc.margins
-    return _level_conditions(it.side, levels[-1], _safe_exp(lf.coeffs[0]), tol), levels, margins
+        return _PointEval(False), None, exc.margins
+    return _level(steps[-1], tol), (qs, steps, lf), margins
 
 
 def _run(ok: np.ndarray) -> int:
@@ -432,8 +444,8 @@ def classify(
 ) -> Classification:
     """Verdict, validity threshold, and diagnostics for one iterate.
 
-    One chain pass on the grid gives the conditions and the predecessor's
-    slope for tightness. The verified region is the maximal run of
+    One chain pass on the grid gives the step and the predecessor's step
+    for tightness. The verified region is the maximal run of
     passing grid points touching the support-edge end of the window (the
     bounds hold from a threshold onward); its boundary is refined by root
     finding on the quantity that fails there (``_threshold``), with
@@ -448,8 +460,8 @@ def classify(
     """
     xs = _grid(it, window, grid)
     with np.errstate(all="ignore"):
-        cond, levels, margins = _conditions(it, xs, tol)
-    return _judge(it, xs, cond, levels, margins, window, tol)
+        cond, sweep, margins = _conditions(it, xs, tol)
+    return _judge(it, xs, cond, sweep, margins, window, tol)
 
 
 def classify_chain(
@@ -460,40 +472,39 @@ def classify_chain(
 ) -> Iterator[Classification]:
     """``classify`` of P_0 .. P_i of ``it``'s chain, in that order, from
     one grid sweep of P_i: a sweep's lower levels are those of the lower
-    iterates' own sweeps bit for bit, so each level's conditions and
-    margins, and the level below it for tightness, come from the one
-    sweep. Each level's threshold is root-found with scalar passes of its
-    own chain, as ``classify`` finds it. A generator, so that a caller
+    iterates' own sweeps bit for bit, so each level's step and margins,
+    and the step below it for tightness, come from the one sweep. Each
+    level's threshold is root-found with scalar passes of its own chain,
+    as ``classify`` finds it. A generator, so that a caller
     stops at the first level that fails; the sweep runs on the first
     ``next``, and the checks are those of ``classify`` of P_i.
     """
     xs = _grid(it, window, grid)
     with np.errstate(all="ignore"):
-        levels, lf, margins = _chain(it, xs, 1)
-        f = _safe_exp(lf.coeffs[0])
+        qs, steps, lf, margins = _chain(it, xs, 1)
     links = [it]
     while links[-1].prev is not None:
         links.append(links[-1].prev)
     for k, link in enumerate(reversed(links)):
         with np.errstate(all="ignore"):
-            cond = _level_conditions(it.side, levels[k], f, tol)
-        yield _judge(link, xs, cond, levels[: k + 1], margins[: k + 1], window, tol)
+            cond = _level(steps[k], tol)
+        yield _judge(link, xs, cond, (qs[: k + 1], steps[: k + 1], lf), margins[: k + 1], window, tol)
 
 
 def _judge(
     it: BoundIterate,
     xs: np.ndarray,
     cond: _PointEval,
-    levels: list[Jet],
+    sweep: tuple,
     margins: list,
     window: tuple[float, float],
     tol: float,
 ) -> Classification:
     """The classification of ``it`` from its conditions on the grid
-    ``xs`` and the levels and margins of the same sweep, up to its own:
-    the verdict, the threshold (``_threshold``), the limit check, the
-    sampled residuals, tightness against the predecessor's level and
-    monotonicity."""
+    ``xs`` and the q levels, steps, ln f and margins of the same sweep, up
+    to its own: the verdict, the threshold (``_threshold``), the limit
+    check, the sampled residuals expm1(d_i), tightness against the
+    predecessor's step and monotonicity."""
     a, b = window
     if not cond.defined.any():
         raise WindowTooSmall(f"iterate {it.index} satisfies no base condition anywhere on [{a}, {b}]")
@@ -524,19 +535,20 @@ def _judge(
         at = (n - 1 - run, n - run) if right else (run, run - 1)
         threshold = _threshold(it, verdict, cond, margins, xs, at, window, tol)
 
-    # numeric surrogate for the limit condition at the support-edge-most point
+    # numeric surrogate for the limit condition at the support-edge-most
+    # point, on ln P = ln f + q
+    qs, steps, lf = sweep
     edge, inner = (n - 1, n - 2) if right else (0, 1)
-    value = cond.value
+    lp = lf.value + qs[-1].value
     limit_ok = bool(
         cond.defined[edge]
-        and value[edge] <= LIMIT_TOL
-        and (not cond.defined[inner] or value[edge] <= value[inner] + tol)
+        and lp[edge] <= math.log(LIMIT_TOL)
+        and (not cond.defined[inner] or lp[edge] <= lp[inner] + tol)
     )
 
-    residuals = tuple(cond.residual[:: max(1, n // 16)].tolist())
-    lp_prev = levels[-2] if len(levels) > 1 else None
-    tightness_ok = _tightness(it.side, cond, lp_prev, verdict, tol) if lp_prev is not None else None
-    monotone = bool(np.all(cond.defined & cond.mono_ok))
+    residuals = tuple(_flip(cond.step[:: max(1, n // 16)]).tolist())
+    tightness_ok = _tightness(cond.step, steps[-2], verdict, tol) if len(steps) > 1 else None
+    monotone = bool(np.all(cond.step > -1.0))  # P_{i+1} defined: P_i' has the tail's sign
     return Classification(verdict, threshold, tightness_ok, residuals, limit_ok, (a, b), tol, run == n, monotone)
 
 
@@ -556,32 +568,26 @@ def _threshold(
 
     The search is on the quantity that fails first at the failing point:
     the first margin that is not positive there (a pole of the next
-    level, or the seed's own denominator), or else the residual against
-    tol. Illinois (``rootfind.illinois``) brackets its root to half of
-    1e-10 (b - a), with one scalar pass of the chain per step; one more
-    pass, that half width past the point it returns, closes the bracket
-    on the other side. Where that quantity is undefined at either end, or
-    the closing pass does not cross, the bracket is bisected on the
-    conditions.
+    level, or the seed's own denominator), or else the step against the
+    tolerance (``_level``). Illinois (``rootfind.illinois``) brackets its
+    root to half of 1e-10 (b - a), with one scalar pass of the chain per
+    step; one more pass, that half width past the point it returns,
+    closes the bracket on the other side. Where that quantity is
+    undefined at either end, or the closing pass does not cross, the
+    bracket is bisected on the conditions.
     """
     a, b = window
     x_tol = 1e-10 * (b - a)
     bad, good = at
     x_bad, x_good = float(xs[bad]), float(xs[good])
 
-    def passes(e: _PointEval) -> bool:
-        if not e.defined:
-            return False
-        if verdict is Verdict.UPPER:
-            return e.up_ok
-        if verdict is Verdict.LOWER:
-            return e.lo_ok
-        return e.up_ok and e.lo_ok
+    def passes(e: _PointEval) -> bool:  # an undefined point meets neither condition
+        return (e.up_ok or verdict is Verdict.LOWER) and (e.lo_ok or verdict is Verdict.UPPER)
 
     # q, positive on the passing side: the first margin not positive at
-    # the failing point, else how far the residual r is inside the
-    # condition that fails there: tol - s r for the upper one, tol + s r
-    # for the lower, s = 1 on the right tail
+    # the failing point, else how far the step a is inside the condition
+    # that fails there: a - _flip(tol) for the upper one, _flip(-tol) - a
+    # for the lower (which fails only where tol < 1)
     first = next((k for k, m in enumerate(margins) if not m[bad] > 0.0), None)
     if first is not None:
         q_bad, q_good = margins[first][bad], margins[first][good]
@@ -589,13 +595,11 @@ def _threshold(
         def q_of(e: _PointEval, ms):
             return ms[first] if len(ms) > first else None
     else:
-        s = 1.0 if it.side is TailSide.RIGHT else -1.0
-        if not cond.up_ok[bad]:
-            s = -s
-        q_bad, q_good = tol + s * cond.residual[bad], tol + s * cond.residual[good]
+        s, c = (1.0, _flip(tol)) if not cond.up_ok[bad] else (-1.0, _flip(-tol))
+        q_bad, q_good = s * (cond.step[bad] - c), s * (cond.step[good] - c)
 
         def q_of(e: _PointEval, ms):
-            return tol + s * e.residual if e.defined else None
+            return s * (e.step - c) if e.defined else None
 
     seen = {x_bad: False, x_good: True}
 
@@ -623,18 +627,18 @@ def _threshold(
     return x_good
 
 
-def _tightness(side: TailSide, cond: _PointEval, lp_prev: Jet, verdict, tol) -> Optional[bool]:
+def _tightness(a, a_prev, verdict, tol) -> Optional[bool]:
     """Lemma-style tightness condition when the verdict flips from the
-    predecessor: the sum P_i + P_{i+1} meets the predecessor's governing
-    sign against 2f (P'_{i+1} + P'_i +- 2f) on the defined part of the grid;
-    ``lp_prev`` is the predecessor's level in the grid pass."""
+    predecessor: the sum P_i + P_{i-1} meets the predecessor's governing
+    sign against 2f on the defined part of the grid. Relative to f, P_k' =
+    -+f (1 + a_k), so the sum's residual is a_i + a_{i-1} = expm1(-d_i) +
+    expm1(-d_{i-1}), at least -tol after an upper bound and at most tol
+    after a lower one; ``a_prev`` is the predecessor's step in the pass."""
     if verdict not in (Verdict.UPPER, Verdict.LOWER):
         return None
-    with np.errstate(all="ignore"):
-        dp_prev = _safe_exp(lp_prev.coeffs[0]) * lp_prev.coeffs[1]
-        pair = _point(side is TailSide.RIGHT, math.nan, cond.slope + dp_prev, 2.0 * cond.f, tol)
-    held = pair.up_ok if verdict is Verdict.LOWER else pair.lo_ok
-    counted = held[cond.defined & ~np.isnan(dp_prev)]
+    pair = a + a_prev
+    held = pair >= -tol if verdict is Verdict.LOWER else pair <= tol
+    counted = held[~np.isnan(pair)]
     return bool(counted.all()) if counted.size else None
 
 
@@ -758,27 +762,14 @@ def run_algorithm(
 # Rate of convergence
 
 
-def _rate_ratio(side: TailSide, lp: Jet, lf: Jet):
-    """P_i/P_{i+1} = -+P_i'/f = -+(ln P_i)' e^{ln P_i - ln f} (identical by
-    construction of the next iterate, no need to form it), stable in the
-    far tail where P and f underflow separately. From a pass's level ln P_i
-    (order >= 1) and ln f, at a point or on a grid (NaN where undefined)."""
-    sign = -1.0 if side is TailSide.RIGHT else 1.0
-    return sign * lp.coeffs[1] * each(math.exp, lp.coeffs[0] - lf.coeffs[0])
-
-
-def _figure_rate(side: TailSide, lp: Jet, lf: Jet):
-    """|P_{i+1}/P_i - 1| from a pass's level ln P_i (see ``figure_rate``)."""
-    return abs(1.0 / _rate_ratio(side, lp, lf) - 1.0)
-
-
-def _value(lp: Jet):
-    """P_i itself from a pass's level ln P_i."""
-    return J.exp(_truncate(lp, 0)).value
+def _step(it: BoundIterate, x):
+    """a_i = P_i/P_{i+1} - 1 = expm1(-d_i) of ``it`` at a float x or on an
+    array of points (NaN where undefined)."""
+    return _chain(it, x, 1)[1][-1]
 
 
 def convergence_rate(it, x: float) -> float:
-    """|P_i/P_{i+1} - 1| in derivative form |-+P_i'/f - 1|.
+    """|P_i/P_{i+1} - 1| = |expm1(-d_i)|.
 
     Accepts a bare iterate, an (iterate, next_iterate) pair, or an
     (iterate, classification) pair; the rate is always driven by the
@@ -789,20 +780,12 @@ def convergence_rate(it, x: float) -> float:
         if isinstance(second, BoundIterate) and second.index < first.index:
             first = second
         it = first
-    levels, lf = log_chain(it, x, 1)
-    return abs(_rate_ratio(it.side, levels[-1], lf) - 1.0)
-
-
-def convergence_rate_ratio_form(it: BoundIterate, x: float) -> float:
-    """|P_i/P_{i+1} - 1| by explicitly forming the next iterate."""
-    levels, _ = log_chain(iterate(it), x, 0)
-    return abs(math.exp(levels[-2].coeffs[0] - levels[-1].coeffs[0]) - 1.0)
+    return abs(_step(it, x))
 
 
 def figure_rate(it: BoundIterate, x):
-    """|P_{i+1}/P_i - 1|, the quantity the reference figures plot (the
-    reciprocal orientation of convergence_rate; both vanish together as
-    the bounds converge). At a float x or on an array of points (NaN
-    where undefined)."""
-    levels, lf = log_chain(it, x, 1)
-    return _figure_rate(it.side, levels[-1], lf)
+    """|P_{i+1}/P_i - 1| = |expm1(d_i)|, the quantity the reference
+    figures plot (the reciprocal orientation of convergence_rate; both
+    vanish together as the bounds converge). At a float x or on an array
+    of points (NaN where undefined)."""
+    return abs(_flip(_step(it, x)))

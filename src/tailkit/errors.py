@@ -40,7 +40,7 @@ class PoleEncountered(TailkitError):
 
     ``margins`` holds, when the engine's own sign check raised, the chain's
     margins up to and including the one that is not positive (see
-    ``engine.log_chain``); it is empty otherwise.
+    ``engine._chain``); it is empty otherwise.
     """
 
     def __init__(self, *args, margins: tuple = ()):

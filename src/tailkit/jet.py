@@ -13,13 +13,13 @@ written once for both shapes.
 
 Raising versus NaN masking.  On a scalar anchor an operation outside
 its domain raises, as a single evaluation must: ln, sqrt or pow of a
-non-positive value, a divisor below ``DIV_FLOOR``, exp above 709, a
-non-finite coefficient.  On a grid nothing is raised: a point where the
-scalar operation would raise becomes NaN in every coefficient, and NaN
-carries through every later operation.  The result of a grid pass is
-therefore the scalar result at every point where the scalar path
-succeeds, and NaN exactly where it raises.  ``check`` applies the same
-rule to a caller's own conditions (poles, sign checks).
+non-positive value, log1p at or below -1, a divisor below ``DIV_FLOOR``,
+exp above 709, a non-finite coefficient.  On a grid nothing is raised:
+a point where the scalar operation would raise becomes NaN in every
+coefficient, and NaN carries through every later operation.  The result
+of a grid pass is therefore the scalar result at every point where the
+scalar path succeeds, and NaN exactly where it raises.  ``check``
+applies the same rule to a caller's own conditions (poles, sign checks).
 
 Same bits on both shapes.  The coefficient recurrences live in one
 module, ``_kernels_py``, and run in the same operation order on floats
@@ -224,7 +224,8 @@ def jet_arith(a: Jet, b: Jet, op: str, div_floor: float = DIV_FLOOR) -> Jet:
 
 
 def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
-    """Compose an elementary function with a jet: exp, ln, sqrt or pow(p)."""
+    """Compose an elementary function with a jet: exp, ln, log1p, sqrt or
+    pow(p)."""
     a0 = a.coeffs[0]
     args = ()
     if fn == "exp":
@@ -233,6 +234,9 @@ def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
     elif fn == "ln":
         bad = a0 <= 0.0
         kernel = _k.ln
+    elif fn == "log1p":
+        bad = a0 <= -1.0
+        kernel, args = _k.ln, (1.0,)
     elif fn == "sqrt":
         bad = a0 <= 0.0
         kernel = _k.sqrt
@@ -252,7 +256,7 @@ def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
     if bad:
         if fn == "exp":
             raise DomainError(f"exp of jet value {a0} overflows")
-        raise DomainError(f"{fn} of non-positive jet value {a0}")
+        raise DomainError(f"{fn} of jet value {a0} outside its domain")
     return Jet(a.anchor, kernel(a.coeffs, *args))
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -104,6 +105,29 @@ class TestBoundsCsv:
             assert exc.value.code == 2, flags
             assert not out.exists()
 
+    def test_non_finite_window_exit_2(self, tmp_path):
+        out = tmp_path / "never.csv"
+        for flags in (["--x-min", "1", "--x-max", "inf"], ["--x-min", "-inf", "--x-max", "3"],
+                      ["--x-min", "nan", "--x-max", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                run(["bounds", "--dist", "gaussian", "--side", "right", "--out", str(out)] + flags + TS)
+            assert exc.value.code == 2, flags
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["bounds", "--dist", "gaussian", "--x-min", "1", "--x-max", "3", "--points", "3"],
+        ["awgn", "--omega", "1", "--eps", "1e-3", "--n-list", "200"],
+    ], ids=["bounds", "awgn"])
+    def test_unwritable_out(self, tmp_path, capsys, command):
+        # a missing directory, and a path that is a directory: reported,
+        # exit 1, and no temp file left behind
+        (tmp_path / "sub").mkdir()
+        for out in (tmp_path / "missing" / "x.csv", tmp_path / "sub"):
+            assert run(command + ["--out", str(out)] + TS) == 1
+            assert f"tailkit: cannot write {out}: " in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+            assert not any((tmp_path / "sub").iterdir())
+
     def test_stdout_mode(self, capsys):
         rc = run(["bounds", "--dist", "gaussian", "--side", "right", "--seed", "pdf",
                   "--iters", "1", "--x-min", "1", "--x-max", "3", "--points", "3"] + TS)
@@ -158,6 +182,13 @@ class TestVerifyCommand:
 
     def test_unknown_tol_key(self):
         assert run(["verify", "--suite", "jet", "--tol", "nope=1"]) == 1
+
+    @pytest.mark.parametrize("value", ["jet_fd=abc", "jet_fd", "jet_fd="])
+    def test_bad_tol_value_exit_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--suite", "jet", "--tol", value])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 _FIGS = [
@@ -215,6 +246,67 @@ class TestBoundsOneSweep:
             cls = engine.classify(it, window)
             assert rows[0][header.index(f"verdict_{i}")] == cls.verdict.value
             assert rows[0][header.index(f"threshold_{i}")] == format(cls.threshold, ".17g")
+
+
+def _gaussian_reference_rates(x: int, n: int) -> list:
+    """(|P_{k+1}/P_k - 1|, |P_k/P_{k+1} - 1|), k < n, of the N(0, 1)
+    right-tail chain at x, at 60 digits: P_k = phi q_k with q_0 = 1/x and q_{k+1} = q_k/(x q_k -
+    q_k'), carried exactly as q_k = N_k/D_k with integer polynomials
+    (coefficients in ascending powers)."""
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    def add(a, b, sign=1):
+        a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+        return [u + sign * v for u, v in zip(a, b)]
+
+    def der(a):
+        return [k * c for k, c in enumerate(a)][1:]
+
+    num, den, qs = [1], [0, 1], []
+    with mp.workdps(60):
+        at = mp.mpf(x)
+        for _ in range(n + 1):
+            qs.append(mp.polyval(num[::-1], at) / mp.polyval(den[::-1], at))
+            nd = mul(num, den)
+            num, den = nd, add(add([0] + nd, mul(der(num), den), -1), mul(num, der(den)))
+        return [(abs(qs[k + 1] / qs[k] - 1), abs(qs[k] / qs[k + 1] - 1)) for k in range(n)]
+
+
+class TestFarTail:
+    """Where f is far below any absolute tolerance, the conditions and the
+    rates keep their meaning: both are relative to f."""
+
+    @pytest.mark.parametrize("side, window", [("right", ("7", "9")), ("left", ("-9", "-7"))])
+    def test_verdicts(self, tmp_path, side, window):
+        # the relative residuals at |x| = 8 are -1.5e-2, +4.7e-4, -2.9e-5
+        out = tmp_path / "far.csv"
+        assert run(["bounds", "--dist", "gaussian", "--mu", "0", "--sigma", "1", "--side", side, "--seed", "pdf",
+                    "--iters", "2", "--x-min", window[0], "--x-max", window[1], "--out", str(out)] + TS) == 0
+        _, header, rows = parse_csv(out)
+        for row in rows:
+            assert [row[header.index(f"verdict_{i}")] for i in range(3)] == ["U", "L", "U"]
+
+    def test_rates_at_40(self, tmp_path):
+        want = _gaussian_reference_rates(40, 7)
+        assert 1e-18 < want[-1][0] < 1e-17
+        out = tmp_path / "r.csv"
+        assert run(["bounds", "--dist", "gaussian", "--mu", "0", "--sigma", "1", "--iters", "7",
+                    "--x-min", "40", "--x-max", "41", "--points", "2", "--out", str(out)] + TS) == 0
+        _, header, rows = parse_csv(out)
+        assert rows[0][0] == "40"
+        chain = [engine.make_seed(dist.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT)]
+        for _ in range(6):
+            chain.append(engine.iterate(chain[-1]))
+        for k, (it, (r, c)) in enumerate(zip(chain, want)):
+            assert abs(float(rows[0][header.index(f"R_{k}")]) / r - 1) <= 1e-12, k
+            assert abs(engine.figure_rate(it, 40.0) / r - 1) <= 1e-12, k
+            assert abs(engine.convergence_rate(it, 40.0) / c - 1) <= 1e-12, k
 
 
 class TestImports:

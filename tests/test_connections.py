@@ -207,6 +207,12 @@ class TestClassifyHInvariant:
         for x in np.geomspace(max(cls.threshold, 0.5), 50.0, 30):
             assert h.evaluator(float(x), 0).value >= math.exp(-float(x)) - 1e-9
 
+    def test_candidate_far_above_f(self):
+        # E{X}/x over a Gaussian f: h/f passes e^709 from x ~ 39 on, where
+        # the candidate is still an upper bound and still defined
+        cls = C.classify_h(D.make_gaussian(1.0, 1.0), C.markov_h(1.0), (2.0, 60.0), GridSpec(128))
+        assert cls.verdict is Verdict.UPPER and cls.everywhere
+
 
 class TestClassifyHErrors:
     """A point where the candidate raises what a seed turns into a pole

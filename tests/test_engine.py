@@ -190,6 +190,14 @@ class TestClassify:
         cls = E.classify(seed, (0.5, 10.0))
         assert cls.verdict is Verdict.EXACT
 
+    def test_relative_tolerance(self, chain01):
+        # |expm1(d_0)| = 1/(1 + x^2) is at most 1/2 on [1, 5]: within a
+        # tolerance of 1/2 both conditions hold; from 1 on, the lower one
+        # holds wherever the iterate is defined
+        assert E.classify(chain01[0], (1.0, 5.0), tol=0.4).verdict is Verdict.UPPER
+        for tol in (0.5, 1.0, 2.0):
+            assert E.classify(chain01[0], (1.0, 5.0), tol=tol).verdict is Verdict.EXACT
+
     def test_window_too_small(self, g01):
         seed = E.make_seed(g01, SeedKind.PDF, TailSide.LEFT)  # needs f increasing
         with pytest.raises(WindowTooSmall):
@@ -202,9 +210,14 @@ class TestClassify:
             GridSpec(spacing="random")
 
     def test_residuals_sampled(self, chain01):
+        # the relative residual expm1(d_0) = P1/P0 - 1 = -1/(1 + x^2) of
+        # the upper bound phi(x)/x, sampled along the grid
         cls = E.classify(chain01[0], (0.5, 8.0))
+        xs = E.grid_points((0.5, 8.0), GridSpec(), TailSide.RIGHT)[:: 512 // 16]
         assert len(cls.residuals) >= 16
-        assert all(r <= 1e-12 for r in cls.residuals)  # upper bound residuals
+        assert all(-1.0 < r <= E.DEFAULT_TOL for r in cls.residuals)  # upper bound residuals
+        for r, x in zip(cls.residuals, xs.tolist()):
+            assert abs(r * (1.0 + x * x) + 1.0) <= 1e-14
 
     def test_left_side_classification(self):
         nc = D.make_noncentral_chi2(10.0, 2.0)
@@ -324,10 +337,12 @@ class TestConvergenceRate:
         assert E.convergence_rate((chain01[0], cls), 2.0) == want
 
     def test_forms_agree(self, chain01):
-        for it in chain01[:3]:
+        # |P_i/P_{i+1} - 1| from the chain's step and from the printed iterates
+        for i, it in enumerate(chain01[:3]):
             for x in (1.5, 2.0, 4.0):
                 a = E.convergence_rate(it, x)
-                b = E.convergence_rate_ratio_form(it, x)
+                p = [D.gaussian_closed_iterates(0.0, 1.0, k, x) for k in (i, i + 1)]
+                b = abs(p[0] / p[1] - 1.0)
                 assert abs(a - b) <= 1e-10 * max(a, b)
 
     def test_figure_rate_orientation(self, chain01):
@@ -770,12 +785,3 @@ class TestThresholdSearch:
         assert cls.verdict is Verdict.UPPER and not searches
         assert 20 <= len(passes) <= 40
         assert 0.0 <= cls.threshold - 4.0 <= 1e-10 * 58.0
-
-
-class TestSafeExp:
-    def test_grid_is_pointwise(self):
-        xs = np.array([math.nan, math.inf, -math.inf, -745.05, -745.0, -744.9, 700.1, 700.0,
-                       709.5, 1e308, -1e308, 0.0, -0.0, 1.5, -3.25e-5])
-        got = E._safe_exp(xs)
-        want = [E._safe_exp(x) for x in xs.tolist()]
-        assert _bits(got) == _bits(want)

@@ -92,9 +92,17 @@ class TestElementary:
 
     def test_domain_errors(self):
         neg = jet_const(-1.0, 0.0, 2)
-        for fn in ("ln", "sqrt"):
+        for fn in ("ln", "sqrt", "log1p"):
             with pytest.raises(DomainError):
                 jet_elementary(neg, fn)
+
+    def test_log1p_series(self):
+        # log1p(x) at x0: log1p(x0), then (-1)^(k+1)/(k (1 + x0)^k)
+        for x0 in (-0.75, -1e-20, 0.0, 3e-17, 0.5, 40.0):
+            got = jet_elementary(jet_var(x0, 5), "log1p").coeffs
+            assert got[0] == math.log1p(x0)
+            for k in range(1, 6):
+                assert close(got[k], (-1.0) ** (k + 1) / (k * (1.0 + x0) ** k), rel=1e-15)
 
 
 class TestShiftDerivative:
@@ -207,7 +215,7 @@ class TestGridAnchor:
                 continue
             assert [g.hex() for g in map(float, got)] == [w.hex() for w in want], (x, got, want)
 
-    @pytest.mark.parametrize("fn", ["ln", "sqrt", "exp"])
+    @pytest.mark.parametrize("fn", ["ln", "sqrt", "exp", "log1p"])
     def test_elementary(self, fn):
         self._agree(lambda x: jet_elementary(jet_var(x, 4) * 1.0 + 0.25 * jet_var(x, 4), fn))
 
