@@ -78,15 +78,20 @@ def div(a, b):
 
 
 def exp(a):
-    n = len(a)
-    out = [0.0] * n
-    out[0] = each(math.exp, a[0])
-    for k in range(1, n):
-        s = 0.0
-        for j in range(1, k + 1):
-            s = s + j * a[j] * out[k - j]
-        out[k] = s / k
+    out = [each(math.exp, a[0])]
+    for _ in range(1, len(a)):
+        out.append(exp_next(a, out))
     return tuple(out)
+
+
+def exp_next(a, out):
+    # coefficient k = len(out) of exp(a) from out[:k]: it reads a[1..k]
+    # only, so a series can be extended by one order at a time
+    k = len(out)
+    s = 0.0
+    for j in range(1, k + 1):
+        s = s + j * a[j] * out[k - j]
+    return s / k
 
 
 def ln(a, shift=0.0):

@@ -188,11 +188,16 @@ def cmd_verify(args) -> int:
 
 
 def _tol_override(spec: str) -> tuple[str, float]:
+    from .verify import DEFAULT_TOLS
+
     key, _, val = spec.partition("=")
     try:
-        return key, float(val)
+        value = float(val)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad override {spec!r} (want KEY=VALUE, VALUE a number)") from None
+    if key not in DEFAULT_TOLS:
+        raise argparse.ArgumentTypeError(f"unknown tolerance key {key!r} (known: {', '.join(sorted(DEFAULT_TOLS))})")
+    return key, value
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -41,9 +41,11 @@ conditions on the grid in; verdict, threshold, limit check, sampled
 residuals, the whole-window flag, tightness and monotonicity out. A
 Markov/Chernoff candidate h is the direct-h seed P0 = h, so
 ``connections.classify_h`` is ``classify`` of that seed.
-``run_algorithm`` takes its "for all x > x0" checks from the
-classifications it already runs, one iterate at a time, since it may
-stop early.
+``run_algorithm`` takes its "for all x > x0" checks from the same
+classifications, judged from chain sweeps of doubling depth (P_2, then
+P_4, then P_8, capped at ``max_iter``), each level once and only when
+the loop reaches it: most runs stop by P_2 and pay for one sweep, and a
+deep ``max_iter`` never pays for a deeper sweep than the loop reaches.
 """
 
 from __future__ import annotations
@@ -480,15 +482,36 @@ def classify_chain(
     ``next``, and the checks are those of ``classify`` of P_i.
     """
     xs = _grid(it, window, grid)
-    with np.errstate(all="ignore"):
-        qs, steps, lf, margins = _chain(it, xs, 1)
     links = [it]
     while links[-1].prev is not None:
         links.append(links[-1].prev)
-    for k, link in enumerate(reversed(links)):
+    yield from _judged(links[::-1], 0, xs, _sweep(it, xs), window, tol)
+
+
+def _sweep(it: BoundIterate, xs: np.ndarray) -> tuple:
+    """One grid pass of ``it``'s chain (see ``_chain``)."""
+    with np.errstate(all="ignore"):
+        return _chain(it, xs, 1)
+
+
+def _judged(
+    links: list[BoundIterate],
+    first: int,
+    xs: np.ndarray,
+    sweep: tuple,
+    window: tuple[float, float],
+    tol: float,
+) -> Iterator[Classification]:
+    """``classify`` of ``links[first:]``, the levels ``first`` and up of
+    the chain P_0 .. P_i in ``links``, from ``sweep``, one grid pass of
+    P_i: each level's step and margins, and the step below it for
+    tightness, are read from the pass. A generator, judging each level
+    on its ``next``."""
+    qs, steps, lf, margins = sweep
+    for k in range(first, len(links)):
         with np.errstate(all="ignore"):
             cond = _level(steps[k], tol)
-        yield _judge(link, xs, cond, (qs[: k + 1], steps[: k + 1], lf), margins[: k + 1], window, tol)
+        yield _judge(links[k], xs, cond, (qs[: k + 1], steps[: k + 1], lf), margins[: k + 1], window, tol)
 
 
 def _judge(
@@ -667,6 +690,39 @@ def _holds(cls: Classification) -> tuple[bool, bool]:
     )
 
 
+def _run_levels(
+    seed: BoundIterate,
+    depth: int,
+    window: tuple[float, float],
+    grid: GridSpec,
+    tol: float,
+) -> Iterator[tuple[BoundIterate, Classification]]:
+    """(P_k, ``classify`` of P_k) for k = 0 .. ``depth`` of the seed's
+    chain, in order, from grid sweeps of doubling depth: one sweep of P_2
+    judges P_0 .. P_2, one of P_4 judges P_3 and P_4, one of P_8 P_5 ..
+    P_8, each capped at P_depth (as ``classify_chain`` judges its levels).
+    A generator, so a run that stops at P_k pays for the sweeps up to the
+    one that holds P_k and for no deeper one. A sweep that raises (a grid
+    pass fails whole) says nothing of its lower levels: the next level is
+    then swept on its own, and raises where ``classify`` of it would."""
+    links = [seed]
+    k, top = 0, 2
+    while k <= depth:
+        top = min(top, depth)
+        while len(links) <= top:
+            links.append(iterate(links[-1]))
+        xs = _grid(links[top], window, grid)
+        try:
+            sweep = _sweep(links[top], xs)
+        except PoleEncountered:
+            if top == k:
+                raise
+            top = k
+            continue
+        yield from zip(links[k : top + 1], _judged(links[: top + 1], k, xs, sweep, window, tol))
+        k, top = top + 1, max(2 * top, 2)
+
+
 def run_algorithm(
     dist: DistributionSpec,
     seed: SeedKind,
@@ -685,8 +741,11 @@ def run_algorithm(
 
     Returns every formed iterate with its classification plus the last
     stored lower/upper bounds; p_l/p_u stay None ("NaN") when no bound of
-    that kind was produced. Raises ParamError when ``max_iter`` is deeper
-    than the jet order cap can classify (``MAX_ORDER - 2``).
+    that kind was produced. Each classification is ``classify`` of that
+    iterate, read from chain sweeps of doubling depth (``_run_levels``):
+    one sweep of P_2 for a run that stops by P_2. Raises ParamError when
+    ``max_iter`` is deeper than the jet order cap can classify
+    (``MAX_ORDER - 2``).
     """
     if max_iter > MAX_ORDER - 2:
         raise ParamError(
@@ -698,9 +757,9 @@ def run_algorithm(
     if side is TailSide.LEFT and not math.isclose(b, x0):
         raise DomainError("left-tail window must end at x0")
 
-    cur = make_seed(dist, seed, side, g_jet=g_jet, h_jet=h_jet)
+    levels = _run_levels(make_seed(dist, seed, side, g_jet=g_jet, h_jet=h_jet), max(max_iter, 0), window, grid, tol)
     try:
-        cls = classify(cur, window, grid, tol)
+        cur, cls = next(levels)
     except WindowTooSmall as exc:
         raise SeedInvalid(f"seed fails classification on ({a}, {b}): {exc}") from exc
     if not (cls.monotone and cls.everywhere):
@@ -716,12 +775,12 @@ def run_algorithm(
     # inner storage branches test only the governing sign and tightness
     # conditions of the new iterate -- its own monotonicity is examined
     # when it becomes the current one on the next pass. The "for all
-    # x > x0" facts come from each iterate's classification; tightness
-    # is consulted only where the new iterate is defined on the whole grid
+    # x > x0" facts come from each iterate's classification, judged when
+    # the loop first asks for it; tightness is consulted only where the
+    # new iterate is defined on the whole grid
     for _ in range(max_iter):
         try:
-            nxt = iterate(cur)
-            nxt_cls = classify(nxt, window, grid, tol)
+            nxt, nxt_cls = next(levels)
         except (PoleEncountered, WindowTooSmall) as exc:
             stop = f"iterate-failed: {exc}"
             break

@@ -102,20 +102,22 @@ class Jet:
             raise OrderExhausted(f"derivative {k} of an order-{self.order} jet")
         return self.coeffs[k] * math.factorial(k)
 
-    # Operator sugar; scalars are promoted to constant jets.
+    # Operator sugar. A number operand of + - * acts on the coefficients
+    # (``_arith``) with the bits of the constant jet's convolution; a
+    # number divisor is promoted to a constant jet, for the DIV_FLOOR check.
     def __add__(self, other):
-        return jet_arith(self, _promote(other, self), "add")
+        return _arith(self, other, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return jet_arith(self, _promote(other, self), "sub")
+        return _arith(self, other, "sub")
 
     def __rsub__(self, other):
-        return jet_arith(_promote(other, self), self, "sub")
+        return _arith(self, other, "rsub")
 
     def __mul__(self, other):
-        return jet_arith(self, _promote(other, self), "mul")
+        return _arith(self, other, "mul")
 
     __rmul__ = __mul__
 
@@ -158,6 +160,32 @@ def check(a: Jet, bad, error: Callable[[], Exception]) -> Jet:
     if bad:
         raise error()
     return a
+
+
+#: a op c on the coefficients of a, with the bits of the kernels on the
+#: constant jet (c, 0, ..., 0): its zeros give x + 0.0 (turning -0.0 into
+#: 0.0) in the higher coefficients of add, x - 0.0 = x in those of sub,
+#: 0.0 - x in those of rsub (c - a), and 0.0 + x*c in every coefficient of
+#: mul (the zero products that the convolution adds first).
+_NUMBER_OPS = {
+    "add": lambda a, c: (a[0] + c, *(x + 0.0 for x in a[1:])),
+    "sub": lambda a, c: (a[0] - c, *a[1:]),
+    "rsub": lambda a, c: (c - a[0], *(0.0 - x for x in a[1:])),
+    "mul": lambda a, c: tuple(0.0 + x * c for x in a),
+}
+
+
+def _arith(a: Jet, b, op: str) -> Jet:
+    """``a`` op ``b`` for a jet b (``jet_arith``) or a number b, which
+    builds no constant jet; a non-finite result fails as it does there
+    (raises on a float anchor, NaN at the point of a grid)."""
+    if isinstance(b, Jet):
+        return jet_arith(a, b, op)
+    c = float(b)
+    if isinstance(a.anchor, _ndarray):
+        with np.errstate(all="ignore"):
+            return Jet(a.anchor, _NUMBER_OPS[op](a.coeffs, c))
+    return Jet(a.anchor, _NUMBER_OPS[op](a.coeffs, c))
 
 
 def _promote(x, like: Jet) -> Jet:

@@ -511,16 +511,21 @@ def _log_bessel_ode_coeffs(nu: float, u_coeffs: tuple) -> tuple[list, list]:
             acc = acc + p[j] * q[m - j]
         return acc
 
+    # B - A, A - B, their exp jets, and g1, g2 grow by one coefficient per
+    # order: coefficient m of an exp jet reads coefficients <= m only
+    ba = [b[0] - a[0]]
+    ab = [-ba[0]]
+    e_ba, e_ab = [_kp.each(math.exp, ba[0])], [_kp.each(math.exp, ab[0])]
+    g1 = [e_ba[0] + (nu - 1.0) * inv_u[0] - 1.0]
+    g2 = [e_ab[0] - nu * inv_u[0] - 1.0]
     for m in range(n):
-        # rebuild the exp jets through order m (cheap, n <= 16)
-        diff_ba = tuple(b[k] - a[k] for k in range(m + 1))
-        diff_ab = tuple(-d for d in diff_ba)
-        e_ba = _kp.exp(diff_ba)
-        e_ab = _kp.exp(diff_ab)
-        g1 = [e_ba[k] + (nu - 1.0) * inv_u[k] for k in range(m + 1)]
-        g1[0] = g1[0] - 1.0
-        g2 = [e_ab[k] - nu * inv_u[k] for k in range(m + 1)]
-        g2[0] = g2[0] - 1.0
+        if m:
+            ba.append(b[m] - a[m])
+            ab.append(-ba[m])
+            e_ba.append(_kp.exp_next(ba, e_ba))
+            e_ab.append(_kp.exp_next(ab, e_ab))
+            g1.append(e_ba[m] + (nu - 1.0) * inv_u[m])
+            g2.append(e_ab[m] - nu * inv_u[m])
         a[m + 1] = conv_at(g1, du, m) / (m + 1)
         b[m + 1] = conv_at(g2, du, m) / (m + 1)
     return a, b

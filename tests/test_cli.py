@@ -180,8 +180,13 @@ class TestVerifyCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_unknown_tol_key(self):
-        assert run(["verify", "--suite", "jet", "--tol", "nope=1"]) == 1
+    def test_unknown_tol_key(self, capsys):
+        # a bad flag: exit 2, with the key named
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--suite", "jet", "--tol", "nope=1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "'nope'" in err
 
     @pytest.mark.parametrize("value", ["jet_fd=abc", "jet_fd", "jet_fd="])
     def test_bad_tol_value_exit_2(self, capsys, value):

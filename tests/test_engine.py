@@ -690,6 +690,98 @@ class TestClassifyChain:
         assert calls["point"] == len(passes)
 
 
+def _per_iterate_levels(seed_it, depth, window, grid, tol):
+    """``run_algorithm``'s levels as ``classify`` of each iterate on its
+    own sweep: the reference for the sweeps of doubling depth."""
+    it = seed_it
+    yield it, E.classify(it, window, grid, tol)
+    for _ in range(depth):
+        it = E.iterate(it)
+        yield it, E.classify(it, window, grid, tol)
+
+
+def _run_outcome(run_it):
+    """A run's classifications, stored bounds and stop reason in
+    comparable form, or the error it raised."""
+    try:
+        res = run_it()
+    except TailkitError as exc:
+        return type(exc), str(exc)
+    stored = tuple(None if it is None else it.index for it in (res.p_l, res.p_u))
+    return [it.index for it, _ in res.iterates], _outcomes(c for _, c in res.iterates), stored, res.stop_reason
+
+
+def _order_capped(spec, cap):
+    """``spec`` whose ln f jet exists only up to order ``cap``: a grid
+    sweep of an iterate that needs more fails whole."""
+    inner = spec.log_pdf_jet
+
+    def log_pdf_jet(anchor, order):
+        if order > cap:
+            raise OrderExhausted(f"ln f jet of order {order} above {cap}")
+        return inner(anchor, order)
+
+    return dataclasses.replace(spec, log_pdf_jet=log_pdf_jet)
+
+
+_RUN_SETTINGS = dict(
+    _SETTINGS, far=(lambda: D.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT, (7.0, 9.0))
+)
+
+
+class TestRunSweeps:
+    """``run_algorithm`` judges its iterates from chain sweeps of doubling
+    depth (P_2, P_4, P_8, capped at max_iter), each level once, as
+    ``classify`` of each iterate on its own sweep judges it."""
+
+    @staticmethod
+    def _both(monkeypatch, make, seed_kind, side, window, max_iter):
+        x0 = window[0] if side is TailSide.RIGHT else window[1]
+
+        def run():
+            return E.run_algorithm(make(), seed_kind, side, x0, max_iter, window)
+
+        got = _run_outcome(run)
+        monkeypatch.setattr(E, "_run_levels", _per_iterate_levels)
+        want = _run_outcome(run)
+        monkeypatch.undo()
+        return got, want
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 4, 8])
+    @pytest.mark.parametrize("name", sorted(_RUN_SETTINGS))
+    def test_equals_per_iterate_classify(self, monkeypatch, name, max_iter):
+        got, want = self._both(monkeypatch, *_RUN_SETTINGS[name], max_iter)
+        assert got == want
+        assert len(got[0]) >= 2  # every setting gets past its seed
+
+    @pytest.mark.parametrize("cap", [2, 4, 6])
+    def test_sweep_that_fails_whole(self, monkeypatch, cap):
+        # the sweep of P_2 (or P_8) fails at a level that classify reaches
+        # later; the levels below it are judged and the run stops there
+        make = lambda: _order_capped(D.make_gaussian(0.0, 1.0), cap)  # noqa: E731
+        got, want = self._both(monkeypatch, make, SeedKind.PDF, TailSide.RIGHT, (2.5, 9.0), 8)
+        assert got == want
+        assert got[3].startswith("iterate-failed") and len(got[0]) == cap - 1
+
+    @pytest.mark.parametrize("name, max_iter, sweeps, levels", [
+        ("fig1", 4, 1, 3),  # stops at P_2: one sweep, of P_2
+        ("fig1", 8, 1, 3),
+        ("far", 1, 1, 2),
+        ("far", 5, 3, 6),  # P_2, P_4, P_5
+        ("far", 8, 3, 9),  # P_2, P_4, P_8
+    ])
+    def test_work(self, monkeypatch, name, max_iter, sweeps, levels):
+        make, seed_kind, side, window = _RUN_SETTINGS[name]
+        d, calls = TestOneSweep._counted(make())
+        judged = []
+        judge = E._judge
+        monkeypatch.setattr(E, "_judge", lambda it, *a: judged.append(it.index) or judge(it, *a))
+        res = E.run_algorithm(d, seed_kind, side, window[0], max_iter, window)
+        assert len(res.iterates) == levels
+        assert calls["grid"] == sweeps
+        assert judged == list(range(levels))  # each level once, in order
+
+
 def _passes(it, verdict, x):
     """Whether ``it`` meets the conditions of its verdict at x (one scalar
     pass)."""

@@ -250,3 +250,66 @@ class TestGridAnchor:
             jet_var(np.array([1.0, 2.0]), 1) + jet_var(np.array([1.0, 3.0]), 1)
         with pytest.raises(DomainError):
             jet_var(np.array([1.0, 2.0]), 1) + jet_var(1.0, 1)
+
+
+class TestNumberOperand:
+    """``+ - *`` with a number act on the coefficients directly, with the
+    bits of the convolution with the constant jet (c, 0, ..., 0), and
+    build no constant jet; division by a number still promotes it."""
+
+    XS = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+    JETS = [
+        Jet(0.5, (-0.0, 0.0, -0.0, 1.25, -3.5e-300, 7.0)),
+        Jet(-2.0, (1e308, -1e308, 0.5)),
+        jet_var(3.0, 0),
+        Jet(XS, (np.array([-0.0, 0.0, 1.0, math.nan, 1e308]),
+                 np.array([-0.0, -0.0, 2.0, 1.0, -1e308]),
+                 np.array([0.0, -0.0, -3.0, 1.0, 0.5]))),
+        Jet(XS, (XS, np.full(5, -0.0))),
+    ]
+    NUMBERS = [0.0, -0.0, 2.5, -3.0, 1e308, 5e-324, 2, np.float64(-1.5), math.inf, -math.inf, math.nan]
+    OPS = {
+        "add": (lambda a, c: a + c, lambda a, c: c + a),
+        "sub": (lambda a, c: a - c,),
+        "rsub": (lambda a, c: c - a,),
+        "mul": (lambda a, c: a * c, lambda a, c: c * a),
+    }
+
+    @staticmethod
+    def _bits(build):
+        try:
+            j = build()
+        except TailkitError as exc:
+            return type(exc), str(exc)
+        return [np.asarray(c, dtype=float).tobytes() for c in j.coeffs]
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("a", JETS, ids=["float-zeros", "float-huge", "float-order0", "grid-nan", "grid-zeros"])
+    def test_equals_constant_jet(self, monkeypatch, a, op):
+        def via_const(c):
+            k = jet_const(c, a.anchor, a.order)
+            return jet_arith(k, a, "sub") if op == "rsub" else jet_arith(a, k, op)
+
+        want = [self._bits(lambda: via_const(c)) for c in self.NUMBERS]
+
+        def no_const(*args):
+            raise AssertionError("constant jet built")
+
+        monkeypatch.setattr(J, "jet_const", no_const)
+        for fn in self.OPS[op]:
+            got = [self._bits(lambda: fn(a, c)) for c in self.NUMBERS]
+            assert got == want
+
+    def test_non_finite_number_raises_on_a_float_anchor(self):
+        a = Jet(0.5, (1.0, 2.0))
+        for build in (lambda: a + math.inf, lambda: math.nan - a, lambda: a * -math.inf):
+            with pytest.raises(DomainError, match="non-finite jet coefficient"):
+                build()
+
+    def test_division_by_a_number_keeps_its_floor(self):
+        a = Jet(0.5, (1.0, 2.0))
+        with pytest.raises(DivisionByZeroJet):
+            a / 1e-301
+        g = Jet(self.XS, (self.XS, np.ones(5))) / 1e-301
+        assert np.isnan(g.coeffs[0]).all()
+        assert (a / 4.0).coeffs == jet_arith(a, jet_const(4.0, 0.5, 1), "div").coeffs

@@ -4,9 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tailkit import _kernels_py as kp
+from tailkit import jet as J
 from tailkit import specfun as sf
 from tailkit.errors import DomainError
-from tailkit.jet import jet_var
+from tailkit.jet import Jet, jet_var
 
 mp.mp.dps = 40
 
@@ -261,3 +263,92 @@ class TestBesselJets:
         for k in range(4):
             want = float(mp.diff(f, x0, k)) / math.factorial(k)
             assert abs(la.coeffs[k] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def _ode_rebuilt_per_order(nu, u_coeffs):
+    """The Bessel ODE with both exp jets rebuilt from scratch at every
+    order: the reference for the jets grown one coefficient per order."""
+    n = len(u_coeffs) - 1
+    lower, upper = sf._scaled_seed(nu, u_coeffs[0])
+    a = [lower] + [0.0] * n
+    b = [upper] + [0.0] * n
+    if n == 0:
+        return a, b
+    inv_u = kp.div((1.0,) + (0.0,) * n, u_coeffs)
+    du = tuple((k + 1) * u_coeffs[k + 1] for k in range(n))
+
+    def conv_at(p, q, m):
+        acc = 0
+        for j in range(m + 1):
+            acc = acc + p[j] * q[m - j]
+        return acc
+
+    for m in range(n):
+        diff_ba = tuple(b[k] - a[k] for k in range(m + 1))
+        diff_ab = tuple(-d for d in diff_ba)
+        e_ba = kp.exp(diff_ba)
+        e_ab = kp.exp(diff_ab)
+        g1 = [e_ba[k] + (nu - 1.0) * inv_u[k] for k in range(m + 1)]
+        g1[0] = g1[0] - 1.0
+        g2 = [e_ab[k] - nu * inv_u[k] for k in range(m + 1)]
+        g2[0] = g2[0] - 1.0
+        a[m + 1] = conv_at(g1, du, m) / (m + 1)
+        b[m + 1] = conv_at(g2, du, m) / (m + 1)
+    return a, b
+
+
+class TestBesselOde:
+    """The ODE of ``log_bessel_i_jet`` grows e^{B-A} and e^{A-B} by one
+    coefficient per order: the same bits as rebuilding them at every
+    order, with two grid exp maps per call instead of two per order."""
+
+    # (nu, s, x): u = sqrt(s x) in the series regime, in the uniform one,
+    # and across both at an AWGN-sized order (k = 1000); the grids hold
+    # undefined points too
+    CASES = {
+        "series": (5.0, 2.0, np.concatenate((np.geomspace(0.05, 6.0, 40), [0.0, -1.0]))),
+        "uniform": (5.0, 2.0, np.geomspace(500.0, 5000.0, 40)),
+        "awgn": (500.0, 1000.0, np.concatenate((np.geomspace(50.0, 2000.0, 40), [-3.0]))),
+    }
+
+    @staticmethod
+    def _u(s, x, order):
+        return J.sqrt(s * jet_var(x, order))
+
+    @staticmethod
+    def _bits(coeffs):
+        return [np.asarray(c, dtype=float).tobytes() for c in coeffs]
+
+    @pytest.mark.parametrize("order", range(11))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_rebuilt_per_order(self, case, order):
+        nu, s, xs = self.CASES[case]
+        anchors = [xs] + [x for x in xs.tolist()[::8] if x > 0.0]
+        with np.errstate(all="ignore"):
+            for x in anchors:
+                u = self._u(s, x, order)
+                la, lb = sf.log_bessel_i_jet(nu, u)
+                want_a, want_b = _ode_rebuilt_per_order(nu, u.coeffs)
+                assert self._bits(la.coeffs) == self._bits(Jet(u.anchor, tuple(want_a)).coeffs), x
+                assert self._bits(lb.coeffs) == self._bits(Jet(u.anchor, tuple(want_b)).coeffs), x
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_two_grid_exp_maps(self, monkeypatch, case):
+        nu, s, xs = self.CASES[case]
+        maps = []
+        each = kp.each
+
+        def counted(fn, v):
+            if fn is math.exp and isinstance(v, np.ndarray):
+                maps.append(v.size)
+            return each(fn, v)
+
+        monkeypatch.setattr(kp, "each", counted)
+        with np.errstate(all="ignore"):
+            calls = []
+            for order in (0, 10):
+                u = self._u(s, xs, order)
+                del maps[:]
+                sf.log_bessel_i_jet(nu, u)
+                calls.append(len(maps))
+        assert calls[1] - calls[0] == 2  # the seed's own maps are in both
