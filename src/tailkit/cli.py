@@ -124,21 +124,24 @@ def cmd_bounds(args) -> int:
         + [f"verdict_{i}" for i in range(n_it)]
         + [f"threshold_{i}" for i in range(n_it)]
         + [f"R_{i}" for i in range(n_it - 1)]
+        + [f"lnP_{i}" for i in range(n_it)]
     )
-    grid_desc = f"grid_points={grid.points} spacing={grid.spacing} tol={engine.DEFAULT_TOL:g}"
+    grid_desc = f"grid_points={grid.points} spacing=geometric tol={engine.DEFAULT_TOL:g}"
     lines = _manifest_lines("bounds", params, grid_desc, args)
     lines.append(",".join(header))
-    # every column from one pass of the deepest iterate's chain: P_i =
-    # e^{ln f + q_i} and R_i = |expm1(d_i)| from its step; a point where
-    # an iterate is undefined is NaN, written as an empty cell
+    # every column from one pass of the deepest iterate's chain: ln P_i =
+    # ln f + q_i, P_i = e^{ln P_i} (0 where it underflows, while ln P_i
+    # stays finite) and R_i = |expm1(d_i)| from its step; a point where an
+    # iterate is undefined is NaN, written as an empty cell
     with np.errstate(all="ignore"):
         qs, steps, lf, _ = engine._chain(chain[-1], xs, 0)
-        columns = [each(math.exp, lf.value + q.value) for q in qs] + [abs(engine._flip(a)) for a in steps]
+        log_p = [lf.value + q.value for q in qs]
+        columns = [each(math.exp, v) for v in log_p] + [abs(engine._flip(a)) for a in steps]
     verdicts = [c.verdict.value for c in classifications]
     thresholds = [_fmt(c.threshold) for c in classifications]
-    for x, *cells in zip(xs.tolist(), *(col.tolist() for col in columns)):
-        vals, rates = cells[:n_it], cells[n_it:]
-        lines.append(",".join([_fmt(x)] + [_fmt(v) for v in vals] + verdicts + thresholds + [_fmt(r) for r in rates]))
+    for x, *cells in zip(xs.tolist(), *(col.tolist() for col in columns + log_p)):
+        vals, rest = cells[:n_it], cells[n_it:]  # rest: the R_i, then the lnP_i
+        lines.append(",".join([_fmt(x)] + [_fmt(v) for v in vals] + verdicts + thresholds + [_fmt(r) for r in rest]))
     _write_rows(args.out, lines)
     return 0
 

@@ -8,13 +8,14 @@ A candidate is the direct-h seed P0 = h (``SeedKind.DIRECT_H``), so
 ``classify_h`` is ``engine.classify`` of that seed: h > 0 and the
 governing sign (the relative residual f/(-h') - 1 against the tolerance
 for the right tail, f/h' - 1 for the left) on the grid, with the
-verdict, threshold, limit check and residuals every iterate gets. A point where the candidate raises what a
-seed turns into a pole, or where it is non-positive, is undefined.
-``markov_h`` and ``chernoff_h`` evaluate the whole grid at once, by the
-same code as at a float, so a grid point has the bits of a float
-evaluation there; a user's candidate takes one float anchor and runs
-point by point through ``engine._pointwise``. Unlike an iterate, an h
-candidate carries no monotonicity requirement, so its ``monotone`` and
+verdict, threshold, limit check and residuals every iterate gets. A
+point where the candidate raises what a seed turns into a pole, or where
+it is non-positive, is undefined. ``markov_h`` and ``chernoff_h``
+evaluate the whole grid at once, and ``chernoff_h`` evaluates a float
+as a one-point grid, so a grid point has the bits of a float evaluation
+there; a user's candidate takes one float anchor and runs point by
+point through ``engine._pointwise``. Unlike an iterate, an h candidate
+carries no monotonicity requirement, so its ``monotone`` and
 ``tightness_ok`` stay None.
 """
 
@@ -89,26 +90,9 @@ _T_RTOL = 1e-6
 _SCAN_BLOCK = 64
 
 
-def _pick(cond, a, b):
-    """``a`` where ``cond`` holds, else ``b``: at a float or elementwise."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
-
-
-def _copysign(a, b):
-    """|a| with the sign of b: at a float or elementwise."""
-    if isinstance(b, np.ndarray):
-        return np.copysign(a, b)
-    return math.copysign(a, b)
-
-
-def _log(v):
-    """ln v, NaN where v is not positive: at a float, or elementwise by the
-    same libm call."""
-    if isinstance(v, np.ndarray):
-        return each(math.log, np.where(v > 0.0, v, math.nan))
-    return math.log(v) if v > 0.0 else math.nan
+def _log(v: np.ndarray) -> np.ndarray:
+    """ln v elementwise by libm, NaN where v is not positive."""
+    return each(math.log, np.where(v > 0.0, v, math.nan))
 
 
 def chernoff_h(
@@ -133,15 +117,17 @@ def chernoff_h(
     to rounding. The refined t* replaces the scan's only where its branch
     value is smaller.
 
-    The evaluator takes a float or a grid of points, by one code path:
-    the scan is one array over t (and x), with one ``mgf`` call per t, and
-    the refinement runs in lock-step over the points, each with its own
-    bracket and stop. Each step is the float evaluation's arithmetic,
-    with libm's exp and log, so a grid point gets the bits a float
-    evaluation gets there. Where that evaluation raises what a seed turns
-    into a pole (e^{-tx} overflows, or ``mgf`` raises such an error) a
-    grid point is NaN; anything else it raises, such as MgfDiverged for a
-    non-finite M(t) or branch value, the grid evaluation raises too.
+    The evaluator runs on a grid of points, and a float anchor is the grid
+    of that one point, with float coefficients: the scan is one array over
+    t (and x), with one ``mgf`` call per t, and the refinement runs in
+    lock-step over the points, each with its own bracket and stop, with
+    libm's exp and log, so a grid point gets the bits a float evaluation
+    gets there. A point stops at the first failure of its evaluation. At
+    a float anchor that failure is raised, whatever it is. On a grid, a
+    point where it is what a seed turns into a pole (e^{-tx} overflows,
+    or ``mgf`` raises such an error) is NaN; anything else, such as
+    MgfDiverged for a non-finite M(t) or branch value, the grid
+    evaluation raises.
     """
     ts = np.array(sorted(float(t) for t in t_grid))
     if not ts.size or ts[0] <= 0.0:
@@ -166,28 +152,16 @@ def chernoff_h(
                     raised[i] = exc
             return np.array(m, dtype=float).reshape(t.shape), raised
 
-    def branch(t, x, fates: dict, cols, mr=None):
-        """M(t) e^{-tx} (- M(t) e^{-tr}) and M(t). At a float t, as the
-        scalar evaluation: raising where it fails. On arrays elementwise,
-        rows of t evaluated in order and columns the points ``x`` (global
-        indices ``cols``), with ``mr`` the ``moments`` of t if known: a
-        point stops at its first non-finite value, its column is NaN and
-        why it stopped goes into ``fates``."""
-        if not isinstance(t, np.ndarray):
-            m = mgf(t)
-            if not math.isfinite(m):
-                raise MgfDiverged(f"MGF non-finite at t={t}")
-            v = m * math.exp(-t * x)
-            if math.isfinite(r):
-                v -= m * math.exp(-t * r)
-            if not math.isfinite(v):
-                raise MgfDiverged(f"Chernoff branch non-finite at t={t}, x={x}")
-            return v, m
+    def branch(t: np.ndarray, x: np.ndarray, fates: dict, cols, mr=None):
+        """M(t) e^{-tx} (- M(t) e^{-tr}) and M(t) elementwise, rows of t
+        evaluated in order and columns the points ``x`` (global indices
+        ``cols``), with ``mr`` the ``moments`` of t if known: a point stops
+        at its first non-finite value, its column is NaN and why it stopped
+        goes into ``fates``."""
         m, raised = moments(t) if mr is None else mr
-        with np.errstate(all="ignore"):
-            v = m * each(math.exp, -t * x)
-            if math.isfinite(r):
-                v = v - m * each(math.exp, -t * r)
+        v = m * each(math.exp, -t * x)
+        if math.isfinite(r):
+            v = v - m * each(math.exp, -t * r)
         bad = ~np.isfinite(v)
         if bad.any():
             shape = v.shape
@@ -209,10 +183,8 @@ def chernoff_h(
             v[:, hit] = math.nan
         return v, m
 
-    def at(go, t, x, fates: dict):
+    def at(go: np.ndarray, t, x, fates: dict):
         """``branch`` at the points where ``go`` holds, NaN elsewhere."""
-        if not isinstance(go, np.ndarray):
-            return branch(t, x, fates, None) if go else (math.nan, math.nan)
         k = np.flatnonzero(go)
         v, m = np.full(go.shape, math.nan), np.full(go.shape, math.nan)
         (v[k],), (m[k],) = branch(t[k][None], x[k], fates, k)
@@ -246,34 +218,27 @@ def chernoff_h(
         return (ts[j], v_star, m[j], ts[jl], ts[jh],
                 phi(v_lo, m[jl], ts[jl], x), phi(v_hi, m[jh], ts[jh], x))
 
-    def minimize(x, fates: dict):
-        """t*, the minimum and M(t*) at a float x, or at every point of a
-        grid x (NaN where the float evaluation raises: why is in
-        ``fates``). Masks are bools at a float; ``v == v`` is "not NaN".
+    def minimize(x: np.ndarray, fates: dict):
+        """t*, the minimum and M(t*) at every point of x; why a point's
+        evaluation failed goes into ``fates``. ``v == v`` is "not NaN".
 
         Brent's state per point: the bracket [lo, hi], the best point t
         and the two before it, tw and tv, with phi there, the last step d
         and the one before it, e."""
-        if isinstance(x, np.ndarray):
-            t_star, v_star, m_star, lo, hi, f_lo, f_hi = scan(x, fates)
-        else:
-            found = scan(np.array([x]), fates)
-            if fates:
-                raise fates[0]
-            t_star, v_star, m_star, lo, hi, f_lo, f_hi = (a.item() for a in found)
+        t_star, v_star, m_star, lo, hi, f_lo, f_hi = scan(x, fates)
         if not (refine and top):
             return t_star, v_star, m_star
         t, v_t, m_t = t_star, v_star, m_star
         f_t = phi(v_star, m_star, t_star, x)
         tw, f_w, tv, f_v = lo, f_lo, hi, f_hi
         d = e = hi - lo
-        ok = (hi > lo) & (f_t == f_t)
+        ok = (hi > lo) & (v_star == v_star) & (f_t == f_t)  # a point that failed in the scan stops there
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             tol1 = _T_RTOL * t
             tol2 = 2.0 * tol1
             go = ok & (abs(t - mid) > tol2 - 0.5 * (hi - lo))
-            if not (go.any() if isinstance(go, np.ndarray) else go):
+            if not go.any():
                 break
             # the vertex of the parabola through t, tw and tv, taken when it
             # lies inside the bracket and moves less than half the step
@@ -282,46 +247,50 @@ def chernoff_h(
             q = (t - tv) * (f_t - f_w)
             p = (t - tv) * q - (t - tw) * pr
             q = 2.0 * (q - pr)
-            p = _pick(q > 0.0, -p, p)
+            p = np.where(q > 0.0, -p, p)
             q = abs(q)
             para = (abs(e) > tol1) & (abs(p) < abs(0.5 * q * e)) & (p > q * (lo - t)) & (p < q * (hi - t))
-            d_para = p / _pick(para, q, 1.0)
+            d_para = p / np.where(para, q, 1.0)
             u = t + d_para
-            d_para = _pick((u - lo < tol2) | (hi - u < tol2), _copysign(tol1, mid - t), d_para)
-            e_gold = _pick(t >= mid, lo - t, hi - t)
-            e = _pick(go, _pick(para, d, e_gold), e)
-            d = _pick(go, _pick(para, d_para, _CGOLD * e_gold), d)
-            u = _pick(abs(d) >= tol1, t + d, t + _copysign(tol1, d))
+            d_para = np.where((u - lo < tol2) | (hi - u < tol2), np.copysign(tol1, mid - t), d_para)
+            e_gold = np.where(t >= mid, lo - t, hi - t)
+            e = np.where(go, np.where(para, d, e_gold), e)
+            d = np.where(go, np.where(para, d_para, _CGOLD * e_gold), d)
+            u = np.where(abs(d) >= tol1, t + d, t + np.copysign(tol1, d))
             v_u, m_u = at(go, u, x, fates)
             f_u = phi(v_u, m_u, u, x)
             live = go & (f_u == f_u)
-            ok = _pick(go, live, ok)
+            ok = np.where(go, live, ok)
             best = live & (f_u <= f_t)
             worse = live & (f_u > f_t)
-            lo = _pick(best & (u >= t), t, _pick(worse & (u < t), u, lo))
-            hi = _pick(best & (u < t), t, _pick(worse & (u >= t), u, hi))
+            lo = np.where(best & (u >= t), t, np.where(worse & (u < t), u, lo))
+            hi = np.where(best & (u < t), t, np.where(worse & (u >= t), u, hi))
             second = worse & ((f_u <= f_w) | (tw == t))
             third = worse & ((f_u <= f_v) | (tv == t) | (tv == tw))  # where not ``second``
-            tv, f_v = _pick(best | second, tw, _pick(third, u, tv)), _pick(best | second, f_w, _pick(third, f_u, f_v))
-            tw, f_w = _pick(best, t, _pick(second, u, tw)), _pick(best, f_t, _pick(second, f_u, f_w))
-            t, f_t, v_t, m_t = _pick(best, u, t), _pick(best, f_u, f_t), _pick(best, v_u, v_t), _pick(best, m_u, m_t)
+            tv, f_v = np.where(best | second, tw, np.where(third, u, tv)), np.where(best | second, f_w, np.where(third, f_u, f_v))
+            tw, f_w = np.where(best, t, np.where(second, u, tw)), np.where(best, f_t, np.where(second, f_u, f_w))
+            t, f_t, v_t, m_t = np.where(best, u, t), np.where(best, f_u, f_t), np.where(best, v_u, v_t), np.where(best, m_u, m_t)
         better = v_t < v_star
-        return _pick(better, t, t_star), _pick(better, v_t, v_star), _pick(better, m_t, m_star)
+        return np.where(better, t, t_star), np.where(better, v_t, v_star), np.where(better, m_t, m_star)
 
     @eng._takes_grid
     def evaluator(anchor, order: int) -> Jet:
         grid = isinstance(anchor, np.ndarray)
+        x = anchor if grid else np.array([float(anchor)])
         fates: dict = {}
-        t_star, v, m_star = minimize(anchor if grid else float(anchor), fates)
+        with np.errstate(all="ignore"):
+            t_star, v, m_star = minimize(x, fates)
         for _, fate in sorted(fates.items()):
-            if not isinstance(fate, eng._UNDEFINED):
+            if not (grid and isinstance(fate, eng._UNDEFINED)):
                 raise fate
         if fates:
             v[list(fates)] = math.nan
-        coeffs = (v,)
+        coeffs = [v]
         if order > 0:
-            coeffs += (-t_star * m_star * each(math.exp, -t_star * anchor),) + (0.0,) * (order - 1)
-        return Jet(anchor, coeffs if grid else tuple(float(c) for c in coeffs))
+            coeffs.append(-t_star * m_star * each(math.exp, -t_star * x))
+        if not grid:
+            coeffs = [c.item() for c in coeffs]
+        return Jet(anchor, tuple(coeffs) + (0.0,) * (order - 1))
 
     desc = "min_t M(t)e^{-tx}" + ("" if math.isinf(r) else " (bounded-support variant)")
     return CandidateH(evaluator, TailSide.RIGHT, desc)

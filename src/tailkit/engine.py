@@ -107,13 +107,10 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class GridSpec:
     points: int = 512
-    spacing: str = "geometric"  # or "linear"
 
     def __post_init__(self):
         if self.points < 64:
             raise DomainError("grid needs at least 64 points")
-        if self.spacing not in ("geometric", "linear"):
-            raise DomainError(f"unknown spacing {self.spacing!r}")
 
 
 @dataclass(frozen=True)
@@ -367,10 +364,7 @@ def grid_points(window: tuple[float, float], grid: GridSpec, side: TailSide) -> 
     a, b = window
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"bad window ({a}, {b})")
-    n = grid.points
-    if grid.spacing == "linear":
-        return np.linspace(a, b, n)
-    offs = np.geomspace(1e-6, 1.0, n) * (b - a)
+    offs = np.geomspace(1e-6, 1.0, grid.points) * (b - a)
     if side is TailSide.RIGHT:
         return a + offs
     return b - offs[::-1]
@@ -404,19 +398,16 @@ def _level(a, tol: float) -> _PointEval:
     return _PointEval(a == a, a >= _flip(tol), a <= (_flip(-tol) if tol < 1.0 else math.inf), a)
 
 
-def _conditions(it: BoundIterate, x, tol: float) -> tuple[_PointEval, Optional[tuple], list]:
-    """The conditions of ``it`` at a point, or on a grid (undefined points
-    NaN), from one pass of the chain; with the pass (its q levels, steps
-    and ln f) and its margins (see ``_chain``). A pole at a point leaves
-    it undefined, with the margins up to the pole when a sign check found
-    it; a grid pass that raises has failed whole."""
+def _conditions(it: BoundIterate, x: float, tol: float) -> tuple[_PointEval, list]:
+    """The conditions of ``it`` at the point x from one scalar pass of the
+    chain, with its margins (see ``_chain``). A pole leaves the point
+    undefined, with the margins up to the pole when a sign check found
+    it."""
     try:
-        qs, steps, lf, margins = _chain(it, x, 1)
+        _, steps, _, margins = _chain(it, x, 1)
     except PoleEncountered as exc:
-        if isinstance(x, np.ndarray):
-            raise
-        return _PointEval(False), None, exc.margins
-    return _level(steps[-1], tol), (qs, steps, lf), margins
+        return _PointEval(False), exc.margins
+    return _level(steps[-1], tol), margins
 
 
 def _run(ok: np.ndarray) -> int:
@@ -446,13 +437,14 @@ def classify(
 ) -> Classification:
     """Verdict, validity threshold, and diagnostics for one iterate.
 
-    One chain pass on the grid gives the step and the predecessor's step
-    for tightness. The verified region is the maximal run of
-    passing grid points touching the support-edge end of the window (the
-    bounds hold from a threshold onward); its boundary is refined by root
-    finding on the quantity that fails there (``_threshold``), with
-    scalar passes, to 1e-10 window-relative. The bound
-    verdict needs positivity (implied by P_i being defined) and the
+    One grid sweep of the chain (``_sweep``) gives the step and the
+    predecessor's step for tightness, judged by ``_judged`` as
+    ``classify_chain`` judges its levels. The verified region is the
+    maximal run of passing grid points touching the support-edge end of
+    the window (the bounds hold from a threshold onward); its boundary is
+    refined by root finding on the quantity that fails there
+    (``_threshold``), with scalar passes, to 1e-10 window-relative. The
+    bound verdict needs positivity (implied by P_i being defined) and the
     governing sign; monotonicity of P_i gates only the construction of
     the NEXT iterate, and is reported in ``monotone`` for the algorithm
     loop.
@@ -461,9 +453,7 @@ def classify(
     cap (each iterate consumes one order on top of the seed's two).
     """
     xs = _grid(it, window, grid)
-    with np.errstate(all="ignore"):
-        cond, sweep, margins = _conditions(it, xs, tol)
-    return _judge(it, xs, cond, sweep, margins, window, tol)
+    return next(_judged(_links(it), it.index, xs, _sweep(it, xs), window, tol))
 
 
 def classify_chain(
@@ -482,10 +472,15 @@ def classify_chain(
     ``next``, and the checks are those of ``classify`` of P_i.
     """
     xs = _grid(it, window, grid)
+    yield from _judged(_links(it), 0, xs, _sweep(it, xs), window, tol)
+
+
+def _links(it: BoundIterate) -> list[BoundIterate]:
+    """P_0 .. P_i of ``it``'s chain."""
     links = [it]
     while links[-1].prev is not None:
         links.append(links[-1].prev)
-    yield from _judged(links[::-1], 0, xs, _sweep(it, xs), window, tol)
+    return links[::-1]
 
 
 def _sweep(it: BoundIterate, xs: np.ndarray) -> tuple:
@@ -627,7 +622,7 @@ def _threshold(
     seen = {x_bad: False, x_good: True}
 
     def minus_q(x: float):
-        e, _, ms = _conditions(it, x, tol)
+        e, ms = _conditions(it, x, tol)
         seen[x] = passes(e)
         q = q_of(e, ms)
         return None if q is None else -q
@@ -827,18 +822,9 @@ def _step(it: BoundIterate, x):
     return _chain(it, x, 1)[1][-1]
 
 
-def convergence_rate(it, x: float) -> float:
-    """|P_i/P_{i+1} - 1| = |expm1(-d_i)|.
-
-    Accepts a bare iterate, an (iterate, next_iterate) pair, or an
-    (iterate, classification) pair; the rate is always driven by the
-    lower-indexed iterate's derivative.
-    """
-    if isinstance(it, tuple):
-        first, second = it
-        if isinstance(second, BoundIterate) and second.index < first.index:
-            first = second
-        it = first
+def convergence_rate(it: BoundIterate, x):
+    """|P_i/P_{i+1} - 1| = |expm1(-d_i)|, driven by P_i's derivative. At a
+    float x or on an array of points (NaN where undefined)."""
     return abs(_step(it, x))
 
 

@@ -46,8 +46,8 @@ from .errors import DivisionByZeroJet, DomainError, OrderExhausted
 #: iteration consumes one order, so 16 leaves ample headroom.
 MAX_ORDER = 16
 
-#: Default floor on |divisor leading coefficient| below which division
-#: signals a pole instead of producing garbage.
+#: Floor on |divisor leading coefficient| below which division signals a
+#: pole instead of producing garbage.
 DIV_FLOOR = 1e-300
 
 # a module-level name: the scalar path tests for it on every operation
@@ -95,12 +95,6 @@ class Jet:
     def value(self):
         """Order-0 truncation: plain function evaluation."""
         return self.coeffs[0]
-
-    def derivative(self, k: int = 1):
-        """k-th derivative at the anchor (k <= order)."""
-        if k > self.order:
-            raise OrderExhausted(f"derivative {k} of an order-{self.order} jet")
-        return self.coeffs[k] * math.factorial(k)
 
     # Operator sugar. A number operand of + - * acts on the coefficients
     # (``_arith``) with the bits of the constant jet's convolution; a
@@ -224,7 +218,7 @@ def _check_compatible(a: Jet, b: Jet):
         raise DomainError(f"jet orders differ: {a.order} vs {b.order}")
 
 
-def jet_arith(a: Jet, b: Jet, op: str, div_floor: float = DIV_FLOOR) -> Jet:
+def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
     """Coefficient-wise arithmetic on two jets sharing anchor and order."""
     _check_compatible(a, b)
     if op == "add":
@@ -242,9 +236,9 @@ def jet_arith(a: Jet, b: Jet, op: str, div_floor: float = DIV_FLOOR) -> Jet:
         with np.errstate(all="ignore"):
             coeffs = kernel(a.coeffs, b.coeffs)
         if op == "div":
-            coeffs = _nan_at(coeffs, np.abs(b0) < div_floor)
+            coeffs = _nan_at(coeffs, np.abs(b0) < DIV_FLOOR)
         return Jet(a.anchor, coeffs)
-    if op == "div" and abs(b0) < div_floor:
+    if op == "div" and abs(b0) < DIV_FLOOR:
         raise DivisionByZeroJet(
             f"divisor leading coefficient {b0!r} below floor at x={a.anchor!r}"
         )

@@ -348,38 +348,18 @@ def _polyval(coeffs: tuple[float, ...], x: float) -> float:
 _SERIES_U_CAP = 400.0
 
 
-def _series_regime(nu: float, u: float) -> bool:
-    return u < max(30.0, 0.5 * nu) and u <= _SERIES_U_CAP
+def _series_regime(nu: float, u):
+    """Whether the series serves u: a bool at a float, a mask on an array."""
+    return (u < max(30.0, 0.5 * nu)) & (u <= _SERIES_U_CAP)
 
 
-def _series_log_scaled(mu: float, u: float) -> float:
-    # ln(e^{-u} I_mu(u)) by the ascending series, renormalized so the
-    # partial sum never overflows
-    q = 0.25 * u * u
-    term = 1.0
-    total = 1.0
-    log_scale = 0.0
-    j = 0
-    while True:
-        j += 1
-        term *= q / (j * (mu + j))
-        total += term
-        if total > 1e250:
-            total *= 1e-250
-            term *= 1e-250
-            log_scale += 250.0 * math.log(10.0)
-        if term < total * 1e-18:
-            break
-        if j > 50000:
-            raise ToleranceNotMet("Bessel series stalled")
-    return -u + mu * math.log(0.5 * u) - math.lgamma(mu + 1.0) + math.log(total) + log_scale
-
-
-def _series_log_scaled_grid(mu: float, u: np.ndarray) -> np.ndarray:
-    # _series_log_scaled at every element of u, each result equal to the
-    # scalar one bit for bit: the loop runs until the slowest element
-    # stops, and an element that has stopped gains nothing from the
-    # extra terms (each is below half an ulp of its total)
+def _series_log_scaled(mu: float, u: np.ndarray) -> np.ndarray:
+    # ln(e^{-u} I_mu(u)) by the ascending series at every element of u (a
+    # float goes in as a one-point array), renormalized so the partial sum
+    # never overflows. The loop runs until the slowest element stops, and
+    # an element that has stopped gains nothing from the extra terms (each
+    # is below half an ulp of its total), so each result has the bits it
+    # gets on its own
     q = 0.25 * u * u
     term = np.ones_like(u)
     total = np.ones_like(u)
@@ -446,8 +426,9 @@ def log_bessel_i_scaled(nu: float, u: float) -> ScaledBesselPair:
     if u <= 0.0 or not math.isfinite(u):
         raise DomainError("log_bessel_i_scaled needs u > 0")
     if _series_regime(nu, u):
-        lsl = _series_log_scaled(nu - 1.0, u)
-        ratio = math.exp(_series_log_scaled(nu, u) - lsl)
+        point = np.array([float(u)])
+        lsl = _series_log_scaled(nu - 1.0, point).item()
+        ratio = math.exp(_series_log_scaled(nu, point).item() - lsl)
     else:
         ratio = _uniform_ratio(nu, u)
         if nu - 1.0 >= 1.0:
@@ -471,11 +452,11 @@ def _scaled_seed(nu: float, u0) -> tuple:
     if nu < 1.0:
         return lower, upper
     ok = (u0 > 0.0) & np.isfinite(u0)
-    series = ok & (u0 < max(30.0, 0.5 * nu)) & (u0 <= _SERIES_U_CAP)
+    series = ok & _series_regime(nu, u0)
     if series.any():
         u = u0[series]
-        lsl = _series_log_scaled_grid(nu - 1.0, u)
-        ratio = _kp.each(math.exp, _series_log_scaled_grid(nu, u) - lsl)
+        lsl = _series_log_scaled(nu - 1.0, u)
+        ratio = _kp.each(math.exp, _series_log_scaled(nu, u) - lsl)
         lower[series] = lsl
         upper[series] = lsl + _kp.each(math.log, ratio)
     for i in np.flatnonzero(ok & ~series).tolist():

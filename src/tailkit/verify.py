@@ -128,7 +128,7 @@ def _chk_bessel_recurrence(tols):
 def _chk_debye_crossover(tols):
     worst = 0.0
     for mu, u in ((4.0, 30.0), (6.5, 30.0), (199.0, 100.0), (240.0, 120.0)):
-        a = specfun._series_log_scaled(mu, u)
+        a = specfun._series_log_scaled(mu, np.array([u])).item()
         b = specfun._uniform_log_scaled(mu, u)
         worst = max(worst, _rel(a, b))
     return worst <= tols["debye_crossover"], f"worst regime gap {worst:.2e}"

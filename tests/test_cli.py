@@ -297,6 +297,27 @@ class TestFarTail:
         for row in rows:
             assert [row[header.index(f"verdict_{i}")] for i in range(3)] == ["U", "L", "U"]
 
+    def test_log_columns_past_underflow(self, tmp_path):
+        # P_i underflows to 0 from x ~ 38.6 on; lnP_i = ln f + q_i does not.
+        # The Gaussian iterates are phi q_i with q_0 = 1/x, q_1 = x/(1 + x^2)
+        # and q_2 = (x^3 + x)/(x^4 + 2x^2 - 1)
+        out = tmp_path / "lnp.csv"
+        assert run(["bounds", "--dist", "gaussian", "--mu", "0", "--sigma", "1", "--side", "right", "--seed", "pdf",
+                    "--iters", "2", "--x-min", "30", "--x-max", "45", "--points", "5", "--out", str(out)] + TS) == 0
+        _, header, rows = parse_csv(out)
+        # appended after the R_i, so that the P, verdict and threshold columns keep their positions
+        assert header == (["x"] + [f"{c}_{i}" for c in ("P", "verdict", "threshold") for i in range(3)]
+                          + ["R_0", "R_1"] + [f"lnP_{i}" for i in range(3)])
+        for row in rows[-2:]:
+            with mp.workdps(60):
+                x = mp.mpf(float(row[0]))
+                qs = (1 / x, x / (1 + x**2), (x**3 + x) / (x**4 + 2 * x**2 - 1))
+                for i, q in enumerate(qs):
+                    assert row[header.index(f"P_{i}")] == "0"
+                    got = float(row[header.index(f"lnP_{i}")])
+                    want = -x * x / 2 - mp.log(2 * mp.pi) / 2 + mp.log(q)
+                    assert math.isfinite(got) and abs(got / want - 1) <= 1e-13, (row[0], i)
+
     def test_rates_at_40(self, tmp_path):
         want = _gaussian_reference_rates(40, 7)
         assert 1e-18 < want[-1][0] < 1e-17

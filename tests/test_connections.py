@@ -188,8 +188,12 @@ class TestChernoffH:
 
     def test_mgf_diverged(self):
         h = C.chernoff_h(lambda t: math.inf, [1.0, 2.0])
-        with pytest.raises(MgfDiverged):
+        with pytest.raises(MgfDiverged, match=r"at t=1\.0$"):
             h.evaluator(1.0, 0)
+        # a point stops at its first failure, in the scan: a grid raises
+        # what the float evaluation raises, not a failure of a refinement
+        with pytest.raises(MgfDiverged, match=r"at t=1\.0$"):
+            h.evaluator(np.array([1.0, 2.0]), 0)
 
     def test_params(self):
         with pytest.raises(ParamError):
@@ -347,23 +351,37 @@ def _chernoff_reference(mgf, t_grid, x, r=math.inf, refine=True):
     return v_star, -t_star * m_star * math.exp(-t_star * x)
 
 
+_REFERENCE_CASES = [
+    (_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), {}),
+    (_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), {"refine": False}),
+    (_gauss_mgf(0.0, 1.0), list(np.linspace(0.05, 3.0, 30)), {"r": 40.0}),
+    (_gauss_mgf(-1.7, 1.9), [0.5, 0.5, 1.0, 2.0, 2.0, 3.0, 6.0, 6.0], {}),
+    (lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40)), {}),
+]
+_REFERENCE_IDS = ["chernoff", "scan-only", "bounded", "repeated-t", "zero-ties"]
+
+
 class TestGridCandidates:
     """The Markov and Chernoff evaluators take the whole grid, and give
     at every grid point the bits of their float evaluation there, which
     for Chernoff are those of the per-point minimisation."""
 
-    @pytest.mark.parametrize("mgf, ts, kw", [
-        (_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), {}),
-        (_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), {"refine": False}),
-        (_gauss_mgf(0.0, 1.0), list(np.linspace(0.05, 3.0, 30)), {"r": 40.0}),
-        (_gauss_mgf(-1.7, 1.9), [0.5, 0.5, 1.0, 2.0, 2.0, 3.0, 6.0, 6.0], {}),
-        (lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40)), {}),
-    ], ids=["chernoff", "scan-only", "bounded", "repeated-t", "zero-ties"])
+    @pytest.mark.parametrize("mgf, ts, kw", _REFERENCE_CASES, ids=_REFERENCE_IDS)
     def test_chernoff_matches_per_point_reference(self, mgf, ts, kw):
         grid = C.chernoff_h(mgf, ts, **kw).evaluator(_FIG1_GRID, 1)
         want = [_chernoff_reference(mgf, ts, x, **kw) for x in _FIG1_GRID.tolist()]
         assert _bits(grid.coeffs[0]) == _bits([v for v, _ in want])
         assert _bits(grid.coeffs[1]) == _bits([dv for _, dv in want])
+
+    @pytest.mark.parametrize("mgf, ts, kw", _REFERENCE_CASES, ids=_REFERENCE_IDS)
+    def test_chernoff_float_matches_per_point_reference(self, mgf, ts, kw):
+        # a float anchor is a one-point grid, with float coefficients
+        h = C.chernoff_h(mgf, ts, **kw)
+        for x in _FIG1_GRID[::4].tolist():
+            jet = h.evaluator(x, 2)
+            assert [type(c) for c in jet.coeffs] == [float] * 3
+            assert _bits(jet.coeffs[:2]) == _bits(_chernoff_reference(mgf, ts, x, **kw)), x
+            assert jet.coeffs[2] == 0.0
 
     @staticmethod
     def _assert_grid_is_pointwise(h, xs, order):

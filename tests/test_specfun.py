@@ -173,9 +173,15 @@ class TestScaledBessel:
 
     def test_regime_crossover_continuity(self):
         for mu, u in ((4.0, 30.0), (199.0, 100.0)):
-            a = sf._series_log_scaled(mu, u)
+            a = sf._series_log_scaled(mu, np.array([u])).item()
             b = sf._uniform_log_scaled(mu, u)
             assert rel(a, b) < 1e-8
+
+    def test_float_results_in_both_regimes(self):
+        # the series regime runs its one array routine on a one-point grid
+        for nu, u in ((1.0, 0.5), (5.0, 29.0), (200.0, 99.0), (5.0, 31.0)):
+            pair = sf.log_bessel_i_scaled(nu, u)
+            assert type(pair.log_scaled_lower) is float and type(pair.ratio) is float
 
     def test_ratio_in_unit_interval(self):
         for nu in (1.0, 3.0, 77.0):
