@@ -3,10 +3,11 @@
 Each kernel implements a truncated-power-series recurrence on a tuple of
 normalized Taylor coefficients (coeffs[k] = F^(k)(x)/k!).  A coefficient
 is a float, or an ndarray holding one value per grid point; the same
-code runs on both, in the same operation order, so a grid result equals
-the scalar result at every point bit for bit.  Two rules keep that true:
-the order-0 transcendentals go through ``each`` (one libm call per
-element, as on a float), and no kernel updates an input array in place.
+recurrence runs on both, and no kernel updates an input array in place.
+The order-0 transcendentals go through ``each``: libm on a float,
+numpy's ufunc on an array.  The two agree to a few ulp, not bit for bit
+(numpy's SIMD exp and log differ from libm in the last bit on some
+inputs).
 
 No domain checking happens here (callers validate or mask); the only
 hard error on floats is ZeroDivisionError from an exactly-zero leading
@@ -19,26 +20,19 @@ import numpy as np
 
 _ndarray = np.ndarray
 
+#: the ufunc that ``each`` runs on an array in place of a libm function
+_UFUNCS = {math.exp: np.exp, math.log: np.log, math.log1p: np.log1p, math.sqrt: np.sqrt, math.pow: np.power}
 
-def each(fn, v):
-    """``fn(v)`` for a float; for an array, ``fn`` on every element by the
-    same libm call (numpy's SIMD exp and log differ from libm in the last
-    bit on some inputs). An element where ``fn`` raises becomes NaN."""
+
+def each(fn, v, *args):
+    """``fn(v, *args)`` for a float, ``fn`` a libm function of ``math``;
+    for an array, the matching numpy ufunc, without a warning: where
+    ``fn`` would raise, it gives NaN, or an infinity at a pole or on
+    overflow, for the caller to mask."""
     if not isinstance(v, _ndarray):
-        return fn(v)
-    flat = v.ravel().tolist()
-    try:
-        out = list(map(fn, flat))
-    except (OverflowError, ValueError):
-        out = [_or_nan(fn, x) for x in flat]
-    return np.array(out).reshape(v.shape)
-
-
-def _or_nan(fn, x):
-    try:
-        return fn(x)
-    except (OverflowError, ValueError):
-        return math.nan
+        return fn(v, *args)
+    with np.errstate(all="ignore"):
+        return _UFUNCS[fn](v, *args)
 
 
 def add(a, b):
@@ -95,7 +89,7 @@ def exp_next(a, out):
 
 
 def ln(a, shift=0.0):
-    # ln(shift + a); shift 1 is log1p, whose value libm keeps accurate near a = 0
+    # ln(shift + a); shift 1 is log1p, which keeps its value accurate near a = 0
     n = len(a)
     b0 = shift + a[0] if shift else a[0]
     out = [0.0] * n
@@ -126,7 +120,7 @@ def powr(a, p):
     n = len(a)
     a0 = a[0]
     out = [0.0] * n
-    out[0] = each(lambda v: math.pow(v, p), a0)
+    out[0] = each(math.pow, a0, p)
     for k in range(1, n):
         s = 0.0
         for j in range(1, k + 1):

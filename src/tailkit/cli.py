@@ -7,7 +7,9 @@ an identical manifest (pin --timestamp or SOURCE_DATE_EPOCH) a rerun
 reproduces the file byte for byte.  Output goes through a temp file and
 an atomic rename, so a partial CSV is never left behind.
 
-Exit codes: 0 ok, 1 verification failure, 2 bad flags, 3 invalid seed.
+Exit codes: 0 ok, 1 verification failure, 2 bad flags, 3 invalid seed,
+4 an ``awgn`` row failed (its cells are empty and its ``status`` names
+the error; the other rows are written).
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import tempfile
 import numpy as np
 
 from . import __version__, awgn, dist, engine
-from ._kernels_py import each
 from .engine import GridSpec, SeedKind, TailSide
-from .errors import SeedInvalid, TailkitError
+from .errors import ParamError, SeedInvalid, TailkitError
 
 _ORACLE_N_CAP = 10_000
 
@@ -136,7 +137,7 @@ def cmd_bounds(args) -> int:
     with np.errstate(all="ignore"):
         qs, steps, lf, _ = engine._chain(chain[-1], xs, 0)
         log_p = [lf.value + q.value for q in qs]
-        columns = [each(math.exp, v) for v in log_p] + [abs(engine._flip(a)) for a in steps]
+        columns = [np.exp(v) for v in log_p] + [abs(engine._flip(a)) for a in steps]
     verdicts = [c.verdict.value for c in classifications]
     thresholds = [_fmt(c.threshold) for c in classifications]
     for x, *cells in zip(xs.tolist(), *(col.tolist() for col in columns + log_p)):
@@ -148,39 +149,31 @@ def cmd_bounds(args) -> int:
 
 def cmd_awgn(args) -> int:
     omega = args.omega if args.omega is not None else 10.0 ** (args.omega_db / 10.0)
-    if args.n_list:
-        ns = [int(v) for v in args.n_list.split(",")]
-    else:
-        ns = [int(round(v)) for v in np.geomspace(args.n_min, args.n_max, args.n_points)]
+    ns = args.n_list or [int(round(v)) for v in np.geomspace(args.n_min, args.n_max, args.n_points)]
+    # every flag is checked (ParamError, exit 2) before the first row
+    cfgs = [awgn.AwgnConfig(n, omega, args.eps) for n in ns]
     params = dict(omega=omega, eps=args.eps, oracle=args.oracle, n=",".join(str(n) for n in ns))
     lines = _manifest_lines("awgn", params, f"oracle_n_cap={_ORACLE_N_CAP}", args)
     lines.append(
-        "n,lambda_p0,lambda_p1,lambda_asym,r_lower,r_upper,r_asym,r_na,capacity,oracle_converse"
+        "n,lambda_p0,lambda_p1,lambda_asym,r_lower,r_upper,r_asym,r_na,capacity,oracle_converse,status"
     )
-    for n in ns:
-        cfg = awgn.AwgnConfig(n, omega, args.eps)
-        p = awgn.converse_bounds(cfg)
-        oc = ""
-        if args.oracle == "on" and n <= _ORACLE_N_CAP:
-            oc = _fmt(awgn.oracle_converse(cfg))
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    _fmt(p.lambda_p0),
-                    _fmt(p.lambda_p1),
-                    _fmt(p.lambda_asym),
-                    _fmt(p.r_lower),
-                    _fmt(p.r_upper),
-                    _fmt(p.r_asym),
-                    _fmt(p.r_na),
-                    _fmt(p.capacity),
-                    oc,
-                ]
-            )
-        )
+    failed = False
+    for cfg in cfgs:
+        try:
+            p = awgn.converse_bounds(cfg)
+            oc = ""
+            if args.oracle == "on" and cfg.n <= _ORACLE_N_CAP:
+                oc = _fmt(awgn.oracle_converse(cfg))
+        except TailkitError as exc:
+            # the row keeps its n, its cells stay empty, and the sweep goes on
+            print(f"tailkit: n={cfg.n}: {exc}", file=sys.stderr)
+            lines.append(f"{cfg.n},,,,,,,,,,{type(exc).__name__}")
+            failed = True
+            continue
+        cells = (p.lambda_p0, p.lambda_p1, p.lambda_asym, p.r_lower, p.r_upper, p.r_asym, p.r_na, p.capacity)
+        lines.append(",".join([str(cfg.n), *map(_fmt, cells), oc, "ok"]))
     _write_rows(args.out, lines)
-    return 0
+    return 4 if failed else 0
 
 
 def cmd_verify(args) -> int:
@@ -201,6 +194,13 @@ def _tol_override(spec: str) -> tuple[str, float]:
     if key not in DEFAULT_TOLS:
         raise argparse.ArgumentTypeError(f"unknown tolerance key {key!r} (known: {', '.join(sorted(DEFAULT_TOLS))})")
     return key, value
+
+
+def _n_list(spec: str) -> list[int]:
+    try:
+        return [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad blocklength list {spec!r} (want comma-separated integers)") from None
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -231,7 +231,7 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--omega", type=float, default=None, help="SNR, linear scale")
     g.add_argument("--omega-db", type=float, default=None, help="SNR in dB")
     a.add_argument("--eps", type=float, required=True)
-    a.add_argument("--n-list", default=None, help="comma-separated blocklengths")
+    a.add_argument("--n-list", type=_n_list, default=None, help="comma-separated blocklengths")
     a.add_argument("--n-min", type=float, default=1e3)
     a.add_argument("--n-max", type=float, default=1e6)
     a.add_argument("--n-points", type=int, default=13)
@@ -258,11 +258,16 @@ def main(argv=None) -> int:
             parser.error(f"bounds: --x-min and --x-max must be finite, got {args.x_min:g} and {args.x_max:g}")
         if not args.x_min < args.x_max:
             parser.error(f"bounds: --x-min {args.x_min:g} must lie below --x-max {args.x_max:g}")
+    if args.command == "awgn" and args.n_points < 1:
+        parser.error(f"awgn: --n-points must be at least 1, got {args.n_points}")
     try:
         return args.fn(args)
     except SeedInvalid as exc:
         print(f"tailkit: seed invalid: {exc}", file=sys.stderr)
         return 3
+    except ParamError as exc:  # a flag value outside its domain
+        print(f"tailkit: {exc}", file=sys.stderr)
+        return 2
     except TailkitError as exc:
         print(f"tailkit: {exc}", file=sys.stderr)
         return 1

@@ -12,11 +12,11 @@ verdict, threshold, limit check and residuals every iterate gets. A
 point where the candidate raises what a seed turns into a pole, or where
 it is non-positive, is undefined. ``markov_h`` and ``chernoff_h``
 evaluate the whole grid at once, and ``chernoff_h`` evaluates a float
-as a one-point grid, so a grid point has the bits of a float evaluation
-there; a user's candidate takes one float anchor and runs point by
-point through ``engine._pointwise``. Unlike an iterate, an h candidate
-carries no monotonicity requirement, so its ``monotone`` and
-``tightness_ok`` stay None.
+as a one-point grid, with the same numpy code, so a grid point has the
+bits of a float evaluation there; a user's candidate takes one float
+anchor and runs point by point through ``engine._pointwise``. Unlike an
+iterate, an h candidate carries no monotonicity requirement, so its
+``monotone`` and ``tightness_ok`` stay None.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from . import engine as eng
 from . import jet as J
-from ._kernels_py import each
 from .dist import DistributionSpec
 from .engine import Classification, GridSpec, SeedKind, TailSide
 from .errors import DomainError, MgfDiverged, ParamError
@@ -90,11 +89,6 @@ _T_RTOL = 1e-6
 _SCAN_BLOCK = 64
 
 
-def _log(v: np.ndarray) -> np.ndarray:
-    """ln v elementwise by libm, NaN where v is not positive."""
-    return each(math.log, np.where(v > 0.0, v, math.nan))
-
-
 def chernoff_h(
     mgf: Callable[[float], float],
     t_grid: list[float],
@@ -121,9 +115,9 @@ def chernoff_h(
     of that one point, with float coefficients: the scan is one array over
     t (and x), with one ``mgf`` call per t, and the refinement runs in
     lock-step over the points, each with its own bracket and stop, with
-    libm's exp and log, so a grid point gets the bits a float evaluation
-    gets there. A point stops at the first failure of its evaluation. At
-    a float anchor that failure is raised, whatever it is. On a grid, a
+    numpy's exp and log, so a grid point gets the bits a float evaluation
+    gets there. A point stops at the first failure of its evaluation. At a
+    float anchor that failure is raised, whatever it is. On a grid, a
     point where it is what a seed turns into a pole (e^{-tx} overflows,
     or ``mgf`` raises such an error) is NaN; anything else, such as
     MgfDiverged for a non-finite M(t) or branch value, the grid
@@ -159,9 +153,10 @@ def chernoff_h(
         at its first non-finite value, its column is NaN and why it stopped
         goes into ``fates``."""
         m, raised = moments(t) if mr is None else mr
-        v = m * each(math.exp, -t * x)
+        e = np.exp(-t * x)
+        v = m * np.where(e == math.inf, math.nan, e)  # NaN: e^{-tx} overflowed
         if math.isfinite(r):
-            v = v - m * each(math.exp, -t * r)
+            v = v - m * np.exp(-t * r)
         bad = ~np.isfinite(v)
         if bad.any():
             shape = v.shape
@@ -195,8 +190,8 @@ def chernoff_h(
         ln M(t) - t x, or ln v when r is finite; NaN where the log is
         not defined."""
         if math.isfinite(r):
-            return _log(v)
-        return _log(m) - t * x
+            return np.log(np.where(v > 0.0, v, math.nan))
+        return np.log(np.where(m > 0.0, m, math.nan)) - t * x
 
     def scan(x: np.ndarray, fates: dict):
         """The t-grid scan at the points x, in blocks of points to keep its
@@ -287,7 +282,7 @@ def chernoff_h(
             v[list(fates)] = math.nan
         coeffs = [v]
         if order > 0:
-            coeffs.append(-t_star * m_star * each(math.exp, -t_star * x))
+            coeffs.append(-t_star * m_star * np.exp(-t_star * x))
         if not grid:
             coeffs = [c.item() for c in coeffs]
         return Jet(anchor, tuple(coeffs) + (0.0,) * (order - 1))

@@ -56,7 +56,6 @@ class DistributionSpec:
     params: dict
     support: SupportInterval
     pdf_jet: Callable[[float, int], Jet]
-    log_pdf: Optional[Callable[[float], float]] = None
     log_pdf_jet: Optional[Callable[[float, int], Jet]] = field(default=None, repr=False)
 
 
@@ -70,10 +69,7 @@ def _spec_from_log_jet(name, params, support, log_jet):
     def pdf_jet(anchor, order: int) -> Jet:
         return J.exp(log_jet(anchor, order))
 
-    def log_pdf(x: float) -> float:
-        return log_jet(x, 0).value
-
-    return DistributionSpec(name, params, support, pdf_jet, log_pdf, log_jet)
+    return DistributionSpec(name, params, support, pdf_jet, log_jet)
 
 
 def make_gaussian(mu: float, sigma: float) -> DistributionSpec:
@@ -165,16 +161,10 @@ def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
                 break
         return total * expo
 
-    def log_pdf(x: float) -> float:
-        v = pdf_jet(x, 0).value
-        if v <= 0.0:
-            raise DomainError("log of vanished mixture PDF")
-        return math.log(v)
-
     def log_jet_mix(anchor, order: int) -> Jet:
         return J.ln(pdf_jet(anchor, order))
 
-    return DistributionSpec("noncentral_chi2", params, support, pdf_jet, log_pdf, log_jet_mix)
+    return DistributionSpec("noncentral_chi2", params, support, pdf_jet, log_jet_mix)
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,18 @@ its domain raises, as a single evaluation must: ln, sqrt or pow of a
 non-positive value, log1p at or below -1, a divisor below ``DIV_FLOOR``,
 exp above 709, a non-finite coefficient.  On a grid nothing is raised:
 a point where the scalar operation would raise becomes NaN in every
-coefficient, and NaN carries through every later operation.  The result
-of a grid pass is therefore the scalar result at every point where the
-scalar path succeeds, and NaN exactly where it raises.  ``check``
-applies the same rule to a caller's own conditions (poles, sign checks).
+coefficient, and NaN carries through every later operation.  A grid
+pass is therefore defined where the scalar path succeeds and NaN where
+it raises.  ``check`` applies the same rule to a caller's own conditions
+(poles, sign checks).
 
-Same bits on both shapes.  The coefficient recurrences live in one
+Agreement between the shapes.  The coefficient recurrences live in one
 module, ``_kernels_py``, and run in the same operation order on floats
-and arrays; numpy's elementwise + - * / round exactly as Python floats
-do.  The order-0 transcendentals are the exception: numpy's SIMD exp
-and log differ from libm in the last bit on some inputs, so they call
-the same ``math`` function per element as the scalar path
-(``_kernels_py.each``), and a grid result is bit-identical to the scalar
-one point by point.
+and arrays.  A float anchor computes with Python floats and libm, a grid
+with numpy; the order-0 transcendentals are the one place where the two
+differ (numpy's SIMD exp and log are not libm's), so a grid result
+agrees with the scalar one to a few ulp per transcendental (1e-13
+relative is what the tests require), and is NaN at the same points.
 """
 
 from __future__ import annotations
@@ -251,31 +250,30 @@ def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
     a0 = a.coeffs[0]
     args = ()
     if fn == "exp":
-        bad = a0 > 709.0  # exp overflow guard at the value level
+        ok = a0 <= 709.0  # exp overflow guard at the value level
         kernel = _k.exp
     elif fn == "ln":
-        bad = a0 <= 0.0
+        ok = a0 > 0.0
         kernel = _k.ln
     elif fn == "log1p":
-        bad = a0 <= -1.0
+        ok = a0 > -1.0
         kernel, args = _k.ln, (1.0,)
     elif fn == "sqrt":
-        bad = a0 <= 0.0
+        ok = a0 > 0.0
         kernel = _k.sqrt
     elif fn == "pow":
         if p is None:
             raise DomainError("pow needs an exponent")
-        bad = a0 <= 0.0
+        ok = a0 > 0.0
         kernel, args = _k.powr, (float(p),)
     else:
         raise DomainError(f"unknown elementary function {fn!r}")
     if isinstance(a.anchor, _ndarray):
-        # undefined inputs (NaN) and domain failures alike: the kernel
-        # sees NaN there, and its output is NaN there whatever it computes
-        bad = bad | np.isnan(a0)
+        # an undefined input (NaN) fails ``ok`` as a domain failure does:
+        # the output is NaN there whatever the kernel computes
         with np.errstate(all="ignore"):
-            return Jet(a.anchor, _nan_at(kernel(_nan_at(a.coeffs, bad), *args), bad))
-    if bad:
+            return Jet(a.anchor, _nan_at(kernel(a.coeffs, *args), ~ok))
+    if not ok:
         if fn == "exp":
             raise DomainError(f"exp of jet value {a0} overflows")
         raise DomainError(f"{fn} of jet value {a0} outside its domain")

@@ -379,8 +379,8 @@ def _series_log_scaled(mu: float, u: np.ndarray) -> np.ndarray:
         if j > 50000:
             raise ToleranceNotMet("Bessel series stalled")
     return (
-        -u + mu * _kp.each(math.log, 0.5 * u) - math.lgamma(mu + 1.0)
-        + _kp.each(math.log, total) + log_scale
+        -u + mu * np.log(0.5 * u) - math.lgamma(mu + 1.0)
+        + np.log(total) + log_scale
     )
 
 
@@ -456,13 +456,11 @@ def _scaled_seed(nu: float, u0) -> tuple:
     if series.any():
         u = u0[series]
         lsl = _series_log_scaled(nu - 1.0, u)
-        ratio = _kp.each(math.exp, _series_log_scaled(nu, u) - lsl)
+        ratio = np.exp(_series_log_scaled(nu, u) - lsl)
         lower[series] = lsl
-        upper[series] = lsl + _kp.each(math.log, ratio)
+        upper[series] = lsl + np.log(ratio)
     for i in np.flatnonzero(ok & ~series).tolist():
-        pair = log_bessel_i_scaled(nu, float(u0[i]))
-        lower[i] = pair.log_scaled_lower
-        upper[i] = pair.log_scaled_lower + math.log(pair.ratio)
+        lower[i], upper[i] = _scaled_seed(nu, float(u0[i]))
     return lower, upper
 
 
@@ -485,8 +483,9 @@ def _log_bessel_ode_coeffs(nu: float, u_coeffs: tuple) -> tuple[list, list]:
     du = tuple((k + 1) * u_coeffs[k + 1] for k in range(n))  # order n-1
 
     def conv_at(p, q, m):
-        # a plain left-to-right sum (builtin sum() of floats is compensated
-        # from Python 3.12 on, which arrays would not match)
+        # a plain left-to-right sum: builtin sum() of floats is compensated
+        # from Python 3.12 on, so it would give a float anchor other bits
+        # from one Python version to the next
         acc = 0
         for j in range(m + 1):
             acc = acc + p[j] * q[m - j]

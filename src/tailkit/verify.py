@@ -298,7 +298,7 @@ def _chk_markov_chernoff(tols):
 
     exp1 = dist.DistributionSpec(
         "exp1", {}, dist.SupportInterval(0.0, math.inf),
-        lambda a, o: J.exp(log_jet(a, o)), lambda x: -x, log_jet,
+        lambda a, o: J.exp(log_jet(a, o)), log_pdf_jet=log_jet,
     )
     h = connections.markov_h(1.0)
     cls = connections.classify_h(exp1, h, (0.5, 60.0), GridSpec(128))

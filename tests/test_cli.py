@@ -104,6 +104,15 @@ class TestBoundsCsv:
                 run(["bounds", "--dist", "gaussian", "--side", "right", "--out", str(out)] + flags + TS)
             assert exc.value.code == 2, flags
             assert not out.exists()
+        # flag values that the distribution rejects (ParamError)
+        for flags in (
+            ["--dist", "gaussian", "--sigma", "-1"],
+            ["--dist", "ncchi2", "--k", "-1"],
+            ["--dist", "beta-prime", "--alpha", "0"],
+        ):
+            rc = run(["bounds", "--side", "right", "--x-min", "1", "--x-max", "3", "--out", str(out)] + flags + TS)
+            assert rc == 2, flags
+            assert not out.exists()
 
     def test_non_finite_window_exit_2(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -143,13 +152,54 @@ class TestAwgnCsv:
         assert rc == 0
         _, header, rows = parse_csv(out)
         assert header == ["n", "lambda_p0", "lambda_p1", "lambda_asym", "r_lower",
-                          "r_upper", "r_asym", "r_na", "capacity", "oracle_converse"]
+                          "r_upper", "r_asym", "r_na", "capacity", "oracle_converse", "status"]
         byn = {int(r[0]): r for r in rows}
-        assert byn[200][-1] != ""     # oracle on, below the cap
-        assert byn[20000][-1] == ""    # above the oracle cap: blank
+        oracle = header.index("oracle_converse")
+        assert byn[200][oracle] != ""     # oracle on, below the cap
+        assert byn[20000][oracle] == ""    # above the oracle cap: blank
+        assert [r[-1] for r in rows] == ["ok", "ok"]
         assert float(byn[200][header.index("capacity")]) == 0.5
-        oc = float(byn[200][-1])
+        oc = float(byn[200][oracle])
         assert float(byn[200][4]) <= oc <= float(byn[200][5])
+
+    @pytest.mark.parametrize("n_list", ["2,1000", "1000,2"])
+    def test_failed_row_keeps_the_sweep(self, tmp_path, capsys, n_list):
+        # n = 2 has no converse (the seed fails its validity check): its row
+        # keeps n with empty cells and the error's class, the other rows are
+        # those of a sweep without it, and the exit code is 4
+        out, alone = tmp_path / "sweep.csv", tmp_path / "alone.csv"
+        flags = ["awgn", "--omega", "1", "--eps", "1e-3", "--oracle", "on"]
+        assert run(flags + ["--n-list", n_list, "--out", str(out)] + TS) == 4
+        assert "tailkit: n=2: " in capsys.readouterr().err
+        assert run(flags + ["--n-list", "1000", "--out", str(alone)] + TS) == 0
+        _, header, rows = parse_csv(out)
+        byn = {int(r[0]): r for r in rows}
+        assert [int(r[0]) for r in rows] == [int(n) for n in n_list.split(",")]
+        assert byn[2] == ["2"] + [""] * 9 + ["OutOfValidity"]
+        assert byn[1000] == parse_csv(alone)[2][0]
+        assert len(header) == 11
+
+    def test_bad_flags_exit_2(self, tmp_path):
+        out = tmp_path / "never.csv"
+        for flags in (
+            ["--n-list", "2,abc"],
+            ["--n-list", ""],
+            ["--n-points", "0"],
+            ["--n-points", "-3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run(["awgn", "--omega", "1", "--eps", "1e-3", "--out", str(out)] + flags + TS)
+            assert exc.value.code == 2, flags
+            assert not out.exists()
+        # flag values that the model rejects (ParamError), before any row
+        for flags in (
+            ["--omega", "1", "--eps", "2"],
+            ["--omega", "-1", "--eps", "1e-3"],
+            ["--omega", "1", "--eps", "1e-3", "--n-list", "1000,1"],
+            ["--omega", "1", "--eps", "1e-3", "--n-min", "1", "--n-max", "10", "--n-points", "2"],
+        ):
+            assert run(["awgn", "--out", str(out)] + flags + TS) == 2, flags
+            assert not out.exists()
 
     def test_omega_db(self, tmp_path):
         out = tmp_path / "db.csv"

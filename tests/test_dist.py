@@ -29,10 +29,6 @@ class TestGaussian:
             want = float(mp.diff(f, x0, k)) / math.factorial(k)
             assert abs(jet.coeffs[k] - want) < 1e-12 * max(1.0, abs(want))
 
-    def test_log_pdf(self):
-        g = D.make_gaussian(1.0, 2.0)
-        assert abs(g.log_pdf(3.0) - math.log(g.pdf_jet(3.0, 0).value)) < 1e-12
-
     def test_params(self):
         with pytest.raises(ParamError):
             D.make_gaussian(0.0, -1.0)

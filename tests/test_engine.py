@@ -37,7 +37,7 @@ def make_exp1():
 
     return D.DistributionSpec(
         "exp1", {}, D.SupportInterval(0.0, math.inf),
-        lambda a, o: J.exp(log_jet(a, o)), lambda x: -x, log_jet,
+        lambda a, o: J.exp(log_jet(a, o)), log_pdf_jet=log_jet,
     )
 
 
@@ -436,9 +436,10 @@ def _bits(values):
 
 def assert_batch_matches_scalar(it, xs, order=1):
     """The batched evaluator equals the scalar one at every point of xs:
-    bit-equal coefficients where the scalar call succeeds, NaN in every
-    coefficient exactly where it raises a TailkitError. Returns the number
-    of undefined points."""
+    coefficients within 1e-13 relative where the scalar call succeeds
+    (numpy's exp and log against libm's), NaN in every coefficient exactly
+    where it raises a TailkitError. Returns the number of undefined
+    points."""
     batch = it.log_evaluator(xs, order)
     assert batch.batched and batch.order == order
     undefined = 0
@@ -450,7 +451,8 @@ def assert_batch_matches_scalar(it, xs, order=1):
             assert all(math.isnan(g) for g in got), (it.index, x, got)
             undefined += 1
             continue
-        assert _bits(got) == _bits(want), (it.index, x, got, want)
+        np.testing.assert_allclose(np.array(got, dtype=float), want, rtol=1e-13, atol=0.0,
+                                   err_msg=f"iterate {it.index} at x={x}")
     return undefined
 
 
@@ -463,7 +465,7 @@ def _chain_of(dist, seed, side, depth, **kw):
 
 class TestBatchedChain:
     """One batched pass over a grid gives, point by point, what the scalar
-    evaluation gives at that point."""
+    evaluation gives at that point, to 1e-13 relative."""
 
     def _check(self, chain, xs):
         undefined = [assert_batch_matches_scalar(it, xs) for it in chain]

@@ -197,9 +197,9 @@ class TestProperties:
 
 
 class TestGridAnchor:
-    """A jet on an array anchor is the scalar jet at every point: the same
-    bits where the scalar operation succeeds, NaN in every coefficient
-    where it raises."""
+    """A jet on an array anchor is the scalar jet at every point: within
+    1e-13 relative where the scalar operation succeeds (numpy's exp and
+    log against libm's), NaN in every coefficient where it raises."""
 
     XS = np.array([-2.0, -1e-310, 0.0, 1e-310, 0.3, 1.0, 2.5, 700.0, 709.5, 800.0])
 
@@ -213,7 +213,7 @@ class TestGridAnchor:
             except TailkitError:
                 assert all(math.isnan(g) for g in got), (x, got)
                 continue
-            assert [g.hex() for g in map(float, got)] == [w.hex() for w in want], (x, got, want)
+            np.testing.assert_allclose(np.array(got, dtype=float), want, rtol=1e-13, atol=0.0, err_msg=str(x))
 
     @pytest.mark.parametrize("fn", ["ln", "sqrt", "exp", "log1p"])
     def test_elementary(self, fn):

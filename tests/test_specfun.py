@@ -199,8 +199,9 @@ class TestScaledBessel:
 class TestBesselJets:
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 5.0, 60.0, 1000.0])
     def test_grid_seed_matches_scalar(self, nu):
-        # both regimes (series, uniform, past the series cap) and every
-        # undefined input, bit for bit
+        # both regimes (series, uniform, past the series cap): within 1e-13
+        # relative (numpy's exp and log against libm's), and NaN at every
+        # undefined input
         us = np.concatenate((np.geomspace(1e-3, 2000.0, 120), [0.0, -1.0, math.nan, math.inf]))
         lower, upper = sf._scaled_seed(nu, us)
         for i, u in enumerate(us.tolist()):
@@ -209,7 +210,7 @@ class TestBesselJets:
             except DomainError:
                 assert math.isnan(lower[i]) and math.isnan(upper[i]), u
                 continue
-            assert (float(lower[i]).hex(), float(upper[i]).hex()) == tuple(w.hex() for w in want), u
+            np.testing.assert_allclose([lower[i], upper[i]], want, rtol=1e-13, atol=0.0, err_msg=str(u))
 
     def test_order0_matches_scalar(self):
         pair = sf.log_bessel_i_scaled(25.0, 40.0)
