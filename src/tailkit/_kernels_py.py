@@ -1,9 +1,12 @@
 """Jet coefficient kernels.
 
-Each kernel implements a truncated-power-series recurrence on a tuple of
-normalized Taylor coefficients (coeffs[k] = F^(k)(x)/k!).  A coefficient
-is a float, or an ndarray holding one value per grid point; the same
+Each kernel implements a truncated-power-series recurrence on a sequence
+of normalized Taylor coefficients (coeffs[k] = F^(k)(x)/k!) and returns
+a tuple.  A coefficient is a float, or an ndarray holding one value per
+grid point (a row of a grid jet's (order+1, n) array); the same
 recurrence runs on both, and no kernel updates an input array in place.
+``mul_rows`` is ``mul`` on a whole (order+1, n) array, with ``mul``'s
+bits.
 The order-0 transcendentals go through ``each``: libm on a float,
 numpy's ufunc on an array.  The two agree to a few ulp, not bit for bit
 (numpy's SIMD exp and log differ from libm in the last bit on some
@@ -56,6 +59,16 @@ def mul(a, b):
             s = s + a[j] * b[k - j]
         out[k] = s
     return tuple(out)
+
+
+def mul_rows(a, b):
+    # mul on (order+1, n) arrays, one array operation per j: coefficient k
+    # adds its terms a[j] * b[k - j] in mul's order, from 0.0, j = 0..k
+    n = len(a)
+    out = np.zeros_like(a)
+    for j in range(n):
+        out[j:] += a[j] * b[: n - j]
+    return out
 
 
 def div(a, b):

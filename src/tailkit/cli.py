@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import math
 import os
 import sys
@@ -34,6 +35,13 @@ def _fmt(x: float) -> str:
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
     return format(float(x), ".17g")
+
+
+def _format_rows(template: str, rows) -> list[str]:
+    """Each row of floats through ``template``, whose number fields are
+    %.17g, as ``_fmt`` writes a cell: %.17g writes NaN as "nan", which no
+    other cell contains, and ``_fmt`` as an empty cell."""
+    return [(template % row).replace("nan", "") for row in rows]
 
 
 def _timestamp(args) -> str:
@@ -138,11 +146,15 @@ def cmd_bounds(args) -> int:
         qs, steps, lf, _ = engine._chain(chain[-1], xs, 0)
         log_p = [lf.value + q.value for q in qs]
         columns = [np.exp(v) for v in log_p] + [abs(engine._flip(a)) for a in steps]
-    verdicts = [c.verdict.value for c in classifications]
-    thresholds = [_fmt(c.threshold) for c in classifications]
-    for x, *cells in zip(xs.tolist(), *(col.tolist() for col in columns + log_p)):
-        vals, rest = cells[:n_it], cells[n_it:]  # rest: the R_i, then the lnP_i
-        lines.append(",".join([_fmt(x)] + [_fmt(v) for v in vals] + verdicts + thresholds + [_fmt(r) for r in rest]))
+    # x and the P_i, the verdicts and thresholds (the same in every row),
+    # then the R_i and the lnP_i
+    template = ",".join(
+        ["%.17g"] * (1 + n_it)
+        + [c.verdict.value for c in classifications]
+        + [_fmt(c.threshold) for c in classifications]
+        + ["%.17g"] * (2 * n_it - 1)
+    )
+    lines += _format_rows(template, zip(xs.tolist(), *(col.tolist() for col in columns + log_p)))
     _write_rows(args.out, lines)
     return 0
 
@@ -203,7 +215,10 @@ def _n_list(spec: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad blocklength list {spec!r} (want comma-separated integers)") from None
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, each ``parse_args`` fills a fresh namespace."""
     p = argparse.ArgumentParser(prog="tailkit", description=__doc__)
     p.add_argument("--version", action="version", version=f"tailkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

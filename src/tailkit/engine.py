@@ -71,7 +71,7 @@ from .errors import (
     SeedInvalid,
     WindowTooSmall,
 )
-from .jet import MAX_ORDER, Jet, jet_shift_derivative, jet_var
+from .jet import MAX_ORDER, Jet, jet_shift_derivative, jet_var, truncate
 
 
 #: Default tolerance on the relative residual expm1(d_i) = f/(-+P_i') - 1
@@ -162,7 +162,7 @@ class BoundIterate:
 
     def log_evaluator(self, anchor, order: int) -> Jet:
         qs, _, lf, _ = _chain(self, anchor, order)
-        return _truncate(lf, order) + qs[-1]
+        return truncate(lf, order) + qs[-1]
 
     def evaluator(self, anchor, order: int) -> Jet:
         return J.exp(self.log_evaluator(anchor, order))
@@ -175,10 +175,6 @@ def _log_pdf_jet(dist: DistributionSpec, anchor, order: int) -> Jet:
     if dist.log_pdf_jet is not None:
         return dist.log_pdf_jet(anchor, order)
     return J.ln(dist.pdf_jet(anchor, order))
-
-
-def _truncate(j: Jet, order: int) -> Jet:
-    return Jet(j.anchor, j.coeffs[: order + 1])
 
 
 #: What a seed turns into a pole at one point: errors of the jet
@@ -211,7 +207,7 @@ def _pointwise(fn: Callable[[float, int], Jet], anchor, order: int) -> Jet:
             rows[:, i] = fn(x, order).coeffs
         except _UNDEFINED:
             pass
-    return Jet(anchor, tuple(rows))
+    return Jet(anchor, rows)
 
 
 def make_seed(
@@ -254,7 +250,7 @@ def make_seed(
                     f"pdf seed needs f {'decreasing' if sign < 0 else 'increasing'} at x={anchor}", margins=(d,)
                 ))
                 q = -J.ln(sign * lfd)
-                return q, jet_shift_derivative(q) / _truncate(lfd, order - 1) if order else None, lf, d
+                return q, jet_shift_derivative(q) / truncate(lfd, order - 1) if order else None, lf, d
             if seed is SeedKind.SHIFTED_PDF:  # t = 1 + (x - lo)(ln f)', a_0 = -(x - lo) t'/t^2
                 lo = dist.support.lower
                 x = J.check(jet_var(anchor, order), anchor <= lo, lambda: PoleEncountered(
@@ -262,13 +258,13 @@ def make_seed(
                 ))
                 lf = _log_pdf_jet(dist, anchor, order + 1)
                 u = x - lo
-                t = 1.0 + u * _truncate(jet_shift_derivative(lf), order)
+                t = 1.0 + u * truncate(jet_shift_derivative(lf), order)
                 d = sign * t.value
                 t = J.check(t, d <= 0.0, lambda: PoleEncountered(
                     f"shifted seed denominator sign at x={anchor}", margins=(d,)
                 ))
                 lt = J.ln(sign * t)
-                a = -(jet_shift_derivative(lt) * _truncate(u, order - 1)) / _truncate(t, order - 1) if order else None
+                a = -(jet_shift_derivative(lt) * truncate(u, order - 1)) / truncate(t, order - 1) if order else None
                 return J.ln(u) - lt, a, lf, d
             # CUSTOM_G: q_0 = ln g - ln(-+g')
             g = _pointwise(g_jet, anchor, order + 1)
@@ -278,7 +274,7 @@ def make_seed(
                 f"custom g not strictly {'decreasing' if sign < 0 else 'increasing'} at x={anchor}", margins=(d,)
             ))
             lf = _log_pdf_jet(dist, anchor, order)
-            return J.ln(_truncate(g, order)) - J.ln(sign * gd), None, lf, d
+            return J.ln(truncate(g, order)) - J.ln(sign * gd), None, lf, d
         except PoleEncountered:
             raise
         except _POINT_ERRORS as exc:
@@ -299,7 +295,7 @@ def log_chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], Jet]:
     PoleEncountered; on a grid it is NaN.
     """
     qs, _, lf, _ = _chain(it, anchor, order)
-    return [_truncate(lf, q.order) + q for q in qs], lf
+    return [truncate(lf, q.order) + q for q in qs], lf
 
 
 def _chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], list, Jet, list]:
@@ -330,7 +326,7 @@ def _chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], list, Jet, 
         if n == 0:
             break
         if k < i or a is None:
-            neg_lpd = _truncate(neg_lfd, n - 1) - jet_shift_derivative(qs[-1])  # -(ln P_k)'
+            neg_lpd = truncate(neg_lfd, n - 1) - jet_shift_derivative(qs[-1])  # -(ln P_k)'
             m = -sign * neg_lpd.value
         steps.append(a.value if a is not None else m * each(math.exp, np.minimum(q.value, 709.0)) - 1.0)
         if k == i:
@@ -342,12 +338,12 @@ def _chain(it: BoundIterate, anchor, order: int) -> tuple[list[Jet], list, Jet, 
         try:  # e = -d_k = ln(P_k/P_{k+1})
             if a is None:
                 nxt = -J.ln(J.check(-sign * neg_lpd, m <= 0.0, pole))
-                e = _truncate(qs[-1], n - 1) - nxt
+                e = truncate(qs[-1], n - 1) - nxt
             else:
                 e = J.jet_elementary(J.check(a, m <= 0.0, pole), "log1p")
-                nxt = _truncate(qs[-1], n - 1) - e
+                nxt = truncate(qs[-1], n - 1) - e
             qs.append(nxt)
-            a = jet_shift_derivative(e) / _truncate(neg_lpd, n - 2) if n > 1 else None
+            a = jet_shift_derivative(e) / truncate(neg_lpd, n - 2) if n > 1 else None
         except _POINT_ERRORS as exc:
             raise PoleEncountered(f"iterate {k + 1} at x={anchor}: {exc}") from exc
     return qs, steps, lf, margins

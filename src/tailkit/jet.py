@@ -6,10 +6,11 @@ the bound iteration needs are obtained by composing jets, never by
 symbolic algebra or repeated numeric differentiation.
 
 Scalar and batch anchors.  The anchor is a float, or a 1-D ndarray of
-points (a grid).  With a float anchor every coefficient is a float; with
-an array anchor every coefficient is an array of the anchor's shape, so
-one pass of jet arithmetic evaluates a whole grid.  Library code is
-written once for both shapes.
+n points (a grid).  With a float anchor the coefficients are a tuple of
+floats; with an array anchor they are one float array of shape
+(order + 1, n), row k holding coefficient k at every point, so one pass
+of jet arithmetic evaluates a whole grid.  Library code is written once
+for both shapes.
 
 Raising versus NaN masking.  On a scalar anchor an operation outside
 its domain raises, as a single evaluation must: ln, sqrt or pow of a
@@ -19,7 +20,13 @@ a point where the scalar operation would raise becomes NaN in every
 coefficient, and NaN carries through every later operation.  A grid
 pass is therefore defined where the scalar path succeeds and NaN where
 it raises.  ``check`` applies the same rule to a caller's own conditions
-(poles, sign checks).
+(poles, sign checks).  Each grid operation masks its own result once,
+with one ``isfinite`` over its array, and builds the result jet without
+a copy or a second check; negation and truncation keep their input's
+mask.  The public constructor ``Jet(anchor, coeffs)`` still copies and
+validates what a caller hands it (a user's jet evaluator, a special
+function's coefficients): NaN at a grid point with a non-finite
+coefficient, DomainError on a float anchor.
 
 Agreement between the shapes.  The coefficient recurrences live in one
 module, ``_kernels_py``, and run in the same operation order on floats
@@ -58,19 +65,19 @@ class Jet:
     """Immutable truncated Taylor expansion at ``anchor``.
 
     coeffs[k] is the k-th derivative divided by k!; the order is
-    len(coeffs) - 1.  With an ndarray anchor each coefficient is an
-    array of its shape, NaN at the undefined points.
+    len(coeffs) - 1.  With an ndarray anchor the coefficients are one
+    (order + 1, n) array, NaN in every row at the undefined points.
     """
 
     anchor: float | np.ndarray
-    coeffs: tuple
+    coeffs: tuple | np.ndarray
 
     # numpy scalars and arrays on the left of an operator defer to Jet
     __array_ufunc__ = None
 
     def __post_init__(self):
         coeffs = self.coeffs
-        if not coeffs:
+        if not len(coeffs):
             raise DomainError("jet needs at least one coefficient")
         if len(coeffs) - 1 > MAX_ORDER:
             raise DomainError(f"jet order {len(coeffs) - 1} exceeds cap {MAX_ORDER}")
@@ -121,27 +128,38 @@ class Jet:
         return jet_arith(_promote(other, self), self, "div")
 
     def __neg__(self):
+        if isinstance(self.anchor, _ndarray):
+            return _wrap(self.anchor, -self.coeffs)
         return Jet(self.anchor, _k.scale(self.coeffs, -1.0))
 
 
-def _grid_coeffs(shape: tuple, coeffs) -> tuple:
-    """Coefficients of a grid jet as arrays of the anchor's shape (float
-    coefficients broadcast), with every point that has a non-finite
-    coefficient set to NaN in all of them."""
+def _wrap(anchor: np.ndarray, rows: np.ndarray) -> Jet:
+    """The grid jet of ``rows``, the masked (order+1, n) result of an
+    operation, built without the public constructor's copy and check."""
+    j = object.__new__(Jet)
+    object.__setattr__(j, "anchor", anchor)
+    object.__setattr__(j, "coeffs", rows)
+    return j
+
+
+def _mask(rows: np.ndarray, bad=None) -> np.ndarray:
+    """``rows``, changed in place, with NaN in every coefficient at each
+    point where one of them is not finite or ``bad`` holds."""
+    ok = np.isfinite(rows).all(axis=0)
+    if bad is not None:
+        ok &= ~bad
+    if not ok.all():
+        rows[:, ~ok] = np.nan
+    return rows
+
+
+def _grid_coeffs(shape: tuple, coeffs) -> np.ndarray:
+    """A caller's coefficients of a grid jet as one fresh array, row k
+    coefficient k at every point (float coefficients broadcast), masked."""
     rows = np.empty((len(coeffs),) + shape)
     for row, c in zip(rows, coeffs):
         row[...] = c
-    ok = np.isfinite(rows).all(axis=0)
-    if not ok.all():
-        rows[:, ~ok] = np.nan
-    return tuple(rows)
-
-
-def _nan_at(coeffs: tuple, bad) -> tuple:
-    """Grid coefficients with the points where ``bad`` holds set to NaN."""
-    if not np.any(bad):
-        return coeffs
-    return tuple(np.where(bad, np.nan, c) for c in coeffs)
+    return _mask(rows)
 
 
 def check(a: Jet, bad, error: Callable[[], Exception]) -> Jet:
@@ -149,23 +167,44 @@ def check(a: Jet, bad, error: Callable[[], Exception]) -> Jet:
     jet raises ``error()`` there, a grid jet gets NaN in every
     coefficient at those points."""
     if isinstance(a.anchor, _ndarray):
-        return Jet(a.anchor, _nan_at(a.coeffs, bad)) if np.any(bad) else a
+        return _wrap(a.anchor, np.where(bad, np.nan, a.coeffs)) if np.any(bad) else a
     if bad:
         raise error()
     return a
+
+
+def truncate(a: Jet, order: int) -> Jet:
+    """``a`` cut to ``order``: a jet's low coefficients do not depend on
+    its order. A grid result is a view of ``a``'s rows."""
+    if isinstance(a.anchor, _ndarray):
+        return _wrap(a.anchor, a.coeffs[: order + 1])
+    return Jet(a.anchor, a.coeffs[: order + 1])
 
 
 #: a op c on the coefficients of a, with the bits of the kernels on the
 #: constant jet (c, 0, ..., 0): its zeros give x + 0.0 (turning -0.0 into
 #: 0.0) in the higher coefficients of add, x - 0.0 = x in those of sub,
 #: 0.0 - x in those of rsub (c - a), and 0.0 + x*c in every coefficient of
-#: mul (the zero products that the convolution adds first).
+#: mul (the zero products that the convolution adds first). On a grid
+#: each is one array operation with the column (c, 0, ..., 0).
 _NUMBER_OPS = {
     "add": lambda a, c: (a[0] + c, *(x + 0.0 for x in a[1:])),
     "sub": lambda a, c: (a[0] - c, *a[1:]),
     "rsub": lambda a, c: (c - a[0], *(0.0 - x for x in a[1:])),
     "mul": lambda a, c: tuple(0.0 + x * c for x in a),
 }
+_GRID_NUMBER_OPS = {
+    "add": lambda a, c: a + _column(c, len(a)),
+    "sub": lambda a, c: a - _column(c, len(a)),
+    "rsub": lambda a, c: _column(c, len(a)) - a,
+    "mul": lambda a, c: np.add(a * c, 0.0),
+}
+
+
+def _column(c: float, n: int) -> np.ndarray:
+    col = np.zeros((n, 1))
+    col[0] = c
+    return col
 
 
 def _arith(a: Jet, b, op: str) -> Jet:
@@ -177,7 +216,7 @@ def _arith(a: Jet, b, op: str) -> Jet:
     c = float(b)
     if isinstance(a.anchor, _ndarray):
         with np.errstate(all="ignore"):
-            return Jet(a.anchor, _NUMBER_OPS[op](a.coeffs, c))
+            return _wrap(a.anchor, _mask(_GRID_NUMBER_OPS[op](a.coeffs, c)))
     return Jet(a.anchor, _NUMBER_OPS[op](a.coeffs, c))
 
 
@@ -220,28 +259,25 @@ def _check_compatible(a: Jet, b: Jet):
 def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
     """Coefficient-wise arithmetic on two jets sharing anchor and order."""
     _check_compatible(a, b)
-    if op == "add":
-        kernel = _k.add
-    elif op == "sub":
-        kernel = _k.sub
-    elif op == "mul":
-        kernel = _k.mul
-    elif op == "div":
-        kernel = _k.div
-    else:
+    if op not in ("add", "sub", "mul", "div"):
         raise DomainError(f"unknown op {op!r}")
     b0 = b.coeffs[0]
     if isinstance(a.anchor, _ndarray):
         with np.errstate(all="ignore"):
-            coeffs = kernel(a.coeffs, b.coeffs)
-        if op == "div":
-            coeffs = _nan_at(coeffs, np.abs(b0) < DIV_FLOOR)
-        return Jet(a.anchor, coeffs)
+            if op == "add":
+                rows = a.coeffs + b.coeffs
+            elif op == "sub":
+                rows = a.coeffs - b.coeffs
+            elif op == "mul":
+                rows = _k.mul_rows(a.coeffs, b.coeffs)
+            else:
+                rows = np.array(_k.div(a.coeffs, b.coeffs))
+        return _wrap(a.anchor, _mask(rows, np.abs(b0) < DIV_FLOOR if op == "div" else None))
     if op == "div" and abs(b0) < DIV_FLOOR:
         raise DivisionByZeroJet(
             f"divisor leading coefficient {b0!r} below floor at x={a.anchor!r}"
         )
-    return Jet(a.anchor, kernel(a.coeffs, b.coeffs))
+    return Jet(a.anchor, getattr(_k, op)(a.coeffs, b.coeffs))  # the kernel named by op
 
 
 def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
@@ -272,7 +308,8 @@ def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
         # an undefined input (NaN) fails ``ok`` as a domain failure does:
         # the output is NaN there whatever the kernel computes
         with np.errstate(all="ignore"):
-            return Jet(a.anchor, _nan_at(kernel(a.coeffs, *args), ~ok))
+            rows = np.array(kernel(a.coeffs, *args))
+        return _wrap(a.anchor, _mask(rows, ~ok))
     if not ok:
         if fn == "exp":
             raise DomainError(f"exp of jet value {a0} overflows")
@@ -280,10 +317,17 @@ def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
     return Jet(a.anchor, kernel(a.coeffs, *args))
 
 
+#: (k + 1) for row k of a derivative's coefficients
+_DERIVATIVE_SCALE = np.arange(1.0, MAX_ORDER + 1.0)[:, None]
+
+
 def jet_shift_derivative(a: Jet) -> Jet:
     """Jet of F' at the same anchor, one order lower."""
     if a.order == 0:
         raise OrderExhausted("cannot differentiate an order-0 jet")
+    if isinstance(a.anchor, _ndarray):
+        with np.errstate(all="ignore"):
+            return _wrap(a.anchor, _mask(a.coeffs[1:] * _DERIVATIVE_SCALE[: a.order]))
     return Jet(a.anchor, tuple((k + 1) * a.coeffs[k + 1] for k in range(a.order)))
 
 

@@ -246,6 +246,44 @@ class TestVerifyCommand:
         assert "--tol" in capsys.readouterr().err
 
 
+class TestParserOnce:
+    """The parser is built once per process; one ``main`` call leaves
+    nothing behind for the next."""
+
+    ARGS = ["bounds", "--dist", "gaussian", "--side", "right", "--seed", "pdf", "--iters", "1",
+            "--x-min", "1", "--x-max", "2", "--points", "3"]
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_calls_share_no_state(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(self.ARGS + ["--out", str(a), "--timestamp", "pinned"]) == 0
+        assert run(self.ARGS + ["--out", str(b)]) == 0
+        assert b"# timestamp: pinned\n" in read(a)
+        assert b"# timestamp: 1970-01-01T00:00:00+00:00\n" in read(b)
+        assert run(["verify", "--suite", "jet", "--tol", "jet_product_rule=1e-30"]) == 1
+        assert run(["verify", "--suite", "jet"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(self.ARGS + ["--points", "0", "--out", str(b)])
+        assert exc.value.code == 2
+        assert "--points must be at least 1" in capsys.readouterr().err
+
+
+class TestRowFormat:
+    def test_rows_equal_the_per_cell_join(self):
+        # every row through one %-template, against _fmt on every cell
+        cells = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                 1.0 / 3.0, -1e300, 12345678901234567.0]
+        fixed = ["U", "X", cli._fmt(None), cli._fmt(math.nan), cli._fmt(0.1)]
+        template = ",".join(["%.17g"] * 5 + fixed + ["%.17g"] * 5)
+        rows = [tuple(cells), tuple(reversed(cells)), tuple(cells[1:] + cells[:1])]
+        want = [",".join([cli._fmt(v) for v in row[:5]] + fixed + [cli._fmt(v) for v in row[5:]]) for row in rows]
+        assert cli._format_rows(template, rows) == want
+        assert want[0].startswith("-0,,,inf,-inf,U,X,,,0.10000000000000001,4.9406564584124654e-324,")
+
+
 _FIGS = [
     ["--dist", "gaussian", "--mu", "-1.7", "--sigma", "1.9", "--side", "right", "--seed", "pdf",
      "--x-min", "1", "--x-max", "30"],

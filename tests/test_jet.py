@@ -313,3 +313,92 @@ class TestNumberOperand:
         g = Jet(self.XS, (self.XS, np.ones(5))) / 1e-301
         assert np.isnan(g.coeffs[0]).all()
         assert (a / 4.0).coeffs == jet_arith(a, jet_const(4.0, 0.5, 1), "div").coeffs
+
+
+class TestGridLayout:
+    """A grid jet holds its coefficients as one float (order+1, n) array.
+    Each operation masks its own result (NaN in every coefficient at a
+    point where one is not finite) and builds the result jet without the
+    public constructor, which still copies and masks a caller's
+    coefficients."""
+
+    XS = np.array([0.5, 1.0, 2.0])
+
+    def _jet(self, order=3):
+        rows = [np.array([1.0, 2.0, 3.0])] + [np.array([0.5, -0.25, 1.5]) * k for k in range(1, order + 1)]
+        return Jet(self.XS, tuple(rows))
+
+    OPS = {
+        "add": lambda a: a + a,
+        "sub": lambda a: a - a,
+        "mul": lambda a: a * a,
+        "div": lambda a: a / a,
+        "number-add": lambda a: a + 2.0,
+        "number-sub": lambda a: a - 2.0,
+        "number-rsub": lambda a: 2.0 - a,
+        "number-mul": lambda a: 2.0 * a,
+        "number-div": lambda a: a / 2.0,
+        "neg": lambda a: -a,
+        "check": lambda a: J.check(a, a.anchor > 1.5, lambda: DomainError("x")),
+        "shift-derivative": jet_shift_derivative,
+        "exp": J.exp,
+        "ln": J.ln,
+        "log1p": lambda a: jet_elementary(a, "log1p"),
+        "sqrt": J.sqrt,
+        "pow": lambda a: J.powj(a, 1.7),
+        "truncate": lambda a: J.truncate(a, 1),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_one_float_array(self, op):
+        a = self._jet()
+        out = self.OPS[op](a)
+        assert isinstance(out.coeffs, np.ndarray) and out.coeffs.dtype == np.float64
+        assert out.coeffs.shape == (out.order + 1, self.XS.size)
+        assert out.batched and out.anchor is a.anchor
+
+    @pytest.mark.parametrize("op", sorted(set(OPS) - {"number-div"}))
+    def test_op_results_skip_the_constructor(self, monkeypatch, op):
+        a = self._jet()
+
+        def built(self):
+            raise AssertionError("grid op result re-validated")
+
+        monkeypatch.setattr(Jet, "__post_init__", built)
+        self.OPS[op](a)
+
+    # at the last point the results' coefficient 0 is finite (9, 12 and 1)
+    # and only a higher one overflows
+    @pytest.mark.parametrize("build", [
+        lambda a: a * a,  # 2 a0 a2 + a1^2
+        lambda a: a * 4.0,
+        jet_shift_derivative,  # 2 a2
+    ], ids=["mul", "number-mul", "shift-derivative"])
+    def test_higher_coefficient_overflow_masks_the_point(self, build):
+        a = Jet(self.XS, (np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 1.0]), np.array([0.25, 1.0, 1e308])))
+        out = build(a)
+        assert np.isnan(out.coeffs[:, 2]).all()
+        for i, x in enumerate(self.XS.tolist()[:2]):
+            point = build(Jet(x, tuple(float(c[i]) for c in a.coeffs)))
+            assert out.coeffs[:, i].tolist() == list(point.coeffs)
+        with pytest.raises(DomainError, match="non-finite"):
+            build(Jet(3.0, tuple(float(c[2]) for c in a.coeffs)))
+
+    def test_public_constructor_masks_and_copies(self):
+        first = np.array([1.0, 2.0, 3.0])
+        second = np.array([math.inf, 0.5, math.nan])
+        j = Jet(self.XS, (first, second, 4.0))
+        assert j.coeffs.shape == (3, 3)
+        assert np.isnan(j.coeffs[:, 0]).all() and np.isnan(j.coeffs[:, 2]).all()
+        assert j.coeffs[:, 1].tolist() == [2.0, 0.5, 4.0]
+        assert first.tolist() == [1.0, 2.0, 3.0] and math.isinf(second[0])
+        again = Jet(self.XS, j.coeffs)
+        assert again.coeffs is not j.coeffs
+
+    def test_masking_never_writes_into_an_input(self):
+        a = self._jet()
+        before = a.coeffs.copy()
+        J.check(a, self.XS > 1.5, lambda: DomainError("x"))
+        J.truncate(a, 1) * 1e308  # masks every point of a result made from a view
+        -J.truncate(a, 2) + math.inf
+        np.testing.assert_array_equal(a.coeffs, before)
