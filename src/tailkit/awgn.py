@@ -240,27 +240,50 @@ class Lambda(float):
 
 
 def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> Lambda:
-    """lambda with bound(n*lambda) = eps, by Illinois on the log bound.
-
-    The bracket is seeded from the asymptotic correction; both endpoints
-    are pushed until they straddle ln(eps).  The bound decreases in
-    lambda and blows up at the validity threshold just above
+    """lambda with bound(n*lambda) = eps, by ``_solve_md`` on the log
+    bound. The bound blows up at the validity threshold just above
     lambda0 = 1 + 1/Omega, so the low endpoint always reaches a value
-    above eps when n >= n0.  The root finder (``rootfind.illinois``)
-    stops at a log residual of 1e-10 or at ulp width; a step that lands
-    below the validity threshold moves the low end.  The result is a
-    float that carries the residual reached (``Lambda.log_residual``).
+    above eps when n >= n0. The solve stops at a log residual of 1e-10
+    or at ulp width; the result is a float that carries the residual
+    reached (``Lambda.log_residual``).
     """
     if which not in ("p0", "p1"):
         raise DomainError("which must be 'p0' or 'p1'")
     log_bound = log_p0_md if which == "p0" else log_p1_md
+    lam, resid = _solve_md(cfg, lambda lam: log_bound(cfg, lam), 1e-10, which)
+    return Lambda(lam, abs(resid))
+
+
+def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
+    """Exact lambda: the root of ln Pr{ncx2(n, n/Omega) > n lambda} = ln eps,
+    with the survival function from the series oracle (tol is its
+    truncation tolerance), by ``_solve_md`` until the bracket is at ulp
+    width or the residual reaches rounding level."""
+    n, s_md = cfg.n, cfg.n / cfg.omega
+    f_tol = 4.0 * _ULP * abs(math.log(cfg.eps))
+    return _solve_md(cfg, lambda lam: oracle.ncchi2_sf_log(n, s_md, n * lam, tol), f_tol, "oracle")[0]
+
+
+def _solve_md(cfg: AwgnConfig, log_tail, f_tol: float, which: str) -> tuple[float, float]:
+    """The root of log_tail(lambda) = ln eps, with log_tail decreasing in
+    lambda, and log_tail - ln eps there: Illinois (``rootfind.illinois``)
+    to a residual of f_tol or ulp width. A lambda where log_tail raises
+    OutOfValidity or PoleEncountered is undefined, and a step that lands
+    there moves the low end. ``which`` names the solve in BracketFailed.
+
+    The bracket is seeded from the asymptotic correction
+    corr = lambda_asym - lambda0, at lambda0 + corr/50 and lambda0 + 2 corr,
+    and pushed until it straddles ln eps: the low end moves up (x1.5 from
+    lambda0) where the tail is undefined and toward lambda0 (x0.25) where
+    it is below eps, and the high end doubles its distance from lambda0.
+    """
     target = math.log(cfg.eps)
     lam_0 = lambda0(cfg.omega)
     corr = lambda_asymptotic(cfg) - lam_0
 
     def excess(lam: float) -> float | None:
         try:
-            return log_bound(cfg, lam) - target
+            return log_tail(lam) - target
         except (OutOfValidity, PoleEncountered):
             return None
 
@@ -291,45 +314,7 @@ def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> Lambda:
 
     if hi <= lo:
         raise BracketFailed(f"degenerate bracket for {which} at n={cfg.n}")
-    lam, resid = rootfind.illinois(excess, lo, hi, f_lo, f_hi, 1e-10)
-    return Lambda(lam, abs(resid))
-
-
-def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
-    """Exact lambda: the root of ln Pr{ncx2(n, n/Omega) > n lambda} = ln eps,
-    with the survival function from the series oracle (tol is its
-    truncation tolerance).
-
-    The bracket is pushed from the asymptotic correction until it
-    straddles ln eps; then Illinois (regula falsi that halves the stale
-    end's value when the same end is kept twice) runs on the log survival,
-    which is smooth and nearly linear in lambda near the root, until the
-    bracket is at ulp width or the residual reaches rounding level."""
-    n, om = cfg.n, cfg.omega
-    s_md = n / om
-    target = math.log(cfg.eps)
-
-    def excess(lam: float) -> float:
-        return oracle.ncchi2_sf_log(n, s_md, n * lam, tol) - target
-
-    lam_0 = lambda0(om)
-    corr = lambda_asymptotic(cfg) - lam_0
-    lo, hi = lam_0 + corr * 1e-3, lam_0 + 2.0 * corr
-    for _ in range(40):
-        f_lo = excess(lo)
-        if f_lo > 0.0:
-            break
-        lo = lam_0 + (lo - lam_0) * 0.25
-    else:
-        raise BracketFailed(f"oracle MD tail below eps all the way to lambda0 at n={n}")
-    for _ in range(40):
-        f_hi = excess(hi)
-        if f_hi < 0.0:
-            break
-        hi = lam_0 + (hi - lam_0) * 2.0
-    else:
-        raise BracketFailed(f"oracle MD tail above eps on the whole bracket at n={n}")
-    return rootfind.illinois(excess, lo, hi, f_lo, f_hi, 4.0 * _ULP * abs(target))[0]
+    return rootfind.illinois(excess, lo, hi, f_lo, f_hi, f_tol)
 
 
 def oracle_converse(cfg: AwgnConfig, tol: float = 1e-11) -> float:

@@ -2,9 +2,10 @@
 1971), regula falsi that halves the value kept at an end which two steps
 in a row left in place, so that both ends close in superlinearly.
 
-It serves the AWGN lambda solves (``awgn.solve_lambda``,
-``awgn.oracle_lambda``) and the validity thresholds of
-``engine.classify``.
+It serves the AWGN lambda solves (``awgn.solve_lambda`` and
+``awgn.oracle_lambda``, through ``awgn._solve_md``), the inverse
+Gaussian Q function (``specfun.gaussian_q_inverse``) and the validity
+thresholds of ``engine.classify``.
 """
 
 from __future__ import annotations

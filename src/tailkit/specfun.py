@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels_py as _kp
-from . import jet as J
+from . import rootfind
 from .errors import DomainError, ToleranceNotMet
 from .jet import Jet
 
@@ -56,10 +56,13 @@ def gaussian_q(x: float) -> float:
 
 
 def gaussian_q_inverse(eps: float) -> float:
-    """x such that Q(x) = eps, to 1e-10 relative in Q.
+    """x such that Q(x) = eps, to 1e-10 relative in Q where Q is a normal
+    double.
 
-    Bisection brackets the root, Newton (on log Q, stable for tiny eps)
-    polishes it.
+    Illinois (``rootfind.illinois``) on ln Q(x) - ln eps over
+    [0, sqrt(-2 ln eps)]: Q(x) <= e^{-x^2/2}/2, so at the right end ln Q
+    lies at least ln 2 below ln eps. Where Q underflows to 0, ln Q is
+    -inf, and the root finder bisects there.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("gaussian_q_inverse needs eps in (0, 1)")
@@ -69,24 +72,13 @@ def gaussian_q_inverse(eps: float) -> float:
         return -gaussian_q_inverse(1.0 - eps)
 
     target = math.log(eps)
-    lo, hi = 0.0, math.sqrt(-2.0 * target) + 3.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if math.log(gaussian_q(mid)) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
+
+    def excess(x: float) -> float:
         q = gaussian_q(x)
-        phi = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        dx = (math.log(q) - target) * q / phi
-        x += dx
-        if abs(dx) < 1e-15 * (1.0 + abs(x)):
-            break
-    return x
+        return (math.log(q) if q > 0.0 else -math.inf) - target
+
+    hi = math.sqrt(-2.0 * target)
+    return rootfind.illinois(excess, 0.0, hi, excess(0.0), excess(hi), 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -95,48 +87,41 @@ def gaussian_q_inverse(eps: float) -> float:
 
 def reg_inc_gamma_P(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x), 1e-12 relative target."""
-    if a <= 0.0 or not math.isfinite(a):
-        raise DomainError("reg_inc_gamma_P needs a > 0")
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError("reg_inc_gamma_P needs x >= 0")
-    if x == 0.0:
-        return 0.0
-    lead = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        # series converges fast on this side
-        return min(1.0, max(0.0, _gamma_p_series_h(a, x) * math.exp(lead)))
-    return min(1.0, max(0.0, 1.0 - math.exp(lead) * _gamma_q_cf_h(a, x)))
+    return min(1.0, math.exp(_log_inc_gamma(a, x, False, "reg_inc_gamma_P")))
 
 
 def log_reg_inc_gamma_P(a: float, x: float) -> float:
     """ln P(a, x), usable where P underflows doubles (deep left tails of
     the gamma family, e.g. false-alarm CDFs at large blocklength)."""
-    if a <= 0.0 or x < 0.0:
-        raise DomainError("log_reg_inc_gamma_P needs a > 0, x >= 0")
-    if x == 0.0:
-        return -math.inf
-    lead = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        return lead + math.log(_gamma_p_series_h(a, x))
-    ln_q = lead + math.log(_gamma_q_cf_h(a, x))
-    if ln_q >= 0.0:
-        return -math.inf
-    return math.log1p(-math.exp(ln_q))
+    return _log_inc_gamma(a, x, False, "log_reg_inc_gamma_P")
 
 
 def log_reg_inc_gamma_Q(a: float, x: float) -> float:
     """ln Q(a, x) = ln(1 - P(a, x)), usable where Q underflows doubles
-    (deep right tails).  For x >= a + 1 it comes straight from the
-    continued fraction; below, Q >= Q(a, a + 1) and 1 - P from the series
-    loses little."""
-    if a <= 0.0 or x < 0.0:
-        raise DomainError("log_reg_inc_gamma_Q needs a > 0, x >= 0")
+    (deep right tails)."""
+    return _log_inc_gamma(a, x, True, "log_reg_inc_gamma_Q")
+
+
+def _log_inc_gamma(a: float, x: float, upper: bool, name: str) -> float:
+    """ln Q(a, x) if ``upper``, else ln P(a, x). Both are e^{a ln x - x -
+    lgamma(a)} times a sum: the series gives P below x = a + 1, the
+    continued fraction Q above. For x >= a + 1, ln Q comes straight from
+    the fraction; below, Q >= Q(a, a + 1) and 1 - P from the series loses
+    little."""
+    if a <= 0.0 or not math.isfinite(a):
+        raise DomainError(f"{name} needs a > 0")
+    if x < 0.0 or not math.isfinite(x):
+        raise DomainError(f"{name} needs x >= 0")
     if x == 0.0:
-        return 0.0
+        return 0.0 if upper else -math.inf
     lead = a * math.log(x) - x - math.lgamma(a)
     if x < a + 1.0:
-        return math.log1p(-min(1.0, math.exp(lead) * _gamma_p_series_h(a, x)))
-    return min(0.0, lead + math.log(_gamma_q_cf_h(a, x)))
+        h = _gamma_p_series_h(a, x)
+        return math.log1p(-min(1.0, math.exp(lead) * h)) if upper else lead + math.log(h)
+    ln_q = lead + math.log(_gamma_q_cf_h(a, x))
+    if upper:
+        return min(0.0, ln_q)
+    return -math.inf if ln_q >= 0.0 else math.log1p(-math.exp(ln_q))
 
 
 def _gamma_p_series_h(a: float, x: float) -> float:
@@ -284,8 +269,6 @@ class ScaledBesselPair:
 
     log_scaled_lower: float
     ratio: float
-    nu: float
-    u: float
 
 
 def _gen_debye_u(kmax: int) -> list[list[Fraction]]:
@@ -355,33 +338,27 @@ def _series_regime(nu: float, u):
 
 def _series_log_scaled(mu: float, u: np.ndarray) -> np.ndarray:
     # ln(e^{-u} I_mu(u)) by the ascending series at every element of u (a
-    # float goes in as a one-point array), renormalized so the partial sum
-    # never overflows. The loop runs until the slowest element stops, and
-    # an element that has stopped gains nothing from the extra terms (each
-    # is below half an ulp of its total), so each result has the bits it
-    # gets on its own
+    # float goes in as a one-point array). The sum of positive terms is
+    # Gamma(mu+1) (u/2)^{-mu} I_mu(u), and under _series_regime it stays
+    # below e^49, far from overflow: it is at most I_0(u) < e^30 for
+    # u < 30, and about e^{u/8} where u < nu/2, up to the u cap; its
+    # largest value, ln = 48.6, is at nu just above 800, u = 400. The loop
+    # runs until the slowest element stops, and an element that has
+    # stopped gains nothing from the extra terms (each is below half an
+    # ulp of its total), so each result has the bits it gets on its own
     q = 0.25 * u * u
     term = np.ones_like(u)
     total = np.ones_like(u)
-    log_scale = np.zeros_like(u)
     j = 0
     while True:
         j += 1
         term = term * (q / (j * (mu + j)))
         total = total + term
-        big = total > 1e250
-        if big.any():
-            total = np.where(big, total * 1e-250, total)
-            term = np.where(big, term * 1e-250, term)
-            log_scale = np.where(big, log_scale + 250.0 * math.log(10.0), log_scale)
         if (term < total * 1e-18).all():
             break
         if j > 50000:
             raise ToleranceNotMet("Bessel series stalled")
-    return (
-        -u + mu * np.log(0.5 * u) - math.lgamma(mu + 1.0)
-        + np.log(total) + log_scale
-    )
+    return -u + mu * np.log(0.5 * u) - math.lgamma(mu + 1.0) + np.log(total)
 
 
 def _uniform_log_scaled(mu: float, u: float) -> float:
@@ -436,7 +413,7 @@ def log_bessel_i_scaled(nu: float, u: float) -> ScaledBesselPair:
         else:
             # order below 1: evaluate at order nu and peel the ratio off
             lsl = _uniform_log_scaled(nu, u) - math.log(ratio)
-    return ScaledBesselPair(lsl, ratio, nu, u)
+    return ScaledBesselPair(lsl, ratio)
 
 
 def _scaled_seed(nu: float, u0) -> tuple:
@@ -521,12 +498,3 @@ def log_bessel_i_jet(nu: float, u: Jet) -> tuple[Jet, Jet]:
     a, b = _log_bessel_ode_coeffs(nu, u.coeffs)
     return Jet(u.anchor, tuple(a)), Jet(u.anchor, tuple(b))
 
-
-def bessel_i_jet(nu: float, u: Jet) -> tuple[Jet, Jet]:
-    """Jets of the exponentially scaled pair (e^{-u}I_{nu-1}, e^{-u}I_nu)
-    along u(x), with the common factor e^{-u} tracked once inside the
-    propagated ODE system."""
-    if u.coeffs[0] <= 0.0:
-        raise DomainError("bessel_i_jet needs u > 0 at the anchor")
-    la, lb = log_bessel_i_jet(nu, u)
-    return J.exp(la), J.exp(lb)

@@ -97,6 +97,18 @@ class TestMarkovH:
         # here (x^2 e^{-x} <= 1 everywhere), so the whole window verifies
         assert cls.threshold == 0.5
 
+    @pytest.mark.parametrize("c,near", [(0.3, 3.952842874573293), (0.5, 2.617866613)])
+    def test_step_driven_threshold(self, c, near):
+        # no margin fails at the failing grid point: the threshold is
+        # where the step crosses the tolerance, the right root of
+        # x^2 e^{-x} = c (1 + tol), and it lies on the root's passing side
+        window = (0.5, 20.0)
+        cls = C.classify_h(make_exp1(), C.markov_h(c), window)
+        assert cls.verdict is Verdict.UPPER
+        root = float(mp.findroot(lambda x: 2 * mp.log(x) - x - mp.log(c * (1 + mp.mpf(cls.tol))), near))
+        assert abs(root - near) < 1e-9
+        assert root <= cls.threshold <= root + 1e-10 * (window[1] - window[0])
+
     def test_looser_than_engine_seed(self):
         # the g = f seed for Exp(1) is the exact tail e^{-x}
         for x in np.geomspace(1.0, 40.0, 30):
@@ -476,6 +488,37 @@ class TestGridCandidates:
             h.evaluator(_FIG1_GRID, 1)
         with pytest.raises(MgfDiverged):
             C.classify_h(D.make_gaussian(0.0, 1.0), h, (1.0, 30.0))
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_raising_mgf_above_a_t(self, error):
+        # mgf raises above t = 5, which every point's scan reaches: a float
+        # anchor raises it; on the grid, an error a seed turns into a pole
+        # (ValueError) leaves every point NaN, and any other is raised
+        mgf = _gauss_mgf(0.0, 1.0)
+
+        def raising(t):
+            if t > 5.0:
+                raise error("no moment above t = 5")
+            return mgf(t)
+
+        h = C.chernoff_h(raising, list(np.linspace(0.05, 12.0, 80)))
+        with pytest.raises(error, match="no moment"):
+            h.evaluator(2.0, 1)
+        if error is ValueError:
+            jet = h.evaluator(_FIG1_GRID, 1)
+            assert _FIG1_GRID.size == 512
+            assert all(np.isnan(c).all() for c in jet.coeffs)
+        else:
+            with pytest.raises(error, match="no moment"):
+                h.evaluator(_FIG1_GRID, 1)
+
+    def test_branch_non_finite(self):
+        # M(t) is finite but M(t) e^{-tx} overflows at t = 2, x = -10
+        h = C.chernoff_h(lambda t: 1e300, [1.0, 2.0, 12.0])
+        for anchor in (-10.0, np.array([-10.0, 1.0])):
+            with pytest.raises(MgfDiverged) as info:
+                h.evaluator(anchor, 1)
+            assert str(info.value) == "Chernoff branch non-finite at t=2.0, x=-10.0"
 
     def test_failed_grid_pass_raises(self):
         # an evaluator that takes the grid and fails on it fails the pass,

@@ -289,6 +289,29 @@ class TestRunAlgorithm:
         assert res.p_l.index == 1 and res.p_u is None
         assert res.stop_reason == "invalid-iterate"
 
+    def test_upper_stored_after_upper(self):
+        # the direct-h seed E/x is an upper bound, and so is P1: the
+        # storage branch after an upper keeps the newer upper
+        h = connections.markov_h(1.0).evaluator
+        res = E.run_algorithm(make_exp1(), SeedKind.DIRECT_H, TailSide.RIGHT, 2.0, 4, (2.0, 60.0), h_jet=h)
+        assert [v.value for v in res.verdicts] == ["U", "U", "U", "L", "U"]
+        assert res.p_l.index == 3 and res.p_u.index == 2
+        assert res.stop_reason == "tightness-failed"
+
+    def test_tightness_fails_after_upper(self):
+        bp = D.make_beta_prime(0.5, 3.0)
+        res = E.run_algorithm(bp, SeedKind.PDF, TailSide.RIGHT, 0.5, 4, (0.5, 3.0))
+        assert [v.value for v in res.verdicts] == ["L", "U", "L"]
+        assert res.p_l is None and res.p_u.index == 1
+        assert res.stop_reason == "tightness-failed"
+
+    def test_lower_stored_after_lower(self):
+        bp = D.make_beta_prime(2.1, 1.3)
+        res = E.run_algorithm(bp, SeedKind.PDF, TailSide.RIGHT, 2.0, 4, (2.0, 60.0))
+        assert [v.value for v in res.verdicts] == ["L", "L", "U"]
+        assert res.p_l.index == 1 and res.p_u is None
+        assert res.stop_reason == "tightness-failed"
+
     def test_window_must_anchor_at_x0(self, g01):
         with pytest.raises(DomainError):
             E.run_algorithm(g01, SeedKind.PDF, TailSide.RIGHT, 2.0, 2, (1.0, 8.0))
