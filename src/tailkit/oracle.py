@@ -3,7 +3,7 @@
 Adaptive quadrature of any distribution's PDF plus closed reference CDFs
 (erfc-based Gaussian, incomplete-beta beta prime, and both tails of the
 non-central chi-squared as Poisson mixtures of incomplete gammas, summed
-by recurrence).  Everything the acceptance tests compare bounds against
+in swapped order).  Everything the acceptance tests compare bounds against
 comes from here, through code paths independent of the jet engine.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,71 +117,88 @@ def beta_prime_cdf(alpha: float, beta: float, x: float) -> float:
 
 
 # The non-central chi-squared tails are Poisson(s/2) mixtures of central
-# ones: with a = k/2 and y = x/2,
+# ones: with a = k/2, y = x/2 and w_j = Pois(j; s/2),
+#   F(x) = sum_j w_j P(a + j, y),   1 - F(x) = sum_j w_j Q(a + j, y).
+# With Q(b + 1, y) = Q(b, y) + t_b, P(b, y) = P(b + 1, y) + t_b and t_b =
+# y^b e^{-y} / Gamma(b + 1) = Pois(b; y) (Ding 1992, AS 275), one incomplete
+# gamma at one end of an index window j0 .. J gives the rest, and the sums
+# are taken in swapped order, with t_i = t_{a+i}:
+#   sum_j w_j Q_j = Q_{j0} T_{j0} + sum_{j0<=i<J} t_i T_{i+1},   T_i = sum_{j=i..J} w_j,
+#   sum_j w_j P_j = P_J H_J + sum_{i<J} t_i H_i,                 H_i = sum_{j<=i} w_j.
 #
-#   F(x) = sum_j Pois(j; s/2) P(a + j, y),   1 - F(x) = sum_j Pois(j; s/2) Q(a + j, y).
-#
-# Across the mixture index the regularized incomplete gammas obey
-#
-#   Q(b + 1, y) = Q(b, y) + t_b,   P(b, y) = P(b + 1, y) + t_b,
-#   t_b = y^b e^{-y} / Gamma(b + 1)
-#
-# (Ding 1992, AS 275; Benton & Krishnamoorthy 2003), so one incomplete-gamma
-# evaluation at one end of the index window gives the whole window: Q
-# upward from the bottom, P downward from the top.  Every step adds a
-# positive term, so nothing cancels; the sums are accumulated in log space
-# and each ln t_b and Poisson weight takes its own lgamma.
+# T and H depend on (k, s) only; no term is negative.  ln w_j and ln t_b
+# are in Loader's (2000) form c(z) - bd0(z, mu), free of the O(z)
+# cancellation in z ln mu - mu - lgamma(z + 1): c(z) = -stirlerr(z) -
+# ln(2 pi z)/2, bd0(z, mu) = z log1p((z - mu)/mu) - (z - mu), stirlerr(z) =
+# lgamma(z + 1) - (z + 1/2) ln z + z - ln(2 pi)/2 ~ sum_i _STIRLERR[i] z^-(2i+1).
+_STIRLERR = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _loader_c(z: np.ndarray) -> np.ndarray:
+    """c(z) over an ascending z > 0: the Stirling series from z = 10 on
+    (the first term left out is below 4e-17 there), lgamma below."""
+    n = int(np.searchsorted(z, 10.0))
+    big, ser = z[n:], 0.0
+    for coef in reversed(_STIRLERR):
+        ser = ser / (big * big) + coef
+    small = [v * math.log(v) - v - math.lgamma(v + 1.0) for v in z[:n].tolist()]
+    return np.concatenate((small, -ser / big - 0.5 * np.log(2.0 * math.pi * big)))
+
+
+def _log_pois(z: np.ndarray, mu: float, c: np.ndarray) -> np.ndarray:
+    # c - bd0(z, mu) at z > 0: ln Pois(z; mu) for c = _loader_c(z)
+    d = z - mu
+    return c - (z * np.log1p(d / mu) - d)
+
+
+class _Window(NamedTuple):
+    """What one tail's swapped sum over j0 .. J needs that x does not change."""
+    j0: int
+    j1: int  # J
+    rem_above: float  # ln of the Poisson mass bound above J
+    rem_below: float  # ln of the one below j0 (-inf if j0 = 0)
+    mass_edge: float  # ln H_J (CDF), ln T_{j0} (survival)
+    b: np.ndarray  # the orders a + i of the t_i, i = j0 .. J - 1
+    pre: np.ndarray  # c(b) + ln H_i (CDF), c(b) + ln T_{i+1} (survival)
 
 
 @lru_cache(maxsize=8)
-def _window(k: float, s: float, from_zero: bool) -> tuple:
-    """The mixture index window and what over it does not depend on x.
-
-    Returns m = s/2, the first index j0, and over j = j0 .. J the orders
-    b = k/2 + j, ln Pois(j; m) and lgamma(b + 1).  The window is
-    [max(0, m - W), m + W] (from 0 for the CDF), W = 40 sqrt(m + 1) + 50:
-    about 40 standard deviations of the Poisson either side of its mean,
-    plus a margin for small m.  It is not centred on the summand's peak,
-    which in the deep right tail sits above the Poisson mean; the
-    remainder check in ``_log_mixture`` catches a window that misses it.
-    Cached, so the repeated tails of one root solve share it."""
+def _window(k: float, s: float, from_zero: bool, widths: int) -> _Window:
+    """One tail's window j in [max(0, m - W), m + W] (from 0 for the CDF),
+    m = s/2, W = 40 sqrt(m + 1) + 50, its top raised ``widths`` widths.  A
+    window that misses the summand's peak (above the mean in the deep right
+    tail) fails the remainder check, with sum_{j>J} w_j <= w_{J+1} / (1 -
+    m/(J+2)) and sum_{j<j0} w_j <= w_{j0-1} / (1 - (j0-1)/m).  Cached."""
     m = 0.5 * s
     w = 40.0 * math.sqrt(m + 1.0) + 50.0
     j0 = 0 if from_zero else max(0, int(m - w))
-    j = np.arange(j0, int(m + w) + 1, dtype=float)
-    b = 0.5 * k + j
-    ln_w = j * math.log(m) - m - _lgamma(j + 1.0)
-    lg = _lgamma(b + 1.0)
-    for arr in (b, ln_w, lg):
+    j1 = int(m + w) + widths * (int(m + w) - j0 + 1)
+    j = np.arange(max(j0, 1), j1 + 1, dtype=float)
+    ln_w = np.concatenate(([-m] if j0 == 0 else [], _log_pois(j, m, _loader_c(j))))  # w_0 = e^-m
+    rem_above = float(ln_w[-1]) + math.log(m / (j1 + 1)) - math.log1p(-m / (j1 + 2))
+    rem_below = float(ln_w[0]) + math.log(j0 / m) - math.log1p(-(j0 - 1) / m) if j0 else -math.inf
+    b = 0.5 * k + np.arange(j0, j1, dtype=float)
+    if from_zero:
+        mass = np.logaddexp.accumulate(ln_w)
+        mass_edge, pre = mass[-1], _loader_c(b) + mass[:-1]
+    else:
+        mass = np.logaddexp.accumulate(ln_w[::-1])[::-1]
+        mass_edge, pre = mass[0], _loader_c(b) + mass[1:]
+    for arr in (b, pre):
         arr.flags.writeable = False
-    return m, j0, b, ln_w, lg
+    return _Window(j0, j1, rem_above, rem_below, float(mass_edge), b, pre)
 
 
-def _lgamma(v: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, v.tolist()), float, len(v))
-
-
-def _log_mixture(
-    m: float, j0: int, ln_w: np.ndarray, ln_g: np.ndarray, ln_g_above: float, tol: float, where: str
-) -> float:
-    """ln sum_j Pois(j; m) g_j over the window j0 .. J, from ln Pois and ln g.
-
-    Outside the window the sum is bounded through the Poisson tails,
-    sum_{j>J} w_j <= w_{J+1} / (1 - m/(J+2)) and
-    sum_{j<j0} w_j <= w_{j0-1} / (1 - (j0-1)/m), times the largest g there:
-    ``ln_g_above`` above the window and g_{j0} below it (g rises in j
-    wherever j0 > 0 is used).  Both remainders must fall below tol
-    relative to the total."""
-    j1 = j0 + len(ln_g) - 1
-    v = ln_w + ln_g
+def _log_mixture(win: _Window, y: float, ln_g_edge: float, ln_g_above: float, tol: float, where: str) -> float:
+    """ln sum_j Pois(j; s/2) g_j over the window in swapped order, from ln g_edge
+    (ln P(a + J, y) or ln Q(a + j0, y)).  The Poisson mass outside times the largest
+    g there (``ln_g_above`` above, g_{j0} below) must fall below tol of the total."""
+    v = np.concatenate(([ln_g_edge + win.mass_edge], _log_pois(win.b, y, win.pre)))
     top = float(v.max())
     total = top + math.log(float(np.exp(v - top).sum()))
-    rem = float(ln_w[-1]) + math.log(m / (j1 + 1)) - math.log1p(-m / (j1 + 2)) + ln_g_above
-    if j0 > 0:
-        below = float(ln_w[0] + ln_g[0]) + math.log(j0 / m) - math.log1p(-(j0 - 1) / m)
-        rem = float(np.logaddexp(rem, below))
+    rem = float(np.logaddexp(win.rem_above + ln_g_above, win.rem_below + ln_g_edge))
     if not rem <= math.log(tol) + total:
-        raise ToleranceNotMet(f"series remainder above tol {tol:.3e} outside j in [{j0}, {j1}] ({where})")
+        raise ToleranceNotMet(f"series remainder above tol {tol:.3e} outside j in [{win.j0}, {win.j1}] ({where})")
     return min(0.0, total)
 
 
@@ -188,9 +206,8 @@ def ncchi2_cdf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
     """ln of the non-central chi-squared CDF.
 
     One incomplete-gamma evaluation, ln P(a + J, y) at the top of the
-    window j in [0, J] (see ``_window``), then the downward recurrence
-    ln P(b, y) = logaddexp(ln P(b + 1, y), ln t_b) for every lower index,
-    and a log-sum-exp of Poisson weights plus ln P.  P falls in j, so the
+    window j in [0, J] (see ``_window``), and one log-sum-exp of the
+    swapped sum P_J H_J + sum_{i<J} t_i H_i.  P falls in j, so the
     remainder above J is at most P(a + J, y) times the Poisson mass there.
 
     Right of the mean k + s, where F nears 1, the sum of P terms carries
@@ -206,33 +223,25 @@ def ncchi2_cdf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
     a, y = 0.5 * k, 0.5 * x
     if s == 0.0:
         return specfun.log_reg_inc_gamma_P(a, y)
-    m, _, b, ln_w, lg = _window(k, s, True)
-    top = specfun.log_reg_inc_gamma_P(b[-1], y)
-    ln_t = b[-2::-1] * math.log(y) - y - lg[-2::-1]  # from the top down
-    ln_p = np.logaddexp.accumulate(np.concatenate(([top], ln_t)))[::-1]
-    return _log_mixture(m, 0, ln_w, ln_p, top, tol, f"k={k}, s={s}, x={x}")
+    win = _window(k, s, True, 0)
+    top = specfun.log_reg_inc_gamma_P(a + win.j1, y)
+    return _log_mixture(win, y, top, top, tol, f"k={k}, s={s}, x={x}")
 
 
 def ncchi2_sf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
     """ln of the non-central chi-squared survival function Pr{X > x}.
 
     One incomplete-gamma evaluation, ln Q(a + j0, y) at the bottom of the
-    window j in [j0, J] (see ``_window``), then the upward recurrence
-    ln Q(b + 1, y) = logaddexp(ln Q(b, y), ln t_b), and a log-sum-exp of
-    Poisson weights plus ln Q.  Q rises in j, so the remainder below j0 is
-    at most Q(a + j0, y) times the Poisson mass there, and the one above J
-    at most the Poisson mass there.  Never formed as 1 - CDF, so it keeps
-    its relative accuracy in the far right tail.
+    window j in [j0, J] (see ``_window``), and one log-sum-exp of the
+    swapped sum Q_{j0} T_{j0} + sum_{j0<=i<J} t_i T_{i+1}.  Q rises in j,
+    so the remainders are at most Q(a + j0, y) (below j0) and 1 (above J)
+    times the Poisson mass there.  Never formed as 1 - CDF, so it keeps its
+    relative accuracy in the far right tail.
 
-    Far out in the right tail the sum is much smaller than the Poisson
-    mass above J, so Q <= 1 bounds the remainder there too loosely, and
-    bounding Q by Q(a + j1, y) up to some j1 does not close the gap: the
-    weights above j1 fall below tol of the sum only where Q(a + j1, y)
-    has grown far past Q(a + J, y) (by e^322 at k = 243, s = 486,
-    x = 5336, where j1 = 1338 and J = 917).  Where the remainder check
-    fails, the recurrence is carried on above the window, a window's
-    width at a time (at most ``_EXTENSIONS`` times), until the Poisson
-    mass left above is below tol of the sum.
+    Far out in the right tail, Q <= 1 bounds the remainder above J too
+    loosely (and a bound Q(a + j1, y) grows e^322 past Q(a + J, y) at k = 243,
+    s = 486, x = 5336, J = 917, j1 = 1338); where the check fails, the sum is
+    taken again over a window one width taller, at most ``_EXTENSIONS`` times.
     """
     if k <= 0.0 or s < 0.0 or x < 0.0:
         raise DomainError("ncchi2_sf_log needs k > 0, s >= 0, x >= 0")
@@ -241,31 +250,20 @@ def ncchi2_sf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
     a, y = 0.5 * k, 0.5 * x
     if s == 0.0:
         return specfun.log_reg_inc_gamma_Q(a, y)
-    m, j0, b, ln_w, lg = _window(k, s, False)
-    ln_y = math.log(y)
-    bottom = specfun.log_reg_inc_gamma_Q(b[0], y)
-    ln_t = b[:-1] * ln_y - y - lg[:-1]
-    ln_q = np.logaddexp.accumulate(np.concatenate(([bottom], ln_t)))
-    where = f"k={k}, s={s}, x={x}"
-    width = len(b)
-    for _ in range(_EXTENSIONS):
+    win = _window(k, s, False, 0)
+    bottom = specfun.log_reg_inc_gamma_Q(a + win.j0, y)
+    for widths in range(1, _EXTENSIONS + 1):
         try:
-            return _log_mixture(m, j0, ln_w, ln_q, 0.0, tol, where)
+            return _log_mixture(win, y, bottom, 0.0, tol, f"k={k}, s={s}, x={x}")
         except ToleranceNotMet:
-            pass
-        j = np.arange(j0 + len(ln_q), j0 + len(ln_q) + width, dtype=float)
-        b_up = np.concatenate(([0.5 * k + j[0] - 1.0], 0.5 * k + j[:-1]))  # the orders t_b steps from
-        ln_t = b_up * ln_y - y - _lgamma(b_up + 1.0)
-        ln_q = np.concatenate((ln_q, np.logaddexp.accumulate(np.concatenate(([ln_q[-1]], ln_t)))[1:]))
-        ln_w = np.concatenate((ln_w, j * math.log(m) - m - _lgamma(j + 1.0)))
-    return _log_mixture(m, j0, ln_w, ln_q, 0.0, tol, where)
+            win = _window(k, s, False, widths)
+    return _log_mixture(win, y, bottom, 0.0, tol, f"k={k}, s={s}, x={x}")
 
 
 def ncchi2_cdf_series(k: float, s: float, x: float, tol: float = 1e-12) -> float:
     """Non-central chi-squared CDF as the Poisson-weighted central-chi^2
     series (probability scale)."""
-    logv = ncchi2_cdf_log(k, s, x, tol)
-    return math.exp(logv) if math.isfinite(logv) else 0.0
+    return math.exp(ncchi2_cdf_log(k, s, x, tol))
 
 
 def oracle_cdf(dist, x: float) -> float:
@@ -285,9 +283,11 @@ def oracle_tail(dist, x: float) -> float:
     p = dist.params
     if dist.name == "gaussian":
         return gaussian_tail(p["mu"], p["sigma"], x)
+    if dist.name == "beta_prime":  # I_{1/(1+x)}(beta, alpha): 1 - CDF loses the far tail
+        return 1.0 if x <= 0.0 else specfun.reg_inc_beta(1.0 / (1.0 + x), p["beta"], p["alpha"])
     if dist.name == "noncentral_chi2":
         return math.exp(ncchi2_sf_log(p["k"], p["s"], x))
-    return 1.0 - oracle_cdf(dist, x)
+    raise DomainError(f"no closed tail for {dist.name!r}")
 
 
 def normalization(dist, tol: float = 1e-10) -> float:

@@ -173,6 +173,26 @@ class TestRecurrence:
         with pytest.raises(ToleranceNotMet):
             O.ncchi2_sf_log(243.0, 486.0, 6e4)
 
+    @pytest.mark.parametrize("k, s, x, upper", [(1949.0, 3898.0, 5652.1, True), (1949.0, 5847.0, 2338.8, False)])
+    def test_wide_windows_match_mpmath(self, k, s, x, upper):
+        # windows of about 5,000 terms, as at Omega = 0.5 near n = 2,000;
+        # log weights of the form j ln m - m - lgamma(j + 1) put the first
+        # point 8e-12 off
+        want = mp_log_mixture(k, s, x, upper)
+        got = (O.ncchi2_sf_log if upper else O.ncchi2_cdf_log)(k, s, x)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_oracle_converse_builds_each_window_once(self, monkeypatch):
+        # the weights and the t_b take lgamma only below order 10: the
+        # rest of the 22 calls are one per incomplete gamma
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+        O._window.cache_clear()
+        A.oracle_converse(A.AwgnConfig(1990, 0.5, 1e-5))
+        assert len(calls) <= 50
+        assert O._window.cache_info().misses == 2
+
     def test_oracle_lambda_meets_eps_against_mpmath(self):
         # eps = 1e-5 at small n, where a tail taken as 1 - CDF is least accurate
         cfg = A.AwgnConfig(200, 0.5, 1e-5)
@@ -189,6 +209,12 @@ class TestClosedCdfs:
                 got = O.oracle_cdf(d, x)
                 quad = O.tail_by_quadrature(d, x, TailSide.LEFT, 1e-12).value
                 assert abs(got - quad) < 1e-9, (name, x)
+
+    @pytest.mark.parametrize("x", [1e3, 1e5, 1e7, 1e9])
+    def test_beta_prime_far_right_tail(self, catalog, x):
+        # 1 - CDF was 9.3e-9 off at x = 1e7 and 3.6e-6 at 1e9
+        want = mp.betainc(1.3, 2.1, 0, 1 / (1 + mp.mpf(x)), regularized=True)
+        assert abs(O.oracle_tail(catalog["beta_prime"], x) - want) <= 1e-13 * want
 
     def test_tail_is_complement(self, catalog):
         for d in catalog.values():

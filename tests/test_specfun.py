@@ -95,6 +95,14 @@ class TestIncompleteGamma:
         want = float(mp.log(mp.gammainc(500, 0, 100, regularized=True)))
         assert rel(got, want) < 1e-12
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-20, 1e-12, 1e-8, 1e-5, 1e-3])
+    @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.1, 0.5, 1.0])
+    def test_log_q_at_small_a(self, a, x):
+        # P is near 1 here, so ln Q is not log1p(-P): at (1e-20, 1e-3) that
+        # took log1p(-1), and at (1e-12, 1.0) it was 6e-4 off
+        want = float(mp.log(mp.gammainc(a, x, mp.inf, regularized=True)))
+        assert rel(sf.log_reg_inc_gamma_Q(a, x), want) <= 1e-13
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sf.reg_inc_gamma_P(-1.0, 1.0)
