@@ -264,6 +264,14 @@ def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
     return _solve_md(cfg, lambda lam: oracle.ncchi2_sf_log(n, s_md, n * lam, tol), f_tol, "oracle")[0]
 
 
+#: Where ``_solve_md`` seeds its bracket, in units of corr = lambda_asym -
+#: lambda0 above lambda0.  (lambda - lambda0)/corr spreads over 0.991-1.059
+#: for n in [1e3, 1e8] at Omega in {0.5, 1, 5} and eps in {1e-3, 1e-5}
+#: (the P0, P1 and oracle solves), and rises as n falls (1.19 at n = 100,
+#: 2.37 at n = 2), where the high end doubles once or twice.
+_BRACKET = (0.95, 1.15)
+
+
 def _solve_md(cfg: AwgnConfig, log_tail, f_tol: float, which: str) -> tuple[float, float]:
     """The root of log_tail(lambda) = ln eps, with log_tail decreasing in
     lambda, and log_tail - ln eps there: Illinois (``rootfind.illinois``)
@@ -272,7 +280,7 @@ def _solve_md(cfg: AwgnConfig, log_tail, f_tol: float, which: str) -> tuple[floa
     there moves the low end. ``which`` names the solve in BracketFailed.
 
     The bracket is seeded from the asymptotic correction
-    corr = lambda_asym - lambda0, at lambda0 + corr/50 and lambda0 + 2 corr,
+    corr = lambda_asym - lambda0, at lambda0 + corr c for c in ``_BRACKET``,
     and pushed until it straddles ln eps: the low end moves up (x1.5 from
     lambda0) where the tail is undefined and toward lambda0 (x0.25) where
     it is below eps, and the high end doubles its distance from lambda0.
@@ -287,7 +295,7 @@ def _solve_md(cfg: AwgnConfig, log_tail, f_tol: float, which: str) -> tuple[floa
         except (OutOfValidity, PoleEncountered):
             return None
 
-    lo = lam_0 + corr / 50.0
+    lo = lam_0 + corr * _BRACKET[0]
     f_lo = excess(lo)
     for _ in range(200):
         if f_lo is not None and f_lo >= 0.0:
@@ -302,7 +310,7 @@ def _solve_md(cfg: AwgnConfig, log_tail, f_tol: float, which: str) -> tuple[floa
     else:
         raise BracketFailed(f"eps unreachable from below for {which} at n={cfg.n}")
 
-    hi = lam_0 + 2.0 * corr
+    hi = lam_0 + corr * _BRACKET[1]
     f_hi = excess(hi)
     for _ in range(60):
         if f_hi is not None and f_hi <= 0.0:

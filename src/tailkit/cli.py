@@ -28,7 +28,7 @@ from . import __version__, awgn, dist, engine
 from .engine import GridSpec, SeedKind, TailSide
 from .errors import ParamError, SeedInvalid, TailkitError
 
-_ORACLE_N_CAP = 10_000
+_ORACLE_N_CAP = 1_000_000
 
 
 def _fmt(x: float) -> str:

@@ -271,6 +271,13 @@ class TestConverseBounds:
             p = A.converse_bounds(cfg)
             assert p.r_lower <= A.oracle_converse(cfg) <= p.r_upper
 
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_oracle_inside_sandwich_up_to_the_cli_cap(self, n):
+        for om, eps in PAIRS:
+            cfg = A.AwgnConfig(n, om, eps)
+            p = A.converse_bounds(cfg)
+            assert p.r_lower <= A.oracle_converse(cfg) <= p.r_upper, (om, eps)
+
     def test_gap_shrinks_with_n(self):
         gaps = []
         for n in (200, 500, 1000):

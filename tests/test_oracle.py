@@ -201,6 +201,61 @@ class TestRecurrence:
         assert abs(ln_sf - math.log(cfg.eps)) <= 1e-10
 
 
+def full_window_log_tail(k, s, x, upper):
+    """ln sf (upper) or ln F of ncx2(k, s) at x over the wide windows the
+    oracle summed before its windows followed the summand: j in
+    [max(0, m - W), m + W] for the survival and [0, m + W] for the CDF,
+    m = s/2, W = 40 sqrt(m + 1) + 50, in the same swapped order."""
+    a, y, m = 0.5 * k, 0.5 * x, 0.5 * s
+    w = 40.0 * math.sqrt(m + 1.0) + 50.0
+    j0, j1 = (max(0, int(m - w)) if upper else 0), int(m + w)
+    j = np.arange(max(j0, 1), j1 + 1, dtype=float)
+    ln_w = np.concatenate(([-m] if j0 == 0 else [], O._log_pois(j, m, O._loader_c(j))))
+    b = a + np.arange(j0, j1, dtype=float)
+    if upper:
+        mass = np.logaddexp.accumulate(ln_w[::-1])[::-1]
+        edge, mass = sf.log_reg_inc_gamma_Q(a + j0, y) + mass[0], mass[1:]
+    else:
+        mass = np.logaddexp.accumulate(ln_w)
+        edge, mass = sf.log_reg_inc_gamma_P(a + j1, y) + mass[-1], mass[:-1]
+    v = np.concatenate(([edge], O._log_pois(b, y, O._loader_c(b) + mass)))
+    top = float(v.max())
+    return top + math.log(float(np.exp(v - top).sum()))
+
+
+class TestWindows:
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize("om, eps", [(om, eps) for om in (0.5, 1.0, 5.0) for eps in (1e-3, 1e-5)])
+    def test_match_the_full_windows(self, n, om, eps):
+        # near the oracle root: the survival of the missed detection and
+        # the CDF of the false alarm, as oracle_converse takes them
+        cfg = A.AwgnConfig(n, om, eps)
+        lam = A.lambda_asymptotic(cfg)
+        k, s_md, s_fa = float(n), n / om, n * (1.0 + om) / om
+        for tail, s, x, upper in ((O.ncchi2_sf_log, s_md, n * lam, True),
+                                  (O.ncchi2_cdf_log, s_fa, n * lam / (1.0 + om), False)):
+            want = full_window_log_tail(k, s, x, upper)
+            assert abs(tail(k, s, x, 1e-11) - want) <= 1e-13 * abs(want), tail.__name__
+
+    def test_cdf_window_from_zero_near_the_mean(self):
+        # just left of the mean k + s, y = 2995 lies above a + j0 + 1 = 2632
+        # for the window around the peak, so the bound below it does not
+        # hold and the window starts at j = 0
+        k, s, x = 2000.0, 4000.0, 5990.0
+        assert O._cdf_range(0.5 * k, 0.5 * s, 0.5 * x)[0] == 0
+        want = full_window_log_tail(k, s, x, upper=False)
+        assert abs(O.ncchi2_cdf_log(k, s, x) - want) <= 1e-13 * abs(want)
+
+    def test_cdf_window_is_narrow_at_a_million(self):
+        # the summand w_j P_j peaks at j* = n/(2 Omega) = 1e6, a third of
+        # the way below the Poisson mean 1.5e6, and is about 775 wide
+        n, om = 10**6, 0.5
+        lam = A.oracle_lambda(A.AwgnConfig(n, om, 1e-5))
+        j0, j1 = O._cdf_range(0.5 * n, 0.5 * n * (1.0 + om) / om, 0.5 * n * lam / (1.0 + om))
+        assert 0 < j0 < n < j1
+        assert j1 - j0 + 1 < 20.0 * math.sqrt(n)
+
+
 class TestClosedCdfs:
     def test_oracle_vs_quadrature_all(self, catalog):
         points = {"gaussian": (-1.0, 0.7, 2.5), "beta_prime": (0.5, 3.0, 12.0), "ncchi2": (1.0, 6.0, 20.0)}
