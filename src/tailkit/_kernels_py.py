@@ -5,11 +5,17 @@ of normalized Taylor coefficients (coeffs[k] = F^(k)(x)/k!) and returns
 a tuple.  A coefficient is a float, or an ndarray holding one value per
 grid point (a row of a grid jet's (order+1, n) array); the same
 recurrence runs on both, and no kernel updates an input array in place.
-``mul_rows`` is ``mul`` on a whole (order+1, n) array, with ``mul``'s
-bits.
+``mul_rows``, ``div_rows`` and ``ln_rows`` are ``mul``, ``div`` and
+``ln`` on a whole (order+1, n) array, with their bits: each takes the
+terms of a coefficient in the same order, but as row updates, one array
+operation per coefficient rather than one per term.  (exp, sqrt and
+powr have no such form: coefficient k reads out[k - 1] in its first
+term, so its terms cannot be taken in their order as the rows become
+known.)
 The order-0 transcendentals go through ``each``: libm on a float,
-numpy's ufunc on an array.  The two agree to a few ulp, not bit for bit
-(numpy's SIMD exp and log differ from libm in the last bit on some
+numpy's ufunc on an array, under the caller's ``np.errstate`` (every
+grid jet operation holds one).  The two agree to a few ulp, not bit for
+bit (numpy's SIMD exp and log differ from libm in the last bit on some
 inputs).
 
 No domain checking happens here (callers validate or mask); the only
@@ -29,13 +35,12 @@ _UFUNCS = {math.exp: np.exp, math.log: np.log, math.log1p: np.log1p, math.sqrt: 
 
 def each(fn, v, *args):
     """``fn(v, *args)`` for a float, ``fn`` a libm function of ``math``;
-    for an array, the matching numpy ufunc, without a warning: where
-    ``fn`` would raise, it gives NaN, or an infinity at a pole or on
-    overflow, for the caller to mask."""
+    for an array, the matching numpy ufunc: where ``fn`` would raise, it
+    gives NaN, or an infinity at a pole or on overflow, for the caller to
+    mask, and the caller's ``np.errstate`` keeps that from warning."""
     if not isinstance(v, _ndarray):
         return fn(v, *args)
-    with np.errstate(all="ignore"):
-        return _UFUNCS[fn](v, *args)
+    return _UFUNCS[fn](v, *args)
 
 
 def add(a, b):
@@ -84,6 +89,19 @@ def div(a, b):
     return tuple(out)
 
 
+def div_rows(a, b):
+    # div on (order+1, n) arrays, one array operation per j: once out[j] is
+    # known, every coefficient k > j subtracts its term out[j] * b[k - j],
+    # so coefficient k subtracts its terms in div's order, j = 0..k-1
+    n = len(a)
+    b0 = b[0]
+    out = a.copy()
+    for j in range(n):
+        out[j] /= b0
+        out[j + 1 :] -= out[j] * b[1 : n - j]
+    return out
+
+
 def exp(a):
     out = [each(math.exp, a[0])]
     for _ in range(1, len(a)):
@@ -113,6 +131,21 @@ def ln(a, shift=0.0):
             s = s - j * out[j] * a[k - j]
         out[k] = s / (k * b0)
     return tuple(out)
+
+
+def ln_rows(a, shift=0.0):
+    # ln on (order+1, n) arrays, one array operation per j as in div_rows:
+    # coefficient k starts from k * a[k] and subtracts j * out[j] * a[k - j]
+    # in ln's order, j = 1..k-1
+    n = len(a)
+    b0 = shift + a[0] if shift else a[0]
+    out = np.empty_like(a)
+    out[0] = each(math.log1p if shift else math.log, a[0])
+    out[1:] = np.arange(1.0, n)[:, None] * a[1:]
+    for j in range(1, n):
+        out[j] /= j * b0
+        out[j + 1 :] -= j * out[j] * a[1 : n - j]
+    return out
 
 
 def sqrt(a):

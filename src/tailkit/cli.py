@@ -76,6 +76,11 @@ def _write_rows(out_path: str | None, lines: list[str]):
         try:
             with os.fdopen(fd, "w", newline="\n") as fh:
                 fh.write(payload)
+            # mkstemp makes the file owner-only; give it the mode open()
+            # would, 0o666 less the umask (read by setting it, and put back)
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, out_path)
         except BaseException:
             if os.path.exists(tmp):
@@ -94,6 +99,12 @@ def _build_dist(args):
 
 
 def cmd_bounds(args) -> int:
+    """The iterates P_0 .. P_iters as CSV: x, each P_i, its verdict and
+    threshold, each rate R_i = |P_{i+1}/P_i - 1| and each ln P_i, at
+    --points points on [--x-min, --x-max]. One grid pass of the deepest
+    iterate, over the classification grid and these points together
+    (``engine.tabulate_chain``), gives all of it but the thresholds
+    inside the window, which come from scalar passes."""
     d, params = _build_dist(args)
     side = TailSide.RIGHT if args.side == "right" else TailSide.LEFT
     seed = SeedKind.PDF if args.seed == "pdf" else SeedKind.SHIFTED_PDF
@@ -107,24 +118,22 @@ def cmd_bounds(args) -> int:
     chain = [engine.make_seed(d, seed, side)]
     for _ in range(args.iters):
         chain.append(engine.iterate(chain[-1]))
-    # every iterate classified from one grid sweep of the deepest one
-    levels = engine.classify_chain(chain[-1], window, grid)
-    classifications = []
-    for it in chain:
-        try:
-            cls = next(levels)
-        except TailkitError as exc:
-            if it.index == 0:
-                raise SeedInvalid(f"seed fails on ({args.x_min}, {args.x_max}): {exc}") from exc
-            raise
-        if it.index == 0 and cls.verdict is engine.Verdict.INVALID:
-            raise SeedInvalid(f"seed invalid on ({args.x_min}, {args.x_max})")
-        classifications.append(cls)
-
     if args.x_min > 0:
         xs = np.geomspace(args.x_min, args.x_max, args.points)
     else:
         xs = np.linspace(args.x_min, args.x_max, args.points)
+    # one grid pass of the deepest iterate, over the classification grid
+    # and the CSV points together: it classifies every iterate, and gives
+    # ln f, each q_i = ln(P_i/f) and each step a_i = P_i/P_{i+1} - 1 at the
+    # CSV points
+    try:
+        levels, (lf, qs, steps) = engine.tabulate_chain(chain[-1], window, xs, grid)
+        classifications = [next(levels)]
+    except TailkitError as exc:
+        raise SeedInvalid(f"seed fails on ({args.x_min}, {args.x_max}): {exc}") from exc
+    if classifications[0].verdict is engine.Verdict.INVALID:
+        raise SeedInvalid(f"seed invalid on ({args.x_min}, {args.x_max})")
+    classifications += levels
 
     n_it = len(chain)
     header = (
@@ -138,13 +147,11 @@ def cmd_bounds(args) -> int:
     grid_desc = f"grid_points={grid.points} spacing=geometric tol={engine.DEFAULT_TOL:g}"
     lines = _manifest_lines("bounds", params, grid_desc, args)
     lines.append(",".join(header))
-    # every column from one pass of the deepest iterate's chain: ln P_i =
-    # ln f + q_i, P_i = e^{ln P_i} (0 where it underflows, while ln P_i
-    # stays finite) and R_i = |expm1(d_i)| from its step; a point where an
-    # iterate is undefined is NaN, written as an empty cell
+    # ln P_i = ln f + q_i, P_i = e^{ln P_i} (0 where it underflows, while
+    # ln P_i stays finite) and R_i = |expm1(d_i)| from its step; a point
+    # where an iterate is undefined is NaN, written as an empty cell
     with np.errstate(all="ignore"):
-        qs, steps, lf, _ = engine._chain(chain[-1], xs, 0)
-        log_p = [lf.value + q.value for q in qs]
+        log_p = [lf + q for q in qs]
         columns = [np.exp(v) for v in log_p] + [abs(engine._flip(a)) for a in steps]
     # x and the P_i, the verdicts and thresholds (the same in every row),
     # then the R_i and the lnP_i

@@ -33,8 +33,9 @@ and each -+(ln P_k)'). A threshold is the root of the quantity that
 fails first at the first failing grid point (a margin, at a pole, or
 else the step against the tolerance), found by Illinois with scalar
 sweeps and closed by one more sweep on the passing side.
-``classify_chain`` classifies every iterate of a chain from one sweep of
-the deepest one, whose lower levels are the lower iterates' own sweeps.
+``tabulate_chain`` classifies every iterate of a chain from one sweep of
+the deepest one, whose lower levels are the lower iterates' own sweeps,
+and gives the chain's values at a table's points from the same pass.
 
 The verdict rule lives in one place, ``_judge``: an iterate's
 conditions on the grid in; verdict, threshold, limit check, sampled
@@ -435,7 +436,7 @@ def classify(
 
     One grid sweep of the chain (``_sweep``) gives the step and the
     predecessor's step for tightness, judged by ``_judged`` as
-    ``classify_chain`` judges its levels. The verified region is the
+    ``tabulate_chain`` judges its levels. The verified region is the
     maximal run of passing grid points touching the support-edge end of
     the window (the bounds hold from a threshold onward); its boundary is
     refined by root finding on the quantity that fails there
@@ -452,23 +453,42 @@ def classify(
     return next(_judged(_links(it), it.index, xs, _sweep(it, xs), window, tol))
 
 
-def classify_chain(
+def tabulate_chain(
     it: BoundIterate,
     window: tuple[float, float],
+    points: np.ndarray,
     grid: GridSpec = GridSpec(),
     tol: float = DEFAULT_TOL,
-) -> Iterator[Classification]:
-    """``classify`` of P_0 .. P_i of ``it``'s chain, in that order, from
-    one grid sweep of P_i: a sweep's lower levels are those of the lower
-    iterates' own sweeps bit for bit, so each level's step and margins,
-    and the step below it for tightness, come from the one sweep. Each
-    level's threshold is root-found with scalar passes of its own chain,
-    as ``classify`` finds it. A generator, so that a caller
-    stops at the first level that fails; the sweep runs on the first
-    ``next``, and the checks are those of ``classify`` of P_i.
+) -> tuple[Iterator[Classification], tuple]:
+    """``classify`` of P_0 .. P_i of ``it``'s chain, and the chain at
+    ``points``, from one grid pass of P_i over the classification grid and
+    the points together.
+
+    The levels are judged on the grid's part of the pass: a pass's lower
+    levels are those of the lower iterates' own sweeps bit for bit, so
+    each level's step and margins, and the step below it for tightness,
+    come from the one pass, and each level's threshold is root-found with
+    scalar passes of its own chain, as ``classify`` finds it. They come
+    as a generator, judging each level on its ``next``, so that a caller
+    stops at the first level that fails; the checks are those of
+    ``classify`` of P_i, and the pass runs here.
+
+    The points' part gives (ln f, [q_0 .. q_i], [a_0 .. a_{i-1}]), one
+    array over the points each, NaN where a level is undefined (ln P_k =
+    ln f + q_k, a_k = P_k/P_{k+1} - 1). A point's values do not depend on
+    the other points, so they are those of a pass at order 1 over the
+    points alone; where that is defined they equal an order-0 pass's (a
+    jet's low coefficients do not depend on its order). A point where
+    only the coefficient one order up overflows is undefined here and not
+    at order 0 (the ln x of a density near x = 0: below about 1e-31 at
+    depth 8, 1e-77 at depth 2).
     """
     xs = _grid(it, window, grid)
-    yield from _judged(_links(it), 0, xs, _sweep(it, xs), window, tol)
+    n = xs.size
+    lf, qs, steps, margins = _sweep(it, np.concatenate((xs, points)))
+    on_grid = (lf[:n], [q[:n] for q in qs], [a[:n] for a in steps], [m[:n] for m in margins])
+    at_points = (lf[n:], [q[n:] for q in qs], [a[n:] for a in steps[:-1]])
+    return _judged(_links(it), 0, xs, on_grid, window, tol), at_points
 
 
 def _links(it: BoundIterate) -> list[BoundIterate]:
@@ -480,9 +500,12 @@ def _links(it: BoundIterate) -> list[BoundIterate]:
 
 
 def _sweep(it: BoundIterate, xs: np.ndarray) -> tuple:
-    """One grid pass of ``it``'s chain (see ``_chain``)."""
+    """One grid pass of ``it``'s chain at order 1 (see ``_chain``), as its
+    values on ``xs``: ln f, [q_0 .. q_i], the steps [a_0 .. a_i] and the
+    margins."""
     with np.errstate(all="ignore"):
-        return _chain(it, xs, 1)
+        qs, steps, lf, margins = _chain(it, xs, 1)
+    return lf.value, [q.value for q in qs], steps, margins
 
 
 def _judged(
@@ -495,30 +518,34 @@ def _judged(
 ) -> Iterator[Classification]:
     """``classify`` of ``links[first:]``, the levels ``first`` and up of
     the chain P_0 .. P_i in ``links``, from ``sweep``, one grid pass of
-    P_i: each level's step and margins, and the step below it for
-    tightness, are read from the pass. A generator, judging each level
-    on its ``next``."""
-    qs, steps, lf, margins = sweep
+    P_i (see ``_sweep``): each level's ln P, step and margins, and the
+    step below it for tightness, are read from the pass. A generator,
+    judging each level on its ``next``."""
+    lf, qs, steps, margins = sweep
     for k in range(first, len(links)):
         with np.errstate(all="ignore"):
             cond = _level(steps[k], tol)
-        yield _judge(links[k], xs, cond, (qs[: k + 1], steps[: k + 1], lf), margins[: k + 1], window, tol)
+            log_p = lf + qs[k]
+        prev = steps[k - 1] if k else None
+        yield _judge(links[k], xs, cond, log_p, prev, margins[: k + 1], window, tol)
 
 
 def _judge(
     it: BoundIterate,
     xs: np.ndarray,
     cond: _PointEval,
-    sweep: tuple,
+    log_p: np.ndarray,
+    step_prev: Optional[np.ndarray],
     margins: list,
     window: tuple[float, float],
     tol: float,
 ) -> Classification:
     """The classification of ``it`` from its conditions on the grid
-    ``xs`` and the q levels, steps, ln f and margins of the same sweep, up
-    to its own: the verdict, the threshold (``_threshold``), the limit
-    check, the sampled residuals expm1(d_i), tightness against the
-    predecessor's step and monotonicity."""
+    ``xs``, and from the same sweep its ln P, its predecessor's step
+    (None for a seed) and the margins up to its own: the verdict, the
+    threshold (``_threshold``), the limit check, the sampled residuals
+    expm1(d_i), tightness against the predecessor's step and
+    monotonicity."""
     a, b = window
     if not cond.defined.any():
         raise WindowTooSmall(f"iterate {it.index} satisfies no base condition anywhere on [{a}, {b}]")
@@ -551,17 +578,15 @@ def _judge(
 
     # numeric surrogate for the limit condition at the support-edge-most
     # point, on ln P = ln f + q
-    qs, steps, lf = sweep
     edge, inner = (n - 1, n - 2) if right else (0, 1)
-    lp = lf.value + qs[-1].value
     limit_ok = bool(
         cond.defined[edge]
-        and lp[edge] <= math.log(LIMIT_TOL)
-        and (not cond.defined[inner] or lp[edge] <= lp[inner] + tol)
+        and log_p[edge] <= math.log(LIMIT_TOL)
+        and (not cond.defined[inner] or log_p[edge] <= log_p[inner] + tol)
     )
 
     residuals = tuple(_flip(cond.step[:: max(1, n // 16)]).tolist())
-    tightness_ok = _tightness(cond.step, steps[-2], verdict, tol) if len(steps) > 1 else None
+    tightness_ok = _tightness(cond.step, step_prev, verdict, tol) if step_prev is not None else None
     monotone = bool(np.all(cond.step > -1.0))  # P_{i+1} defined: P_i' has the tail's sign
     return Classification(verdict, threshold, tightness_ok, residuals, limit_ok, (a, b), tol, run == n, monotone)
 
@@ -691,7 +716,7 @@ def _run_levels(
     """(P_k, ``classify`` of P_k) for k = 0 .. ``depth`` of the seed's
     chain, in order, from grid sweeps of doubling depth: one sweep of P_2
     judges P_0 .. P_2, one of P_4 judges P_3 and P_4, one of P_8 P_5 ..
-    P_8, each capped at P_depth (as ``classify_chain`` judges its levels).
+    P_8, each capped at P_depth (as ``tabulate_chain`` judges its levels).
     A generator, so a run that stops at P_k pays for the sweeps up to the
     one that holds P_k and for no deeper one. A sweep that raises (a grid
     pass fails whole) says nothing of its lower levels: the next level is

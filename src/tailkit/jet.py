@@ -58,6 +58,7 @@ DIV_FLOOR = 1e-300
 
 # a module-level name: the scalar path tests for it on every operation
 _ndarray = np.ndarray
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,14 @@ def _wrap(anchor: np.ndarray, rows: np.ndarray) -> Jet:
 def _mask(rows: np.ndarray, bad=None) -> np.ndarray:
     """``rows``, changed in place, with NaN in every coefficient at each
     point where one of them is not finite or ``bad`` holds."""
-    ok = np.isfinite(rows).all(axis=0)
+    finite = np.isfinite(rows)
+    # ufunc reduces: ndarray.all goes through numpy's Python-level _all
+    if _all(finite, axis=None) and (bad is None or not _any(bad)):
+        return rows
+    ok = _all(finite, axis=0)
     if bad is not None:
         ok &= ~bad
-    if not ok.all():
-        rows[:, ~ok] = np.nan
+    rows[:, ~ok] = np.nan
     return rows
 
 
@@ -271,7 +275,7 @@ def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
             elif op == "mul":
                 rows = _k.mul_rows(a.coeffs, b.coeffs)
             else:
-                rows = np.array(_k.div(a.coeffs, b.coeffs))
+                rows = _k.div_rows(a.coeffs, b.coeffs)
         return _wrap(a.anchor, _mask(rows, np.abs(b0) < DIV_FLOOR if op == "div" else None))
     if op == "div" and abs(b0) < DIV_FLOOR:
         raise DivisionByZeroJet(
@@ -306,9 +310,10 @@ def jet_elementary(a: Jet, fn: str, p: float | None = None) -> Jet:
         raise DomainError(f"unknown elementary function {fn!r}")
     if isinstance(a.anchor, _ndarray):
         # an undefined input (NaN) fails ``ok`` as a domain failure does:
-        # the output is NaN there whatever the kernel computes
+        # the output is NaN there whatever the kernel computes; ln and
+        # log1p run as row updates, the others term by term
         with np.errstate(all="ignore"):
-            rows = np.array(kernel(a.coeffs, *args))
+            rows = _k.ln_rows(a.coeffs, *args) if kernel is _k.ln else np.array(kernel(a.coeffs, *args))
         return _wrap(a.anchor, _mask(rows, ~ok))
     if not ok:
         if fn == "exp":

@@ -1,12 +1,16 @@
 import dataclasses
 import math
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailkit import cli, dist, engine
 from tailkit.engine import SeedKind, TailSide
@@ -90,6 +94,21 @@ class TestBoundsCsv:
                   "--iters", "2", "--x-min", "1", "--x-max", "5", "--out", str(out)] + TS)
         assert rc == 3  # seed invalid on the right-of-mode window
         assert not out.exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_out_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # the temp file behind the atomic rename is made owner-only; the
+        # CSV gets the mode a plain open() would give it, 0o666 & ~umask
+        out = tmp_path / "mode.csv"
+        old = os.umask(umask)
+        try:
+            rc = run(["bounds", "--dist", "gaussian", "--side", "right", "--seed", "pdf",
+                      "--iters", "1", "--x-min", "1", "--x-max", "3", "--points", "3",
+                      "--out", str(out)] + TS)
+        finally:
+            os.umask(old)
+        assert rc == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == mode
 
     def test_bad_flags_exit_2(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -294,10 +313,57 @@ _FIGS = [
 ]
 
 
+def _separate_pass_cells(chain, xs, order=0) -> dict:
+    """The P_i, R_i and lnP_i cells of the chain at the points ``xs`` from
+    a pass of its own at ``order`` over those points alone, written as the
+    CSV writes a cell (empty for NaN)."""
+    with np.errstate(all="ignore"):
+        qs, steps, lf, _ = engine._chain(chain[-1], xs, order)
+        steps = steps[: len(qs) - 1]
+        log_p = [lf.value + q.value for q in qs]
+        cols = {f"P_{i}": np.exp(v) for i, v in enumerate(log_p)}
+        cols.update({f"R_{i}": abs(engine._flip(a)) for i, a in enumerate(steps)})
+        cols.update({f"lnP_{i}": v for i, v in enumerate(log_p)})
+    return {name: [cli._fmt(v) for v in col.tolist()] for name, col in cols.items()}
+
+
+def _assert_cells_of_separate_passes(path, chain, window):
+    """Every P_i, R_i and lnP_i cell of the CSV at ``path`` is the cell of
+    a separate pass over its points, and every verdict and threshold is
+    that of ``engine.classify`` of its iterate."""
+    _, header, rows = parse_csv(path)
+    xs = np.array([float(r[0]) for r in rows])  # %.17g: each x read back exactly
+    want = _separate_pass_cells(chain, xs)
+    assert len(want) == 3 * len(chain) - 1
+    for name, cells in want.items():
+        assert [r[header.index(name)] for r in rows] == cells, name
+    for i, it in enumerate(chain):
+        cls = engine.classify(it, window)
+        assert {r[header.index(f"verdict_{i}")] for r in rows} == {cls.verdict.value}
+        assert {r[header.index(f"threshold_{i}")] for r in rows} == {format(cls.threshold, ".17g")}
+
+
+def _flag(argv, name):
+    return argv[argv.index(name) + 1]
+
+
+def _bounds_chain(d, argv, iters):
+    chain = [engine.make_seed(d, SeedKind(_flag(argv, "--seed")), TailSide(_flag(argv, "--side")))]
+    for _ in range(iters):
+        chain.append(engine.iterate(chain[-1]))
+    return chain
+
+
+def _window(argv):
+    return float(_flag(argv, "--x-min")), float(_flag(argv, "--x-max"))
+
+
 class TestBoundsOneSweep:
-    """`tailkit bounds` classifies every iterate from one grid sweep, and
-    writes the verdicts and thresholds that classifying each iterate on
-    its own sweep gives."""
+    """`tailkit bounds` makes one grid pass of its deepest iterate, over
+    the classification grid and the CSV points together. It writes the
+    verdicts and thresholds that classifying each iterate on its own
+    sweep gives, and the cells that a separate pass over the CSV points
+    gives."""
 
     @staticmethod
     def _counting(monkeypatch, calls):
@@ -322,23 +388,71 @@ class TestBoundsOneSweep:
         calls = []
         self._counting(monkeypatch, calls)
         out = tmp_path / "b.csv"
-        assert run(["bounds"] + _FIGS[fig] + ["--iters", iters, "--points", "25", "--out", str(out)] + TS) == 0
-        # one sweep classifies, one more writes the P_i and R_i columns
-        assert sum(grid for grid, _ in calls) == 2
+        assert run(["bounds"] + _FIGS[fig] + ["--iters", iters, "--out", str(out)] + TS) == 0
+        # one grid pass, over the classification grid and the CSV points
+        # together, classifies and writes the P_i, R_i and lnP_i columns
+        assert sum(grid for grid, _ in calls) == 1
+        _assert_cells_of_separate_passes(out, _bounds_chain(calls[0][1], _FIGS[fig], int(iters)), _window(_FIGS[fig]))
 
+    def test_blank_where_only_the_order_one_pass_overflows(self, tmp_path):
+        # a right-tail window from near x = 0 of a density that falls there:
+        # ln x's coefficient of order 10 overflows below about 1e-31, so
+        # the pass of P_8 at order 1 leaves those points undefined, where a
+        # pass at order 0 (ln x to order 9) still has P_0 and lnP_0
+        argv = ["--dist", "beta-prime", "--alpha", "0.5", "--beta", "1.3", "--side", "right", "--seed", "pdf",
+                "--x-min", "1e-40", "--x-max", "60"]
+        out = tmp_path / "b.csv"
+        assert run(["bounds"] + argv + ["--iters", "8", "--out", str(out)] + TS) == 0
         _, header, rows = parse_csv(out)
-        d = calls[0][1]
-        args = _FIGS[fig]
-        side = TailSide(args[args.index("--side") + 1])
-        seed_kind = SeedKind(args[args.index("--seed") + 1])
-        window = (float(args[args.index("--x-min") + 1]), float(args[args.index("--x-max") + 1]))
-        chain = [engine.make_seed(d, seed_kind, side)]
-        for _ in range(int(iters)):
-            chain.append(engine.iterate(chain[-1]))
-        for i, it in enumerate(chain):
-            cls = engine.classify(it, window)
-            assert rows[0][header.index(f"verdict_{i}")] == cls.verdict.value
-            assert rows[0][header.index(f"threshold_{i}")] == format(cls.threshold, ".17g")
+        xs = np.array([float(r[0]) for r in rows])
+        chain = _bounds_chain(dist.make_beta_prime(0.5, 1.3), argv, 8)
+        order0, order1 = _separate_pass_cells(chain, xs), _separate_pass_cells(chain, xs, 1)
+        for name, cells in order1.items():
+            assert [r[header.index(name)] for r in rows] == cells, name
+        differ = {i for name in order0 for i, (c0, c1) in enumerate(zip(order0[name], order1[name])) if c0 != c1}
+        assert differ and max(xs[sorted(differ)]) < 1e-30
+        assert all(order1[name][i] == "" for name in order1 for i in differ)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_drawn_settings_cells_of_separate_passes(self, data):
+        kind = data.draw(st.sampled_from(["gaussian", "beta-prime", "ncchi2-left", "ncchi2-right"]))
+        uniform = lambda lo, hi: data.draw(st.floats(lo, hi))
+        if kind == "gaussian":
+            mu, sigma = uniform(-2.0, 2.0), uniform(0.5, 3.0)
+            a = mu + sigma * uniform(0.5, 3.0)
+            argv = ["--dist", "gaussian", "--mu", repr(mu), "--sigma", repr(sigma), "--side", "right",
+                    "--seed", "pdf", "--x-min", repr(a), "--x-max", repr(a + sigma * uniform(1.0, 20.0))]
+            d = dist.make_gaussian(mu, sigma)
+        elif kind == "beta-prime":
+            alpha, beta = uniform(1.5, 4.0), uniform(1.1, 3.0)
+            a = uniform(1.0, 5.0)
+            argv = ["--dist", "beta-prime", "--alpha", repr(alpha), "--beta", repr(beta), "--side", "right",
+                    "--seed", "shifted-pdf", "--x-min", repr(a), "--x-max", repr(a * uniform(3.0, 30.0))]
+            d = dist.make_beta_prime(alpha, beta)
+        else:
+            k, s = uniform(4.0, 12.0), uniform(0.5, 12.0)
+            if kind == "ncchi2-left":  # windows reaching down near x = 0
+                a = 10.0 ** uniform(-9.0, math.log10(0.2))
+                b = uniform(2.0 * a, 6.0)
+                side, seed_kind = "left", "shifted-pdf"
+            else:
+                a = (k + s) * uniform(1.0, 3.0)
+                b = a * uniform(1.5, 5.0)
+                side, seed_kind = "right", "pdf"
+            argv = ["--dist", "ncchi2", "--k", repr(k), "--s", repr(s), "--side", side,
+                    "--seed", seed_kind, "--x-min", repr(a), "--x-max", repr(b)]
+            d = dist.make_noncentral_chi2(k, s)
+        iters = data.draw(st.integers(1, 8))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "b.csv")
+            # --flag=value: a negative value must not read as a flag
+            flags = [f"{name}={value}" for name, value in zip(argv[::2], argv[1::2])]
+            rc = run(["bounds"] + flags + ["--iters", str(iters), "--out", out] + TS)
+            if rc != 0:  # a seed or level that fails: no table to compare
+                assert not os.path.exists(out)
+                return
+            _assert_cells_of_separate_passes(out, _bounds_chain(d, argv, iters), _window(argv))
 
 
 def _gaussian_reference_rates(x: int, n: int) -> list:

@@ -684,7 +684,7 @@ class TestClassifyChain:
         make, seed_kind, side, window = _SETTINGS[name]
         chain = _chain_of(make(), seed_kind, side, depth)
         want = _outcomes(E.classify(it, window) for it in chain)
-        got = _outcomes(E.classify_chain(chain[-1], window))
+        got = _outcomes(E.tabulate_chain(chain[-1], window, np.empty(0))[0])
         assert got == want
         if name == "narrow" and depth == 8:
             assert want[-1][0] is WindowTooSmall  # a level that fails stops both
@@ -692,7 +692,7 @@ class TestClassifyChain:
     def test_checks_before_the_sweep(self, g01):
         chain = _chain_of(g01, SeedKind.PDF, TailSide.RIGHT, 2)
         with pytest.raises(DomainError, match="not inside the open support"):
-            next(E.classify_chain(chain[-1], (-math.inf, 3.0)))
+            E.tabulate_chain(chain[-1], (-math.inf, 3.0), np.empty(0))
 
     def test_one_grid_sweep(self, monkeypatch):
         d, calls = TestOneSweep._counted(D.make_beta_prime(2.1, 1.3))
@@ -701,7 +701,7 @@ class TestClassifyChain:
         sweep, conditions = E._sweep, E._conditions
         monkeypatch.setattr(E, "_sweep", lambda it, xs: sweeps.append(it.index) or sweep(it, xs))
         monkeypatch.setattr(E, "_conditions", lambda it, x, tol: passes.append(x) or conditions(it, x, tol))
-        levels = list(E.classify_chain(it, (0.5, 60.0)))
+        levels = list(E.tabulate_chain(it, (0.5, 60.0), np.empty(0))[0])
         assert len(levels) == 5 and not all(c.everywhere for c in levels)
         assert sweeps == [4] and calls["grid"] == 1
         # the threshold searches are the scalar passes, one ln f each

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailkit import _kernels_py as _k
 from tailkit import jet as J
 from tailkit.errors import DivisionByZeroJet, DomainError, OrderExhausted, TailkitError
 from tailkit.jet import Jet, jet_arith, jet_const, jet_elementary, jet_shift_derivative, jet_var
@@ -402,3 +403,64 @@ class TestGridLayout:
         J.truncate(a, 1) * 1e308  # masks every point of a result made from a view
         -J.truncate(a, 2) + math.inf
         np.testing.assert_array_equal(a.coeffs, before)
+
+
+def _div_loops(a, b):
+    # the nested-loop recurrence of div, term by term
+    n = len(a)
+    out = [0.0] * n
+    for k in range(n):
+        s = a[k]
+        for j in range(k):
+            s = s - out[j] * b[k - j]
+        out[k] = s / b[0]
+    return np.array(out)
+
+
+def _ln_loops(a, shift=0.0):
+    # the nested-loop recurrence of ln(shift + a), term by term
+    n = len(a)
+    b0 = shift + a[0] if shift else a[0]
+    out = [0.0] * n
+    out[0] = np.log1p(a[0]) if shift else np.log(a[0])
+    for k in range(1, n):
+        s = k * a[k]
+        for j in range(1, k):
+            s = s - j * out[j] * a[k - j]
+        out[k] = s / (k * b0)
+    return np.array(out)
+
+
+class TestRowKernels:
+    """``div_rows`` and ``ln_rows`` update whole rows, one array operation
+    per coefficient, and give the bits of the term-by-term recurrences."""
+
+    @staticmethod
+    def _rows(rng, order, n=48):
+        # magnitudes 1e-5..1e5 of either sign, a zero leading coefficient
+        # and a few NaN columns, as a masked grid jet holds them
+        rows = rng.choice([-1.0, 1.0], (order + 1, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (order + 1, n))
+        rows[0, rng.integers(n)] = 0.0
+        rows[:, rng.choice(n, 3, replace=False)] = math.nan
+        return rows
+
+    @staticmethod
+    def _same(got, want):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", range(J.MAX_ORDER + 1))
+    def test_bits_of_the_term_by_term_recurrences(self, order):
+        rng = np.random.default_rng(1000 + order)
+        with np.errstate(all="ignore"):
+            for _ in range(30):
+                a, b = self._rows(rng, order), self._rows(rng, order)
+                before = a.copy(), b.copy()
+                self._same(_k.div_rows(a, b), _div_loops(a, b))
+                self._same(_k.div_rows(a, a), _div_loops(a, a))
+                pos = np.abs(a)
+                self._same(_k.ln_rows(pos), _ln_loops(pos))
+                self._same(_k.ln_rows(a), _ln_loops(a))
+                self._same(_k.ln_rows(a, 1.0), _ln_loops(a, 1.0))
+                np.testing.assert_array_equal(a, before[0])  # inputs untouched
+                np.testing.assert_array_equal(b, before[1])

@@ -160,9 +160,9 @@ class TestRecurrence:
 
     def test_sf_far_tail_above_the_window(self):
         # ln sf is near -1165 here (scipy underflows); the Poisson mass
-        # above the window's top m + W, about e^-548, cannot bound the
-        # remainder below tol times that, so the recurrence carries on
-        # above the window
+        # above the window's top m + W = 449, about e^-73, cannot bound the
+        # remainder below tol times that, so the sum is taken again over
+        # taller windows (three extensions here)
         want = mp_log_mixture(243.0, 486.0, 5336.0, upper=True)
         assert abs(want + 1164.99376607119) < 1e-9
         assert abs(O.ncchi2_sf_log(243.0, 486.0, 5336.0) - want) <= 1e-10 * abs(want)
