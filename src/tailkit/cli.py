@@ -7,7 +7,8 @@ an identical manifest (pin --timestamp or SOURCE_DATE_EPOCH) a rerun
 reproduces the file byte for byte.  Output goes through a temp file and
 an atomic rename, so a partial CSV is never left behind.
 
-Exit codes: 0 ok, 1 verification failure, 2 bad flags, 3 invalid seed,
+Exit codes: 0 ok, 1 verification failure, 2 bad flags (a window outside
+the support, a seed the distribution cannot take), 3 invalid seed,
 4 an ``awgn`` row failed (its cells are empty and its ``status`` names
 the error; the other rows are written).
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__, awgn, dist, engine
 from .engine import GridSpec, SeedKind, TailSide
-from .errors import ParamError, SeedInvalid, TailkitError
+from .errors import ParamError, SeedIncompatible, SeedInvalid, TailkitError
 
 _ORACLE_N_CAP = 1_000_000
 
@@ -106,6 +107,11 @@ def cmd_bounds(args) -> int:
     (``engine.tabulate_chain``), gives all of it but the thresholds
     inside the window, which come from scalar passes."""
     d, params = _build_dist(args)
+    if not (d.support.contains_open(args.x_min) and d.support.contains_open(args.x_max)):
+        raise ParamError(
+            f"window ({args.x_min:g}, {args.x_max:g}) not inside the open support"
+            f" ({d.support.lower:g}, {d.support.upper:g}) of {args.dist}"
+        )
     side = TailSide.RIGHT if args.side == "right" else TailSide.LEFT
     seed = SeedKind.PDF if args.seed == "pdf" else SeedKind.SHIFTED_PDF
     params.update(
@@ -287,7 +293,7 @@ def main(argv=None) -> int:
     except SeedInvalid as exc:
         print(f"tailkit: seed invalid: {exc}", file=sys.stderr)
         return 3
-    except ParamError as exc:  # a flag value outside its domain
+    except (ParamError, SeedIncompatible) as exc:  # a flag value the model rejects
         print(f"tailkit: {exc}", file=sys.stderr)
         return 2
     except TailkitError as exc:

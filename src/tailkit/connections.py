@@ -93,12 +93,10 @@ def chernoff_h(
     mgf: Callable[[float], float],
     t_grid: list[float],
     r: float = math.inf,
-    refine: bool = True,
 ) -> CandidateH:
     """h(x) = min over t of M(t) e^{-tx} (minus M(t) e^{-tr} when r is
-    finite), minimized by a grid scan with optional refinement between
-    the bracketing grid points; ties in the scan break toward the
-    smaller t.
+    finite), minimized by a grid scan and refined between the bracketing
+    grid points; ties in the scan break toward the smaller t.
 
     h'(x) is the envelope derivative -t* M(t*) e^{-t* x} of the active
     branch.
@@ -221,7 +219,7 @@ def chernoff_h(
         and the two before it, tw and tv, with phi there, the last step d
         and the one before it, e."""
         t_star, v_star, m_star, lo, hi, f_lo, f_hi = scan(x, fates)
-        if not (refine and top):
+        if not top:
             return t_star, v_star, m_star
         t, v_t, m_t = t_star, v_star, m_star
         f_t = phi(v_star, m_star, t_star, x)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import jet as J
-from . import specfun
-from .errors import DomainError, ParamError
+from . import awgn, specfun
+from .errors import DomainError, OutOfValidity, ParamError
 from .jet import Jet, jet_const, jet_var
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -220,26 +220,15 @@ def beta_prime_closed_iterates(alpha: float, beta: float, i: int, x: float) -> f
 
 def ncchi2_left_closed_p0(k: float, s: float, x: float) -> float:
     """Closed-form left-tail seed for the non-central chi-squared
-    (g = x f), evaluated in log space.
+    (g = x f), evaluated in log space as the AWGN converse's left seed
+    (``awgn._log_seed``).
 
     P0(x) = e^{-(s+x)/2} sqrt(sx) (x/s)^{k/4} I_{k/2-1}(u)^2
             / ((k - x) I_{k/2-1}(u) + u I_{k/2}(u)),  u = sqrt(sx).
     """
     if k < 4.0 or s <= 0.0:
         raise ParamError("closed-form left seed needs k >= 4 and s > 0")
-    if x <= 0.0:
-        raise DomainError("needs x > 0")
-    u = math.sqrt(s * x)
-    pair = specfun.log_bessel_i_scaled(0.5 * k, u)
-    bracket = (k - x) + u * pair.ratio
-    if bracket <= 0.0:
-        raise DomainError(f"left seed pole/out of validity at x={x}")
-    ln_p0 = (
-        -0.5 * (s + x)
-        + 0.5 * math.log(s * x)
-        + 0.25 * k * math.log(x / s)
-        + u
-        + pair.log_scaled_lower
-        - math.log(bracket)
-    )
-    return math.exp(ln_p0)
+    try:
+        return math.exp(awgn._log_seed(k, s, x, right=False))
+    except OutOfValidity as exc:  # x <= 0, or a bracket of the wrong sign
+        raise DomainError(f"left seed pole/out of validity: {exc}") from exc

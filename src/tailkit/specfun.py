@@ -16,9 +16,10 @@ otherwise.  The expansion coefficients are generated once at import from
 their exact rational recurrence rather than hardcoded, up to the eighth
 correction term; the effective expansion parameter is 1/sqrt(nu^2+u^2),
 so eight terms keep the two regimes consistent to ~1e-12 at the
-crossover.  Ratios I_nu/I_{nu-1} in the expansion regime come from the
-companion derivative expansion evaluated at a single order, which avoids
-the cancellation of subtracting two large exponents.
+crossover.  One expansion at the single order nu, of I_nu and I_nu',
+gives both ln(e^{-u} I_nu) and the ratio I_nu/I_{nu-1}, and
+ln(e^{-u} I_{nu-1}) is the first less the log of the second; the series
+regime sums both orders in one loop.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import _kernels_py as _kp
 from . import rootfind
 from .errors import DomainError, ToleranceNotMet
-from .jet import Jet
+from .jet import Jet, jet_shift_derivative
 
 _SQRT2 = math.sqrt(2.0)
 _INV_E = math.exp(-1.0)
@@ -362,8 +363,9 @@ def _gen_debye_v(upolys: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 _DEBYE_TERMS = 8
-_DEBYE_U = [tuple(float(c) for c in p) for p in _gen_debye_u(_DEBYE_TERMS)]
-_DEBYE_V = [tuple(float(c) for c in p) for p in _gen_debye_v(_gen_debye_u(_DEBYE_TERMS))]
+_DEBYE_U_EXACT = _gen_debye_u(_DEBYE_TERMS)
+_DEBYE_U = [tuple(float(c) for c in p) for p in _DEBYE_U_EXACT]
+_DEBYE_V = [tuple(float(c) for c in p) for p in _gen_debye_v(_DEBYE_U_EXACT)]
 
 
 def _polyval(coeffs: tuple[float, ...], x: float) -> float:
@@ -383,19 +385,22 @@ def _series_regime(nu: float, u):
     return (u < max(30.0, 0.5 * nu)) & (u <= _SERIES_U_CAP)
 
 
-def _series_log_scaled(mu: float, u: np.ndarray) -> np.ndarray:
-    # ln(e^{-u} I_mu(u)) by the ascending series at every element of u (a
-    # float goes in as a one-point array). The sum of positive terms is
-    # Gamma(mu+1) (u/2)^{-mu} I_mu(u), and under _series_regime it stays
-    # below e^49, far from overflow: it is at most I_0(u) < e^30 for
-    # u < 30, and about e^{u/8} where u < nu/2, up to the u cap; its
-    # largest value, ln = 48.6, is at nu just above 800, u = 400. The loop
-    # runs until the slowest element stops, and an element that has
-    # stopped gains nothing from the extra terms (each is below half an
-    # ulp of its total), so each result has the bits it gets on its own
+def _series_pair(nu: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ln(e^{-u} I_mu(u)) at mu = nu - 1 and mu = nu by the ascending series
+    # at every element of u (a float goes in as a one-point array), one
+    # loop for both orders, row i of each array order i. The sum of
+    # positive terms is Gamma(mu+1) (u/2)^{-mu} I_mu(u), and under
+    # _series_regime it stays below e^49, far from overflow: it is at most
+    # I_0(u) < e^30 for u < 30, and about e^{u/8} where u < nu/2, up to the
+    # u cap; its largest value, ln = 48.6, is at nu just above 800, u = 400.
+    # The loop runs until the slowest element of either order stops, and an
+    # element that has stopped gains nothing from the extra terms (each is
+    # below 1e-18 of its total, under half an ulp), so each result has the
+    # bits it gets on its own
+    mu = np.array([[nu - 1.0], [nu]])
     q = 0.25 * u * u
-    term = np.ones_like(u)
-    total = np.ones_like(u)
+    term = np.ones((2,) + u.shape)
+    total = np.ones((2,) + u.shape)
     j = 0
     while True:
         j += 1
@@ -405,31 +410,15 @@ def _series_log_scaled(mu: float, u: np.ndarray) -> np.ndarray:
             break
         if j > 50000:
             raise ToleranceNotMet("Bessel series stalled")
-    return -u + mu * np.log(0.5 * u) - math.lgamma(mu + 1.0) + np.log(total)
+    lgam = np.array([[math.lgamma(m + 1.0)] for m in (nu - 1.0, nu)])
+    lower, upper = -u + mu * np.log(0.5 * u) - lgam + np.log(total)
+    return lower, upper
 
 
-def _uniform_log_scaled(mu: float, u: float) -> float:
-    # ln(e^{-u} I_mu(u)) from the uniform large-order expansion, mu >= 1
-    z = u / mu
-    w = math.sqrt(1.0 + z * z)
-    p = 1.0 / w
-    s = 0.0
-    for k in range(_DEBYE_TERMS, 0, -1):
-        s = (s + _polyval(_DEBYE_U[k], p)) / mu
-    s += 1.0
-    # mu*eta(z) - u computed as mu*(1/(w+z) - log((1+w)/z)) to avoid the
-    # w - z cancellation at large z
-    return (
-        mu * (1.0 / (w + z) - math.log((1.0 + w) / z))
-        - 0.5 * math.log(2.0 * math.pi * mu)
-        - 0.25 * math.log(1.0 + z * z)
-        + math.log(s)
-    )
-
-
-def _uniform_ratio(nu: float, u: float) -> float:
-    # I_nu(u)/I_{nu-1}(u) via I_{nu-1} = I_nu' + (nu/u) I_nu and the
-    # companion expansions for I_nu and I_nu' at the single order nu
+def _uniform_pair(nu: float, u: float) -> tuple[float, float]:
+    # ln(e^{-u} I_nu(u)) and I_nu(u)/I_{nu-1}(u) from the uniform
+    # large-order expansions of I_nu and I_nu' at the single order nu (U
+    # and V sums), the ratio via I_{nu-1} = I_nu' + (nu/u) I_nu
     z = u / nu
     w = math.sqrt(1.0 + z * z)
     p = 1.0 / w
@@ -440,37 +429,44 @@ def _uniform_ratio(nu: float, u: float) -> float:
         sv = (sv + _polyval(_DEBYE_V[k], p)) / nu
     su += 1.0
     sv += 1.0
-    return z / (1.0 + w * sv / su)
+    # nu*eta(z) - u computed as nu*(1/(w+z) - log((1+w)/z)) to avoid the
+    # w - z cancellation at large z
+    log_upper = (
+        nu * (1.0 / (w + z) - math.log((1.0 + w) / z))
+        - 0.5 * math.log(2.0 * math.pi * nu)
+        - 0.25 * math.log(1.0 + z * z)
+        + math.log(su)
+    )
+    return log_upper, z / (1.0 + w * sv / su)
 
 
-def log_bessel_i_scaled(nu: float, u: float) -> ScaledBesselPair:
-    """ln(e^{-u} I_{nu-1}(u)) and I_nu(u)/I_{nu-1}(u) for nu >= 1, u > 0."""
+def _scalar_pair(nu: float, u: float) -> tuple[float, float, float]:
+    # ln(e^{-u} I_{nu-1}(u)), ln(e^{-u} I_nu(u)) and I_nu(u)/I_{nu-1}(u)
+    # at a float u, from one evaluation in u's regime
     if nu < 1.0:
         raise DomainError("log_bessel_i_scaled needs nu >= 1")
     if u <= 0.0 or not math.isfinite(u):
         raise DomainError("log_bessel_i_scaled needs u > 0")
     if _series_regime(nu, u):
-        point = np.array([float(u)])
-        lsl = _series_log_scaled(nu - 1.0, point).item()
-        ratio = math.exp(_series_log_scaled(nu, point).item() - lsl)
-    else:
-        ratio = _uniform_ratio(nu, u)
-        if nu - 1.0 >= 1.0:
-            lsl = _uniform_log_scaled(nu - 1.0, u)
-        else:
-            # order below 1: evaluate at order nu and peel the ratio off
-            lsl = _uniform_log_scaled(nu, u) - math.log(ratio)
-    return ScaledBesselPair(lsl, ratio)
+        lower, upper = (v.item() for v in _series_pair(nu, np.array([float(u)])))
+        return lower, upper, math.exp(upper - lower)
+    upper, ratio = _uniform_pair(nu, u)
+    return upper - math.log(ratio), upper, ratio
+
+
+def log_bessel_i_scaled(nu: float, u: float) -> ScaledBesselPair:
+    """ln(e^{-u} I_{nu-1}(u)) and I_nu(u)/I_{nu-1}(u) for nu >= 1, u > 0."""
+    lower, _, ratio = _scalar_pair(nu, u)
+    return ScaledBesselPair(lower, ratio)
 
 
 def _scaled_seed(nu: float, u0) -> tuple:
     """ln(e^{-u}I_{nu-1}(u)) and ln(e^{-u}I_nu(u)) at u0: a float, or an
-    array, NaN where the scalar call raises DomainError (u <= 0, nu < 1,
+    array, NaN where the float call raises DomainError (u <= 0, nu < 1,
     or an undefined point). On an array the series regime runs
     vectorised, the uniform one point by point."""
     if not isinstance(u0, np.ndarray):
-        pair = log_bessel_i_scaled(nu, u0)
-        return pair.log_scaled_lower, pair.log_scaled_lower + math.log(pair.ratio)
+        return _scalar_pair(nu, u0)[:2]
     lower = np.full(u0.shape, math.nan)
     upper = np.full(u0.shape, math.nan)
     if nu < 1.0:
@@ -478,17 +474,14 @@ def _scaled_seed(nu: float, u0) -> tuple:
     ok = (u0 > 0.0) & np.isfinite(u0)
     series = ok & _series_regime(nu, u0)
     if series.any():
-        u = u0[series]
-        lsl = _series_log_scaled(nu - 1.0, u)
-        ratio = np.exp(_series_log_scaled(nu, u) - lsl)
-        lower[series] = lsl
-        upper[series] = lsl + np.log(ratio)
+        lower[series], upper[series] = _series_pair(nu, u0[series])
     for i in np.flatnonzero(ok & ~series).tolist():
-        lower[i], upper[i] = _scaled_seed(nu, float(u0[i]))
+        upper[i], ratio = _uniform_pair(nu, float(u0[i]))
+        lower[i] = upper[i] - math.log(ratio)
     return lower, upper
 
 
-def _log_bessel_ode_coeffs(nu: float, u_coeffs: tuple) -> tuple[list, list]:
+def _log_bessel_ode_coeffs(nu: float, u: Jet) -> tuple[list, list]:
     """Coefficients of ln(e^{-u}I_{nu-1}(u(x))) and ln(e^{-u}I_nu(u(x))).
 
     Propagates A' = (e^{B-A} + (nu-1)/u - 1) u' and
@@ -497,14 +490,14 @@ def _log_bessel_ode_coeffs(nu: float, u_coeffs: tuple) -> tuple[list, list]:
     fewer coefficients than requested, otherwise same order as u. The
     coefficients are floats or grid arrays alike (see ``jet``).
     """
-    n = len(u_coeffs) - 1  # target order
-    lower, upper = _scaled_seed(nu, u_coeffs[0])
+    n = u.order  # target order
+    lower, upper = _scaled_seed(nu, u.coeffs[0])
     a = [lower] + [0.0] * n
     b = [upper] + [0.0] * n
     if n == 0:
         return a, b
-    inv_u = _kp.div((1.0,) + (0.0,) * n, u_coeffs)
-    du = tuple((k + 1) * u_coeffs[k + 1] for k in range(n))  # order n-1
+    inv_u = (1.0 / u).coeffs
+    du = jet_shift_derivative(u).coeffs  # order n-1
 
     def conv_at(p, q, m):
         # a plain left-to-right sum: builtin sum() of floats is compensated
@@ -542,6 +535,6 @@ def log_bessel_i_jet(nu: float, u: Jet) -> tuple[Jet, Jet]:
     underflow (blocklengths up to 10^7). ``u`` may be a grid jet; the
     points where u is undefined or non-positive come back NaN.
     """
-    a, b = _log_bessel_ode_coeffs(nu, u.coeffs)
+    a, b = _log_bessel_ode_coeffs(nu, u)
     return Jet(u.anchor, tuple(a)), Jet(u.anchor, tuple(b))
 

@@ -132,6 +132,16 @@ class TestBoundsCsv:
             rc = run(["bounds", "--side", "right", "--x-min", "1", "--x-max", "3", "--out", str(out)] + flags + TS)
             assert rc == 2, flags
             assert not out.exists()
+        # a window outside the support, and a seed the distribution cannot
+        # take (SeedIncompatible)
+        for flags in (
+            ["--dist", "ncchi2", "--k", "10", "--s", "2", "--side", "left", "--seed", "shifted-pdf",
+             "--x-min", "0", "--x-max", "6"],
+            ["--dist", "beta-prime", "--seed", "shifted-pdf", "--x-min", "-1", "--x-max", "3"],
+            ["--dist", "gaussian", "--seed", "shifted-pdf", "--side", "left", "--x-min", "1", "--x-max", "3"],
+        ):
+            assert run(["bounds", "--out", str(out)] + flags + TS) == 2, flags
+            assert not out.exists()
 
     def test_non_finite_window_exit_2(self, tmp_path):
         out = tmp_path / "never.csv"

@@ -164,15 +164,6 @@ class TestChernoffH:
         # residual h' + f = -x e^{-x^2/2} + phi(x) <= 0 for x >= 1/sqrt(2 pi)
         assert 1.0 - O.gaussian_cdf(0.0, 1.0, 0.6) > h.evaluator(8.0, 0).value  # sanity
 
-    def test_fine_grid_dominates_coarse(self):
-        # the fine grid is an actual superset of the coarse points, so
-        # its minimum can only be lower
-        mgf = lambda t: math.exp(0.5 * t * t)
-        coarse = C.chernoff_h(mgf, [0.5, 2.0, 5.0], refine=False)
-        fine = C.chernoff_h(mgf, list(np.linspace(0.5, 5.0, 301)), refine=False)
-        for x in np.linspace(0.5, 5.0, 40):
-            assert fine.evaluator(float(x), 0).value <= coarse.evaluator(float(x), 0).value + 1e-15
-
     def test_refined_grids_agree(self):
         mgf = lambda t: math.exp(0.5 * t * t)
         coarse = C.chernoff_h(mgf, [0.5, 2.0, 5.0])
@@ -193,8 +184,8 @@ class TestChernoffH:
 
     def test_bounded_support_variant(self):
         mgf = lambda t: math.exp(0.5 * t * t)
-        hb = C.chernoff_h(mgf, [1.0, 2.0], r=5.0, refine=False)
-        hu = C.chernoff_h(mgf, [1.0, 2.0], refine=False)
+        hb = C.chernoff_h(mgf, [1.0, 2.0], r=5.0)
+        hu = C.chernoff_h(mgf, [1.0, 2.0])
         x = 2.0
         assert hb.evaluator(x, 0).value < hu.evaluator(x, 0).value
 
@@ -288,7 +279,7 @@ def _gauss_mgf(mu, sigma):
     return lambda t: math.exp(mu * t + 0.5 * sigma * sigma * t * t)
 
 
-def _chernoff_reference(mgf, t_grid, x, r=math.inf, refine=True):
+def _chernoff_reference(mgf, t_grid, x, r=math.inf):
     """(h, h') at one float x by the per-point minimisation, one scalar
     ``mgf`` call per branch: the scan, then Brent's parabolic minimisation
     of phi(t) (ln M(t) - t x, or ln of the branch value when r is finite)
@@ -311,7 +302,7 @@ def _chernoff_reference(mgf, t_grid, x, r=math.inf, refine=True):
     vals = [branch(t) for t in ts]
     j = min(range(len(ts)), key=lambda i: (vals[i][0], ts[i]))
     t_star, (v_star, m_star) = ts[j], vals[j]
-    if refine and len(ts) > 1:
+    if len(ts) > 1:
         jl, jh = max(j - 1, 0), min(j + 1, len(ts) - 1)
         lo, hi = ts[jl], ts[jh]
         t, v_t, m_t, f_t = t_star, v_star, m_star, phi(v_star, m_star, t_star)
@@ -365,12 +356,11 @@ def _chernoff_reference(mgf, t_grid, x, r=math.inf, refine=True):
 
 _REFERENCE_CASES = [
     (_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), {}),
-    (_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), {"refine": False}),
     (_gauss_mgf(0.0, 1.0), list(np.linspace(0.05, 3.0, 30)), {"r": 40.0}),
     (_gauss_mgf(-1.7, 1.9), [0.5, 0.5, 1.0, 2.0, 2.0, 3.0, 6.0, 6.0], {}),
     (lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40)), {}),
 ]
-_REFERENCE_IDS = ["chernoff", "scan-only", "bounded", "repeated-t", "zero-ties"]
+_REFERENCE_IDS = ["chernoff", "bounded", "repeated-t", "zero-ties"]
 
 
 class TestGridCandidates:
@@ -407,18 +397,14 @@ class TestGridCandidates:
 
     @pytest.mark.parametrize("make", [
         lambda: C.chernoff_h(_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80))),
-        lambda: C.chernoff_h(_gauss_mgf(-1.7, 1.9), list(np.linspace(0.05, 12.0, 80)), refine=False),
         lambda: C.chernoff_h(_gauss_mgf(0.0, 1.0), list(np.linspace(0.05, 3.0, 30)), r=40.0),
-        lambda: C.chernoff_h(_gauss_mgf(0.0, 1.0), [0.5, 2.0, 5.0], r=31.0, refine=False),
         # exact ties in the scan: repeated t values, and values that
         # underflow to 0.0 for every large t
         lambda: C.chernoff_h(_gauss_mgf(-1.7, 1.9), [0.5, 0.5, 1.0, 2.0, 2.0, 3.0, 6.0, 6.0]),
         lambda: C.chernoff_h(lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40))),
-        lambda: C.chernoff_h(lambda t: 1e-300, list(np.linspace(1.0, 40.0, 40)), refine=False),
         lambda: C.markov_h(2.1 / 0.3),
         lambda: C.markov_h(2.1 / 0.3, r=45.0),
-    ], ids=["chernoff", "chernoff-scan-only", "chernoff-bounded", "chernoff-bounded-scan-only",
-            "chernoff-repeated-t", "chernoff-zero-ties", "chernoff-zero-ties-scan-only",
+    ], ids=["chernoff", "chernoff-bounded", "chernoff-repeated-t", "chernoff-zero-ties",
             "markov", "markov-bounded"])
     def test_fig1_grid_bit_for_bit(self, make):
         h = make()
@@ -439,9 +425,9 @@ class TestGridCandidates:
         ts = list(np.linspace(0.05, 12.0, 80))
         calls = []
         mgf = _gauss_mgf(-1.7, 1.9)
-        h = C.chernoff_h(lambda t: calls.append(t) or mgf(t), ts, refine=False)
+        h = C.chernoff_h(lambda t: calls.append(t) or mgf(t), ts)
         h.evaluator(_FIG1_GRID, 1)
-        assert len(calls) == len(ts)
+        assert calls[: len(ts)] == ts  # the scan, before the refinement's calls
 
     def test_refinement_calls_mgf_a_few_times_per_point(self):
         calls = []

@@ -177,6 +177,22 @@ class TestLambertW:
             sf.lambert_w0(-1.0)
 
 
+def _series_log_scaled(mu, u):
+    """ln(e^{-u} I_mu(u)) by the ascending series, one order per loop: the
+    reference for the loop that sums two orders together."""
+    q = 0.25 * u * u
+    term = np.ones_like(u)
+    total = np.ones_like(u)
+    j = 0
+    while True:
+        j += 1
+        term = term * (q / (j * (mu + j)))
+        total = total + term
+        if (term < total * 1e-18).all():
+            break
+    return -u + mu * np.log(0.5 * u) - math.lgamma(mu + 1.0) + np.log(total)
+
+
 class TestScaledBessel:
     @pytest.mark.parametrize("nu,u", [(5.0, 10.0), (50.0, 120.0), (500.0, 900.0)])
     def test_three_term_recurrence(self, nu, u):
@@ -200,8 +216,12 @@ class TestScaledBessel:
         assert abs(ln_i - leading) <= 1e-2
 
     def test_against_mpmath_all_regimes(self):
+        # the last rows are uniform-regime points at orders below 2, where
+        # the expansion is at its least accurate, and at orders of 1e3 and up
         for nu, u in ((1.0, 0.5), (2.5, 8.0), (5.0, 29.0), (5.0, 31.0), (40.0, 15.0),
-                      (200.0, 99.0), (200.0, 101.0), (1.0, 60.0), (1.3, 45.0), (800.0, 350.0)):
+                      (200.0, 99.0), (200.0, 101.0), (1.0, 60.0), (1.3, 45.0), (800.0, 350.0),
+                      (1.0, 2000.0), (1.5, 35.0), (1.99, 31.0), (1.9, 500.0),
+                      (1000.0, 450.0), (1000.0, 600.0), (1000.0, 2500.0), (3000.0, 1600.0), (3000.0, 7000.0)):
             pair = sf.log_bessel_i_scaled(nu, u)
             want_l = float(mp.log(mp.besseli(nu - 1, u)) - u)
             want_r = float(mp.besseli(nu, u) / mp.besseli(nu - 1, u))
@@ -209,10 +229,22 @@ class TestScaledBessel:
             assert rel(pair.ratio, want_r) < 1e-11, (nu, u)
 
     def test_regime_crossover_continuity(self):
+        # ln(e^{-u} I_mu(u)) by the series and by the expansion at order mu
         for mu, u in ((4.0, 30.0), (199.0, 100.0)):
-            a = sf._series_log_scaled(mu, np.array([u])).item()
-            b = sf._uniform_log_scaled(mu, u)
+            a = sf._series_pair(mu, np.array([u]))[1].item()
+            b = sf._uniform_pair(mu, u)[0]
             assert rel(a, b) < 1e-8
+
+    @pytest.mark.parametrize("nu", [1.0, 1.5, 5.0, 60.0, 800.0])
+    def test_series_pair_matches_separate_loops(self, nu):
+        # one loop over both orders gives each order the bits of its own loop
+        top = min(max(30.0, 0.5 * nu), sf._SERIES_U_CAP)
+        grid = np.geomspace(1e-3, top * (1.0 - 1e-12), 512)
+        for u in [grid] + [np.array([v]) for v in grid[::51].tolist() + [top * (1.0 - 1e-12)]]:
+            assert sf._series_regime(nu, u).all()
+            lower, upper = sf._series_pair(nu, u)
+            assert lower.tobytes() == _series_log_scaled(nu - 1.0, u).tobytes()
+            assert upper.tobytes() == _series_log_scaled(nu, u).tobytes()
 
     def test_float_results_in_both_regimes(self):
         # the series regime runs its one array routine on a one-point grid
@@ -248,6 +280,17 @@ class TestBesselJets:
                 assert math.isnan(lower[i]) and math.isnan(upper[i]), u
                 continue
             np.testing.assert_allclose([lower[i], upper[i]], want, rtol=1e-13, atol=0.0, err_msg=str(u))
+
+    @pytest.mark.parametrize("nu,u", [(1.0, 0.5), (5.0, 29.0), (800.0, 350.0), (1.5, 35.0),
+                                      (200.0, 101.0), (3000.0, 7000.0)])
+    def test_seed_and_pair_read_one_evaluation(self, nu, u):
+        # series and uniform regimes: the seed's lower log is the pair's,
+        # and its upper log is the one the pair's ratio comes from
+        lower, upper = sf._scaled_seed(nu, u)
+        pair = sf.log_bessel_i_scaled(nu, u)
+        assert type(lower) is float and type(upper) is float
+        assert lower == pair.log_scaled_lower
+        assert abs(upper - lower - math.log(pair.ratio)) <= 1e-15 * max(1.0, abs(upper))
 
     def test_order0_matches_scalar(self):
         pair = sf.log_bessel_i_scaled(25.0, 40.0)
