@@ -363,16 +363,14 @@ def _gen_debye_v(upolys: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 _DEBYE_TERMS = 8
-_DEBYE_U_EXACT = _gen_debye_u(_DEBYE_TERMS)
-_DEBYE_U = [tuple(float(c) for c in p) for p in _DEBYE_U_EXACT]
-_DEBYE_V = [tuple(float(c) for c in p) for p in _gen_debye_v(_DEBYE_U_EXACT)]
-
-
-def _polyval(coeffs: tuple[float, ...], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+_DEBYE_U = _gen_debye_u(_DEBYE_TERMS)
+_DEBYE_V = _gen_debye_v(_DEBYE_U)
+# U_k and V_k are p^k times polynomials in p^2 (nonzero coefficients only at
+# p^k, p^{k+2}, ..., p^{3k}): per k from 8 down to 0, the two polynomials'
+# coefficients paired, highest power first, the leading pair apart
+_DEBYE_ROWS = tuple((row[0], row[1:]) for row in (
+    tuple((float(_DEBYE_U[k][j]), float(_DEBYE_V[k][j])) for j in range(3 * k, k - 1, -2))
+    for k in range(_DEBYE_TERMS, -1, -1)))
 
 
 # Above this argument the series cost explodes (terms grow until
@@ -415,27 +413,29 @@ def _series_pair(nu: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _uniform_pair(nu: float, u: float) -> tuple[float, float]:
-    # ln(e^{-u} I_nu(u)) and I_nu(u)/I_{nu-1}(u) from the uniform
-    # large-order expansions of I_nu and I_nu' at the single order nu (U
-    # and V sums), the ratio via I_{nu-1} = I_nu' + (nu/u) I_nu
+def _uniform_pair(nu: float, u):
+    # ln(e^{-u} I_nu(u)) and I_nu(u)/I_{nu-1}(u), at a float or an array u,
+    # from the expansions of I_nu and I_nu' at order nu (the ratio via
+    # I_{nu-1} = I_nu' + (nu/u) I_nu): Horner in p/nu over k, in p^2 within
     z = u / nu
-    w = math.sqrt(1.0 + z * z)
+    w = _kp.each(math.sqrt, 1.0 + z * z)
     p = 1.0 / w
-    su = 0.0
-    sv = 0.0
-    for k in range(_DEBYE_TERMS, 0, -1):
-        su = (su + _polyval(_DEBYE_U[k], p)) / nu
-        sv = (sv + _polyval(_DEBYE_V[k], p)) / nu
-    su += 1.0
-    sv += 1.0
+    q = p * p
+    t = p / nu
+    su = sv = 0.0
+    for (au, av), rest in _DEBYE_ROWS:
+        for a, b in rest:
+            au = au * q + a
+            av = av * q + b
+        su = su * t + au
+        sv = sv * t + av
     # nu*eta(z) - u computed as nu*(1/(w+z) - log((1+w)/z)) to avoid the
     # w - z cancellation at large z
     log_upper = (
-        nu * (1.0 / (w + z) - math.log((1.0 + w) / z))
+        nu * (1.0 / (w + z) - _kp.each(math.log, (1.0 + w) / z))
         - 0.5 * math.log(2.0 * math.pi * nu)
-        - 0.25 * math.log(1.0 + z * z)
-        + math.log(su)
+        - 0.25 * _kp.each(math.log, 1.0 + z * z)
+        + _kp.each(math.log, su)
     )
     return log_upper, z / (1.0 + w * sv / su)
 
@@ -463,8 +463,7 @@ def log_bessel_i_scaled(nu: float, u: float) -> ScaledBesselPair:
 def _scaled_seed(nu: float, u0) -> tuple:
     """ln(e^{-u}I_{nu-1}(u)) and ln(e^{-u}I_nu(u)) at u0: a float, or an
     array, NaN where the float call raises DomainError (u <= 0, nu < 1,
-    or an undefined point). On an array the series regime runs
-    vectorised, the uniform one point by point."""
+    or an undefined point); on an array, each regime once on its points."""
     if not isinstance(u0, np.ndarray):
         return _scalar_pair(nu, u0)[:2]
     lower = np.full(u0.shape, math.nan)
@@ -473,11 +472,12 @@ def _scaled_seed(nu: float, u0) -> tuple:
         return lower, upper
     ok = (u0 > 0.0) & np.isfinite(u0)
     series = ok & _series_regime(nu, u0)
+    uniform = ok & ~series
     if series.any():
         lower[series], upper[series] = _series_pair(nu, u0[series])
-    for i in np.flatnonzero(ok & ~series).tolist():
-        upper[i], ratio = _uniform_pair(nu, float(u0[i]))
-        lower[i] = upper[i] - math.log(ratio)
+    if uniform.any():
+        upper[uniform], ratio = _uniform_pair(nu, u0[uniform])
+        lower[uniform] = upper[uniform] - np.log(ratio)
     return lower, upper
 
 

@@ -409,20 +409,25 @@ def _chk_csv_rerun(tols):
 
     from . import cli
 
+    stamp = ["--timestamp", "1970-01-01T00:00:00+00:00"]
+    commands = [
+        ["bounds", "--dist", "gaussian", "--mu", "-1.7", "--sigma", "1.9",
+         "--side", "right", "--seed", "pdf", "--iters", "2",
+         "--x-min", "1", "--x-max", "12", "--points", "25"],
+        ["awgn", "--omega", "1", "--eps", "1e-3", "--n-min", "1e3", "--n-max", "1e6", "--n-points", "4"],
+    ]
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [
-            "bounds", "--dist", "gaussian", "--mu", "-1.7", "--sigma", "1.9",
-            "--side", "right", "--seed", "pdf", "--iters", "2",
-            "--x-min", "1", "--x-max", "12", "--points", "25",
-            "--timestamp", "1970-01-01T00:00:00+00:00",
-        ]
-        p1 = os.path.join(tmp, "a.csv")
-        p2 = os.path.join(tmp, "b.csv")
-        cli.main(argv + ["--out", p1])
-        cli.main(argv + ["--out", p2])
-        with open(p1, "rb") as f1, open(p2, "rb") as f2:
-            same = f1.read() == f2.read()
-    return same, "identical manifest reproduces the CSV byte for byte"
+        for argv in commands:
+            runs = []
+            for name in ("a.csv", "b.csv"):
+                path = os.path.join(tmp, name)
+                if cli.main(argv + stamp + ["--out", path]) != 0:
+                    return False, f"tailkit {argv[0]} exited nonzero"
+                with open(path, "rb") as f:
+                    runs.append(f.read())
+            if runs[0] != runs[1]:
+                return False, f"tailkit {argv[0]} wrote other bytes on the rerun"
+    return True, "identical manifests reproduce the bounds and awgn CSVs byte for byte"
 
 
 SUITES: dict[str, list[Check]] = {

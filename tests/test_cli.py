@@ -274,6 +274,21 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
+    def test_rerun_check_compares_awgn_csvs(self, monkeypatch):
+        # an awgn CSV whose last digit drifts from run to run fails the check
+        from tailkit import awgn, verify
+
+        converse_bounds, calls = awgn.converse_bounds, []
+
+        def drifting(cfg):
+            calls.append(cfg.n)
+            p = converse_bounds(cfg)
+            return dataclasses.replace(p, r_lower=p.r_lower * (1.0 + 1e-15 * len(calls)))
+
+        assert verify._chk_csv_rerun({})[0]
+        monkeypatch.setattr(awgn, "converse_bounds", drifting)
+        assert not verify._chk_csv_rerun({})[0] and calls
+
 
 class TestParserOnce:
     """The parser is built once per process; one ``main`` call leaves

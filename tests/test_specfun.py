@@ -193,6 +193,43 @@ def _series_log_scaled(mu, u):
     return -u + mu * np.log(0.5 * u) - math.lgamma(mu + 1.0) + np.log(total)
 
 
+#: The Debye U and V polynomials as float tables over every power of p,
+#: zeros included
+_PADDED_U, _PADDED_V = (
+    [tuple(float(c) for c in poly) for poly in polys] for polys in (sf._DEBYE_U, sf._DEBYE_V)
+)
+
+
+def _polyval(coeffs, x):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _uniform_pair_nested(nu, u):
+    """The uniform expansion with a Horner over every power of p in each
+    term and a division by nu between terms: the reference for the sums
+    in p/nu and p^2 over the nonzero coefficients only."""
+    z = u / nu
+    w = math.sqrt(1.0 + z * z)
+    p = 1.0 / w
+    su = 0.0
+    sv = 0.0
+    for k in range(sf._DEBYE_TERMS, 0, -1):
+        su = (su + _polyval(_PADDED_U[k], p)) / nu
+        sv = (sv + _polyval(_PADDED_V[k], p)) / nu
+    su += 1.0
+    sv += 1.0
+    log_upper = (
+        nu * (1.0 / (w + z) - math.log((1.0 + w) / z))
+        - 0.5 * math.log(2.0 * math.pi * nu)
+        - 0.25 * math.log(1.0 + z * z)
+        + math.log(su)
+    )
+    return log_upper, z / (1.0 + w * sv / su)
+
+
 class TestScaledBessel:
     @pytest.mark.parametrize("nu,u", [(5.0, 10.0), (50.0, 120.0), (500.0, 900.0)])
     def test_three_term_recurrence(self, nu, u):
@@ -235,6 +272,39 @@ class TestScaledBessel:
             b = sf._uniform_pair(mu, u)[0]
             assert rel(a, b) < 1e-8
 
+    def test_debye_rows_drop_only_zeros(self):
+        # U_k and V_k vanish off p^k, p^{k+2}, ..., p^{3k}
+        assert len(sf._DEBYE_U) == len(sf._DEBYE_V) == sf._DEBYE_TERMS + 1
+        for k, polys in enumerate(zip(sf._DEBYE_U, sf._DEBYE_V)):
+            for poly in polys:
+                assert len(poly) == 3 * k + 1
+                assert all(c == 0 for j, c in enumerate(poly) if j < k or (j - k) % 2), k
+
+    def test_uniform_pair_matches_nested_polyval(self):
+        # the sums in p/nu and p^2 against the Horner over every power of
+        # p, at uniform-regime points with nu in [1, 5e7]: within 2 ulp
+        rng = np.random.default_rng(24)
+        nus = np.exp(rng.uniform(0.0, math.log(5e7), 3000))
+        us = nus * np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 3000))
+        pts = [(nu, u) for nu, u in zip(nus.tolist(), us.tolist()) if not sf._series_regime(nu, u)]
+        assert len(pts) >= 2000
+        for nu, u in pts:
+            for got, want in zip(sf._uniform_pair(nu, u), _uniform_pair_nested(nu, u)):
+                assert abs(got - want) <= 2.0 * math.ulp(want), (nu, u)
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("nu", [40.5, 500.0, 5000.0])
+    def test_against_mpmath_at_awgn_arguments(self, omega, nu):
+        # the AWGN converse evaluates at nu = n/2 and, near its threshold
+        # lambda = 1 + 1/Omega, at z = u/nu = 2 sqrt(1 + Omega)/Omega
+        u = nu * 2.0 * math.sqrt(1.0 + omega) / omega
+        assert not sf._series_regime(nu, u)
+        lower, upper = sf._scaled_seed(nu, u)
+        i_lower, i_upper = (mp.besseli(mu, u, maxterms=10**6) for mu in (nu - 1, nu))
+        assert rel(lower, float(mp.log(i_lower) - u)) < 1e-13
+        assert rel(upper, float(mp.log(i_upper) - u)) < 1e-13
+        assert rel(sf.log_bessel_i_scaled(nu, u).ratio, float(i_upper / i_lower)) < 1e-13
+
     @pytest.mark.parametrize("nu", [1.0, 1.5, 5.0, 60.0, 800.0])
     def test_series_pair_matches_separate_loops(self, nu):
         # one loop over both orders gives each order the bits of its own loop
@@ -266,7 +336,7 @@ class TestScaledBessel:
 
 
 class TestBesselJets:
-    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 5.0, 60.0, 1000.0])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 5.0, 60.0, 1000.0, 5e3, 5e7])
     def test_grid_seed_matches_scalar(self, nu):
         # both regimes (series, uniform, past the series cap): within 1e-13
         # relative (numpy's exp and log against libm's), and NaN at every
@@ -280,6 +350,19 @@ class TestBesselJets:
                 assert math.isnan(lower[i]) and math.isnan(upper[i]), u
                 continue
             np.testing.assert_allclose([lower[i], upper[i]], want, rtol=1e-13, atol=0.0, err_msg=str(u))
+
+    def test_grid_uniform_points_in_one_call(self, monkeypatch):
+        us = np.geomspace(1e-3, 2000.0, 120)
+        sizes = []
+        uniform_pair = sf._uniform_pair
+
+        def counted(nu, u):
+            sizes.append(u.size)
+            return uniform_pair(nu, u)
+
+        monkeypatch.setattr(sf, "_uniform_pair", counted)
+        sf._scaled_seed(60.0, us)
+        assert sizes == [(~sf._series_regime(60.0, us)).sum()] and 0 < sizes[0] < us.size
 
     @pytest.mark.parametrize("nu,u", [(1.0, 0.5), (5.0, 29.0), (800.0, 350.0), (1.5, 35.0),
                                       (200.0, 101.0), (3000.0, 7000.0)])
