@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from . import jet as J
 from . import awgn, specfun
 from .errors import DomainError, OutOfValidity, ParamError
-from .jet import Jet, jet_const, jet_var
+from .jet import Jet, jet_var
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -88,8 +88,8 @@ def make_gaussian(mu: float, sigma: float) -> DistributionSpec:
 
 
 def make_beta_prime(alpha: float, beta: float) -> DistributionSpec:
-    if not (alpha > 0.0 and beta > 0.0):
-        raise ParamError("beta prime needs alpha, beta > 0")
+    if not (alpha > 0.0 and beta > 0.0 and math.isfinite(alpha) and math.isfinite(beta)):
+        raise ParamError("beta prime needs finite alpha, beta > 0")
 
     ln_b = specfun.log_beta(alpha, beta)
 
@@ -102,15 +102,17 @@ def make_beta_prime(alpha: float, beta: float) -> DistributionSpec:
 
 
 def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
-    """Non-central chi-squared with k degrees of freedom, non-centrality s.
+    """Non-central chi-squared with k > 0 degrees of freedom, non-centrality
+    s >= 0.
 
-    The Bessel order of the PDF is k/2-1; for k >= 4 the PDF jet goes
-    through the scaled Bessel jets (order >= 1 contract), below that it
-    falls back to the Poisson-mixture series of central chi-squared
-    densities.
+    For s > 0, ln f = -ln 2 - (x+s)/2 + (k/4 - 1/2) ln(x/s) + ln I_{k/2-1}(u)
+    with u = sqrt(s x), for every k > 0 (the order k/2 - 1 is negative below
+    k = 2); the Bessel term comes from the scaled log-Bessel jet at order
+    nu = k/2, so ln f stays in log space however far out x is. s = 0 is the
+    central chi-squared.
     """
-    if not (k > 0.0 and s >= 0.0):
-        raise ParamError("noncentral chi2 needs k > 0, s >= 0")
+    if not (k > 0.0 and s >= 0.0 and math.isfinite(k) and math.isfinite(s)):
+        raise ParamError("noncentral chi2 needs finite k > 0, s >= 0")
 
     support = SupportInterval(0.0, math.inf)
     params = {"k": k, "s": s}
@@ -124,47 +126,20 @@ def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
 
         return _spec_from_log_jet("noncentral_chi2", params, support, log_jet0)
 
-    if k >= 4.0:
-
-        def log_jet(anchor, order: int) -> Jet:
-            x = _positive_var(anchor, order, "noncentral chi2 PDF jet needs anchor > 0")
-            u = J.sqrt(s * x)
-            log_lower, _ = specfun.log_bessel_i_jet(0.5 * k, u)
-            # ln f = -ln2 - (x+s)/2 + (k/4 - 1/2) ln(x/s) + u + ln Ie_{k/2-1}
-            return (
-                -math.log(2.0)
-                - 0.5 * (x + s)
-                + (0.25 * k - 0.5) * (J.ln(x) - math.log(s))
-                + u
-                + log_lower
-            )
-
-        return _spec_from_log_jet("noncentral_chi2", params, support, log_jet)
-
-    # k < 4: Poisson mixture of central chi-squared densities
-    half_s = 0.5 * s
-    j_cap = int(half_s + 40.0 * math.sqrt(half_s + 1.0) + 60.0)
-
-    def pdf_jet(anchor, order: int) -> Jet:
+    def log_jet(anchor, order: int) -> Jet:
         x = _positive_var(anchor, order, "noncentral chi2 PDF jet needs anchor > 0")
-        expo = J.exp(-0.5 * x)
-        total = jet_const(0.0, anchor, order)
-        pois_mass = 0.0
-        for j in range(j_cap + 1):
-            lw = -half_s + j * math.log(half_s) - math.lgamma(j + 1.0)
-            dof = 0.5 * k + j
-            c = math.exp(lw - dof * math.log(2.0) - math.lgamma(dof))
-            if c > 0.0:
-                total = total + c * J.powj(x, dof - 1.0)
-            pois_mass += math.exp(lw)
-            if 1.0 - pois_mass < 1e-17:
-                break
-        return total * expo
+        u = J.sqrt(s * x)
+        log_lower, _ = specfun.log_bessel_i_jet(0.5 * k, u)
+        # ln f = -ln2 - (x+s)/2 + (k/4 - 1/2) ln(x/s) + u + ln Ie_{k/2-1}
+        return (
+            -math.log(2.0)
+            - 0.5 * (x + s)
+            + (0.25 * k - 0.5) * (J.ln(x) - math.log(s))
+            + u
+            + log_lower
+        )
 
-    def log_jet_mix(anchor, order: int) -> Jet:
-        return J.ln(pdf_jet(anchor, order))
-
-    return DistributionSpec("noncentral_chi2", params, support, pdf_jet, log_jet_mix)
+    return _spec_from_log_jet("noncentral_chi2", params, support, log_jet)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +201,8 @@ def ncchi2_left_closed_p0(k: float, s: float, x: float) -> float:
     P0(x) = e^{-(s+x)/2} sqrt(sx) (x/s)^{k/4} I_{k/2-1}(u)^2
             / ((k - x) I_{k/2-1}(u) + u I_{k/2}(u)),  u = sqrt(sx).
     """
-    if k < 4.0 or s <= 0.0:
-        raise ParamError("closed-form left seed needs k >= 4 and s > 0")
+    if not (k > 0.0 and s > 0.0):
+        raise ParamError("closed-form left seed needs k > 0 and s > 0")
     try:
         return math.exp(awgn._log_seed(k, s, x, right=False))
     except OutOfValidity as exc:  # x <= 0, or a bracket of the wrong sign

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailkit import cli, dist, engine
+from tailkit import cli, dist, engine, oracle
 from tailkit.engine import SeedKind, TailSide
 
 TS = ["--timestamp", "2026-01-01T00:00:00+00:00"]
@@ -128,6 +128,10 @@ class TestBoundsCsv:
             ["--dist", "gaussian", "--sigma", "-1"],
             ["--dist", "ncchi2", "--k", "-1"],
             ["--dist", "beta-prime", "--alpha", "0"],
+            ["--dist", "ncchi2", "--k", "4", "--s", "inf"],
+            ["--dist", "ncchi2", "--k", "inf"],
+            ["--dist", "beta-prime", "--alpha", "inf"],
+            ["--dist", "beta-prime", "--beta", "inf"],
         ):
             rc = run(["bounds", "--side", "right", "--x-min", "1", "--x-max", "3", "--out", str(out)] + flags + TS)
             assert rc == 2, flags
@@ -171,6 +175,40 @@ class TestBoundsCsv:
                   "--iters", "1", "--x-min", "1", "--x-max", "3", "--points", "3"] + TS)
         assert rc == 0
         assert "# command: bounds" in capsys.readouterr().out
+
+
+class TestSmallDofRightTail:
+    """Below k = 4 the Bessel order k/2 - 1 of the non-central chi-squared
+    ln f is below 1 (negative below k = 2): every bound the CSV claims
+    holds against the log-space survival function."""
+
+    @pytest.mark.parametrize("argv", [
+        "--k 2.5 --s 9 --seed shifted-pdf --x-min 20 --x-max 900",
+        "--k 3 --s 1.5 --seed pdf --x-min 20 --x-max 600",
+        "--k 1 --s 50 --seed pdf --x-min 80 --x-max 300",
+        "--k 0.5 --s 9 --seed pdf --x-min 30 --x-max 2000",
+    ])
+    def test_cells_on_their_verdicts_side(self, tmp_path, argv):
+        argv = ["--dist", "ncchi2", "--side", "right", "--iters", "4"] + argv.split()
+        out = tmp_path / "small-k.csv"
+        assert run(["bounds"] + argv + ["--out", str(out)] + TS) == 0
+        _, header, rows = parse_csv(out)
+        k, s = float(_flag(argv, "--k")), float(_flag(argv, "--s"))
+        checked = 0
+        for row in rows:
+            x = float(row[0])
+            ln_sf = oracle.ncchi2_sf_log(k, s, x)
+            for i in range(5):
+                verdict = row[header.index(f"verdict_{i}")]
+                if verdict not in ("U", "L", "E") or x < float(row[header.index(f"threshold_{i}")]):
+                    continue
+                ln_p = float(row[header.index(f"lnP_{i}")])
+                if verdict in ("U", "E"):
+                    assert ln_p >= ln_sf - 1e-9, (x, i)
+                if verdict in ("L", "E"):
+                    assert ln_p <= ln_sf + 1e-9, (x, i)
+                checked += 1
+        assert checked >= 4 * len(rows)
 
 
 class TestAwgnCsv:

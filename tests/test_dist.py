@@ -6,7 +6,7 @@ import pytest
 
 from tailkit import dist as D
 from tailkit import oracle as O
-from tailkit.engine import TailSide
+from tailkit.engine import SeedKind, TailSide, make_seed
 from tailkit.errors import DomainError, ParamError
 
 mp.mp.dps = 30
@@ -52,6 +52,9 @@ class TestBetaPrime:
     def test_params(self):
         with pytest.raises(ParamError):
             D.make_beta_prime(0.0, 1.0)
+        for alpha, beta in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ParamError):
+                D.make_beta_prime(alpha, beta)
 
 
 class TestNoncentralChi2:
@@ -71,10 +74,26 @@ class TestNoncentralChi2:
         nc = D.make_noncentral_chi2(k, s)
         assert abs(nc.pdf_jet(x, 0).value - self._mixture_pdf(k, s, x)) < 1e-10
 
-    def test_low_dof_mixture_fallback(self):
+    def test_low_dof_pdf(self):
         nc = D.make_noncentral_chi2(3.0, 1.5)
         assert abs(nc.pdf_jet(2.0, 0).value - self._mixture_pdf(3.0, 1.5, 2.0)) < 1e-12
         assert abs(O.normalization(nc, 1e-10) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.5, 3.9])
+    def test_small_k_log_pdf_vs_mpmath(self, k):
+        # below k = 4 the Bessel order k/2 - 1 is below 1, and negative
+        # below k = 2; ln f on a float and on a grid, out to x = 3000
+        xs = np.concatenate((np.geomspace(1e-8, 3000.0, 40), [900.0, 2000.0]))
+        for s in (1.5, 9.0, 50.0):
+            d = D.make_noncentral_chi2(k, s)
+            grid = d.log_pdf_jet(xs, 0).coeffs[0]
+            for x, at_grid in zip(xs.tolist(), grid.tolist()):
+                u = mp.sqrt(mp.mpf(s) * x)
+                want = float(-mp.log(2) - (x + mp.mpf(s)) / 2 + (mp.mpf(k) / 4 - mp.mpf(1) / 2) * mp.log(x / mp.mpf(s))
+                             + mp.log(mp.besseli(mp.mpf(k) / 2 - 1, u, maxterms=10**6)))
+                tol = 1e-13 * max(1.0, abs(want))
+                assert abs(d.log_pdf_jet(x, 0).value - want) <= tol, (s, x)
+                assert abs(at_grid - want) <= tol, (s, x)
 
     def test_central_case(self):
         nc = D.make_noncentral_chi2(6.0, 0.0)
@@ -93,6 +112,9 @@ class TestNoncentralChi2:
             D.make_noncentral_chi2(0.0, 1.0)
         with pytest.raises(ParamError):
             D.make_noncentral_chi2(4.0, -0.5)
+        for k, s in ((math.inf, 2.0), (4.0, math.inf), (math.nan, 2.0), (4.0, math.nan)):
+            with pytest.raises(ParamError):
+                D.make_noncentral_chi2(k, s)
 
 
 class TestGaussianClosedIterates:
@@ -168,8 +190,19 @@ class TestNcChi2LeftClosedP0:
         want = nc.pdf_jet(x, 0).value * g(x) / gp
         assert abs(D.ncchi2_left_closed_p0(k, s, x) - want) < 1e-9 * want
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0])
+    def test_small_k_matches_engine_seed(self, k):
+        # the closed form holds for every k > 0: the engine's shifted-pdf
+        # left seed, from the ln f jet, gives the same P0
+        seed = make_seed(D.make_noncentral_chi2(k, 2.0), SeedKind.SHIFTED_PDF, TailSide.LEFT)
+        for x in (0.01, 0.3, 1.0, 1.7):
+            want = seed.log_evaluator(x, 0).value
+            assert abs(math.log(D.ncchi2_left_closed_p0(k, 2.0, x)) - want) < 1e-13 * max(1.0, abs(want)), x
+
     def test_domain(self):
         with pytest.raises(ParamError):
-            D.ncchi2_left_closed_p0(3.0, 2.0, 1.0)
+            D.ncchi2_left_closed_p0(0.0, 2.0, 1.0)
+        with pytest.raises(ParamError):
+            D.ncchi2_left_closed_p0(3.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             D.ncchi2_left_closed_p0(10.0, 2.0, -1.0)

@@ -519,11 +519,14 @@ class TestBatchedChain:
         xs = np.concatenate(([0.0], np.geomspace(0.05, 90.0, 40)))
         self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.LEFT, 3), xs)
 
-    def test_ncchi2_poisson_mixture(self):
-        # k < 4: the PDF jet is a Poisson mixture of powers
-        d = D.make_noncentral_chi2(3.0, 1.5)
+    @pytest.mark.parametrize("side", [TailSide.RIGHT, TailSide.LEFT], ids=["right", "left"])
+    @pytest.mark.parametrize("k,s", [(3.0, 1.5), (1.0, 1.5), (0.5, 9.0)])
+    def test_ncchi2_small_k(self, k, s, side):
+        # k < 4: the Bessel order k/2 - 1 of ln f is below 1, and negative
+        # below k = 2
+        d = D.make_noncentral_chi2(k, s)
         xs = np.concatenate(([0.0], np.geomspace(0.05, 25.0, 24)))
-        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 3), xs)
+        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, side, 3), xs)
 
     def test_central_chi2(self):
         d = D.make_noncentral_chi2(5.0, 0.0)

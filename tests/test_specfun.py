@@ -254,16 +254,26 @@ class TestScaledBessel:
 
     def test_against_mpmath_all_regimes(self):
         # the last rows are uniform-regime points at orders below 2, where
-        # the expansion is at its least accurate, and at orders of 1e3 and up
+        # the expansion is at its least accurate, at orders of 1e3 and up,
+        # and both regimes at orders below 1, where the lower order nu - 1
+        # is negative (the ratio exceeds 1 at (0.25, 100))
+        below_one = tuple((nu, u) for nu in (0.01, 0.25, 0.5, 0.99)
+                          for u in (1e-6, 0.5, 8.0, 29.9, 30.01, 31.0, 45.0, 100.0, 2000.0))
         for nu, u in ((1.0, 0.5), (2.5, 8.0), (5.0, 29.0), (5.0, 31.0), (40.0, 15.0),
                       (200.0, 99.0), (200.0, 101.0), (1.0, 60.0), (1.3, 45.0), (800.0, 350.0),
                       (1.0, 2000.0), (1.5, 35.0), (1.99, 31.0), (1.9, 500.0),
-                      (1000.0, 450.0), (1000.0, 600.0), (1000.0, 2500.0), (3000.0, 1600.0), (3000.0, 7000.0)):
+                      (1000.0, 450.0), (1000.0, 600.0), (1000.0, 2500.0), (3000.0, 1600.0),
+                      (3000.0, 7000.0)) + below_one:
             pair = sf.log_bessel_i_scaled(nu, u)
             want_l = float(mp.log(mp.besseli(nu - 1, u)) - u)
             want_r = float(mp.besseli(nu, u) / mp.besseli(nu - 1, u))
             assert rel(pair.log_scaled_lower, want_l) < 1e-11, (nu, u)
             assert rel(pair.ratio, want_r) < 1e-11, (nu, u)
+
+    def test_ratio_above_one_below_order_half(self):
+        # I_nu/I_{nu-1} nears 1 + (1/2 - nu)/u at large u (the value
+        # itself is checked against mpmath above)
+        assert sf.log_bessel_i_scaled(0.25, 100.0).ratio > 1.0025
 
     def test_regime_crossover_continuity(self):
         # ln(e^{-u} I_mu(u)) by the series and by the expansion at order mu
@@ -329,8 +339,9 @@ class TestScaledBessel:
                 assert 0.0 < pair.ratio < 1.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sf.log_bessel_i_scaled(0.5, 1.0)
+        for nu in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                sf.log_bessel_i_scaled(nu, 1.0)
         with pytest.raises(DomainError):
             sf.log_bessel_i_scaled(2.0, 0.0)
 
@@ -411,6 +422,15 @@ class TestBesselJets:
         for k in range(5):
             want = float(mp.diff(f, u0, k)) / math.factorial(k)
             assert abs(lb.coeffs[k] - want) < 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("nu,u0", [(0.25, 11.0), (0.75, 11.0), (0.25, 40.0), (0.75, 40.0)])
+    def test_log_jet_below_order_one_vs_mpmath(self, nu, u0):
+        # the lower order nu - 1 is negative; series and uniform seeds
+        la, lb = sf.log_bessel_i_jet(nu, jet_var(u0, 5))
+        for jet, mu in ((la, nu - 1), (lb, nu)):
+            for k in range(6):
+                want = float(mp.diff(lambda u: mp.log(mp.besseli(mu, u)) - u, u0, k)) / math.factorial(k)
+                assert abs(jet.coeffs[k] - want) < 1e-10 * max(1.0, abs(want)), (mu, k)
 
     def test_domain(self):
         from tailkit.jet import jet_const
