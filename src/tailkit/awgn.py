@@ -143,6 +143,11 @@ def _log_first_iterate(k: float, s: float, x: float, right: bool) -> float:
     return ln_f - math.log(sign * dlp0)
 
 
+# ln of the seed bound P0 (above the tail) and the first iterate P1 (below
+# it) on the missed-detection right tail at n*lambda (``_md``) and the
+# false-alarm left tail at n*lambda/(1+Omega) (``_fa``)
+
+
 def log_p0_md(cfg: AwgnConfig, lam: float) -> float:
     return _log_seed(*_md_args(cfg, lam), right=True)
 
@@ -157,32 +162,6 @@ def log_p0_fa(cfg: AwgnConfig, lam: float) -> float:
 
 def log_p1_fa(cfg: AwgnConfig, lam: float) -> float:
     return _log_first_iterate(*_fa_args(cfg, lam), right=False)
-
-
-def _as_probability(logv: float, what: str) -> float:
-    if logv >= 0.0:
-        raise OutOfValidity(f"{what} >= 1 (ln = {logv:.3e}); n below n0 or lambda at threshold")
-    return math.exp(logv)
-
-
-def p0_md(cfg: AwgnConfig, lam: float) -> float:
-    """Upper bound on the missed-detection right tail at n*lambda."""
-    return _as_probability(log_p0_md(cfg, lam), "P0,MD")
-
-
-def p1_md(cfg: AwgnConfig, lam: float) -> float:
-    """Lower bound on the missed-detection right tail at n*lambda."""
-    return _as_probability(log_p1_md(cfg, lam), "P1,MD")
-
-
-def p0_fa(cfg: AwgnConfig, lam: float) -> float:
-    """Upper bound on the false-alarm left tail at n*lambda/(1+Omega)."""
-    return _as_probability(log_p0_fa(cfg, lam), "P0,FA")
-
-
-def p1_fa(cfg: AwgnConfig, lam: float) -> float:
-    """Lower bound on the false-alarm left tail at n*lambda/(1+Omega)."""
-    return _as_probability(log_p1_fa(cfg, lam), "P1,FA")
 
 
 # ---------------------------------------------------------------------------
@@ -425,43 +404,3 @@ def debye_internals(omega: float, lam: float | None = None, z: float | None = No
         "jprime_at_lambda0": _j_prime(omega, lam_0),
         "eps_balance": eps_balance,
     }
-
-
-# ---------------------------------------------------------------------------
-# n0 detection
-
-_N0_CACHE: dict[tuple[float, float, str], int] = {}
-
-
-def find_n0(omega: float, eps: float, which: str = "p0") -> int:
-    """Smallest even blocklength where the MD bound is valid and below
-    one at the asymptotic lambda (the bound 'goes beyond one' for
-    smaller n).  Cached per (omega, eps, which)."""
-    key = (omega, eps, which)
-    cached = _N0_CACHE.get(key)
-    if cached is not None:
-        return cached
-    log_bound = log_p0_md if which == "p0" else log_p1_md
-
-    def valid(n: int) -> bool:
-        cfg = AwgnConfig(n, omega, eps)
-        try:
-            return log_bound(cfg, lambda_asymptotic(cfg)) < 0.0
-        except (OutOfValidity, PoleEncountered):
-            return False
-
-    n = 2
-    while not valid(n):
-        n *= 2
-        if n > 1 << 30:
-            raise BracketFailed(f"no valid n found for omega={omega}, eps={eps}")
-    lo = n // 2
-    hi = n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if valid(mid):
-            hi = mid
-        else:
-            lo = mid
-    _N0_CACHE[key] = hi
-    return hi

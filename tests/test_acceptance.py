@@ -1,6 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line and enforcing its stated tolerance and runtime budget.
 
+The invariants with fixed inputs (the closed-form iterates, the oracle
+sandwiches, the Appendix identities, ...) live as checks in
+``tailkit verify``'s registry; test 10 runs each check as its own case.
+Tests 03 and 06 still assert the oracle sandwich and the Appendix
+identities directly.
+
 Two sub-criteria are mathematically unattainable as stated and are
 marked strict-xfail, each with its analysis in the xfail reason and
 summarised in the README's "Tests and acceptance suite" paragraph: the
@@ -9,18 +15,22 @@ midpoint comparison of the two rate approximations (test 08b).
 """
 
 import contextlib
+import inspect
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
+from conftest import chain
 from tailkit import awgn as A
 from tailkit import dist as D
 from tailkit import engine as E
 from tailkit import oracle as O
 from tailkit import verify as V
 from tailkit.engine import GridSpec, SeedKind, TailSide, Verdict
+from tailkit.errors import PoleEncountered
 
 
 @contextlib.contextmanager
@@ -35,26 +45,6 @@ def criterion(label: str, budget_s: float | None = None):
     print(f"ACCEPTANCE {label}: PASS ({elapsed:.2f}s)", flush=True)
     if budget_s is not None:
         assert elapsed < budget_s, f"runtime {elapsed:.2f}s over budget {budget_s}s"
-
-
-def chain(dist, seed, side, depth):
-    out = [E.make_seed(dist, seed, side)]
-    for _ in range(depth):
-        out.append(E.iterate(out[-1]))
-    return out
-
-
-def test_01_closed_form_agreement():
-    """Jet-engine P0..P3 for Gaussian(-1.7, 1.9) match the printed
-    formulas to 1e-9 relative at 50 geometric points."""
-    with criterion("01 closed-form agreement", budget_s=1.0):
-        g = D.make_gaussian(-1.7, 1.9)
-        its = chain(g, SeedKind.PDF, TailSide.RIGHT, 3)
-        for x in np.geomspace(1.0, 30.0, 50):
-            for i, it in enumerate(its):
-                got = it.value(float(x))
-                want = D.gaussian_closed_iterates(-1.7, 1.9, i, float(x))
-                assert abs(got - want) <= 1e-9 * abs(want), (i, x)
 
 
 def test_02_verdict_sequence():
@@ -172,38 +162,6 @@ def test_06_appendix_identities():
             assert abs(d["jprime_at_lambda0"] + (om + 1.0) / (om + 2.0)) <= 1e-10
 
 
-def test_07_awgn_sandwich():
-    """r_lower <= oracle converse <= r_upper with a monotonically
-    shrinking gap, for both (Omega, eps) pairs and n in
-    {200, 500, 1000, 2000}."""
-    with criterion("07 awgn sandwich", budget_s=120.0):
-        for om, eps in ((1.0, 1e-3), (5.0, 1e-5)):
-            prev_gap = None
-            for n in (200, 500, 1000, 2000):
-                cfg = A.AwgnConfig(n, om, eps)
-                p = A.converse_bounds(cfg)
-                oc = A.oracle_converse(cfg)
-                assert p.r_lower <= oc <= p.r_upper, (om, n)
-                gap = p.r_upper - p.r_lower
-                if prev_gap is not None:
-                    assert gap < prev_gap, (om, n)
-                prev_gap = gap
-
-
-def test_08a_asymptotic_rate_reaches_capacity():
-    """|C - r_asym| <= 5e-3 bits at n = 10^6 for both pairs, and the
-    asymptotic rate improves monotonically toward capacity."""
-    with criterion("08a asymptotic rate reaches capacity"):
-        for om, eps in ((1.0, 1e-3), (5.0, 1e-5)):
-            r = A.rate_asymptotic(A.AwgnConfig(10**6, om, eps))
-            assert abs(A.capacity(om) - r) <= 5e-3
-            prev = -math.inf
-            for n in np.geomspace(1e3, 1e6, 7):
-                cur = A.rate_asymptotic(A.AwgnConfig(int(n), om, eps))
-                assert prev < cur <= A.capacity(om)
-                prev = cur
-
-
 @pytest.mark.xfail(
     strict=True,
     reason="unattainable as stated: with the third-order log2(n)/(2n) term "
@@ -253,10 +211,49 @@ def test_09_lambda_consistency():
             assert d6 * 5.0 <= d4, (om, d4, d6)
 
 
-def test_10_property_suites():
-    """Every invariant suite (including the byte-identical CSV rerun)
+_CHECKS = [check for suite in V.SUITES.values() for check in suite]
+
+
+@pytest.mark.parametrize("label, check", _CHECKS, ids=[label for label, _ in _CHECKS])
+def test_10_invariant(label, check):
+    """Each registered invariant (the closed-form iterates, the oracle
+    sandwiches, the Lemma-3 ordering, the Appendix identities, ...)
     passes under the default tolerances."""
-    with criterion("10 property suites", budget_s=120.0):
-        messages = []
-        ok = V.run_suites(["all"], out=messages.append)
-        assert ok, "\n".join(m for m in messages if m.startswith("FAIL"))
+    with criterion(f"10 {label}", budget_s=5.0):
+        ok, detail = check(dict(V.DEFAULT_TOLS))
+        assert ok, detail
+
+
+def test_10_registry_is_whole():
+    """Labels are unique and carry their suite's name; each tolerance key
+    is read by some check, and each key a check reads exists."""
+    labels = [label for label, _ in _CHECKS]
+    assert len(set(labels)) == len(labels)
+    for suite, checks in V.SUITES.items():
+        assert all(label.startswith(suite + ".") for label, _ in checks), suite
+    read = set()
+    for label, check in _CHECKS:
+        read.update(re.findall(r'tols\["(\w+)"\]', inspect.getsource(check)))
+    assert read == set(V.DEFAULT_TOLS)
+
+
+def test_10_ordering_fails_when_no_point_compares(monkeypatch):
+    """An evaluation error other than a pole fails iterate_ordering
+    instead of skipping the point, and so does a pair left with no point
+    to compare."""
+    check = dict(V.SUITES["bounds"])["bounds.iterate_ordering"]
+
+    def raising(self, x):
+        raise TypeError("no value")
+
+    with monkeypatch.context() as m:
+        m.setattr(E.BoundIterate, "value", raising)
+        ok, detail = V.run_check(check, dict(V.DEFAULT_TOLS))
+    assert not ok and "TypeError" in detail
+
+    def pole(self, x):
+        raise PoleEncountered("pole")
+
+    monkeypatch.setattr(E.BoundIterate, "value", pole)
+    ok, detail = V.run_check(check, dict(V.DEFAULT_TOLS))
+    assert not ok and "compared no point" in detail

@@ -54,15 +54,6 @@ class TestBoundsCsv:
         verdicts = [rows[0][header.index(f"verdict_{i}")] for i in range(5)]
         assert verdicts == ["U", "L", "U", "L", "U"]
 
-    def test_byte_identical_rerun(self, tmp_path):
-        args = ["bounds", "--dist", "beta-prime", "--alpha", "2.1", "--beta", "1.3",
-                "--side", "right", "--seed", "shifted-pdf", "--iters", "2",
-                "--x-min", "2", "--x-max", "40", "--points", "15"] + TS
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(args + ["--out", str(a)]) == 0
-        assert run(args + ["--out", str(b)]) == 0
-        assert read(a) == read(b)
-
     def test_nan_cells_empty(self, tmp_path):
         # window reaching below the Gaussian mean: the seed has no value
         # there, cells stay empty

@@ -4,10 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import chain, make_exp1
 from tailkit import connections as C
 from tailkit import dist as D
 from tailkit import engine as E
-from tailkit import jet as J
 from tailkit import oracle as O
 from tailkit.engine import GridSpec, SeedKind, TailSide, Verdict
 from tailkit.errors import (
@@ -19,28 +19,10 @@ from tailkit.errors import (
     PoleEncountered,
     WindowTooSmall,
 )
-from tailkit.jet import Jet, jet_var
+from tailkit.jet import Jet
 
-
-def make_exp1():
-    def log_jet(anchor, order):
-        return -jet_var(anchor, order)
-
-    return D.DistributionSpec(
-        "exp1", {}, D.SupportInterval(0.0, math.inf),
-        lambda a, o: J.exp(log_jet(a, o)), log_pdf_jet=log_jet,
-    )
-
-
-def _chain(dist, seed, side, depth):
-    chain = [E.make_seed(dist, seed, side)]
-    for _ in range(depth):
-        chain.append(E.iterate(chain[-1]))
-    return chain
-
-
-_GAUSS = _chain(D.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT, 3)
-_NCCHI2 = _chain(D.make_noncentral_chi2(10.0, 2.0), SeedKind.SHIFTED_PDF, TailSide.LEFT, 1)
+_GAUSS = chain(D.make_gaussian(0.0, 1.0), SeedKind.PDF, TailSide.RIGHT, 3)
+_NCCHI2 = chain(D.make_noncentral_chi2(10.0, 2.0), SeedKind.SHIFTED_PDF, TailSide.LEFT, 1)
 
 
 class TestSharedVerdictRule:
@@ -88,14 +70,6 @@ class TestMarkovH:
     def test_bounded_variant(self):
         h = C.markov_h(1.0, r=4.0)
         assert h.evaluator(2.0, 0).value == 0.25
-
-    def test_classified_upper_on_exp1(self):
-        exp1 = make_exp1()
-        cls = C.classify_h(exp1, C.markov_h(1.0), (0.5, 60.0), GridSpec(128))
-        assert cls.verdict is Verdict.UPPER
-        # h(x) = E/x satisfies the governing condition for all x > 0
-        # here (x^2 e^{-x} <= 1 everywhere), so the whole window verifies
-        assert cls.threshold == 0.5
 
     @pytest.mark.parametrize("c,near", [(0.3, 3.952842874573293), (0.5, 2.617866613)])
     def test_step_driven_threshold(self, c, near):

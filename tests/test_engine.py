@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import chain, make_exp1
 from tailkit import connections
 from tailkit import dist as D
 from tailkit import engine as E
@@ -28,19 +29,6 @@ from tailkit.jet import jet_var
 SQRT_X2 = math.sqrt(math.sqrt(2.0) - 1.0)
 
 
-def make_exp1():
-    """Exp(1) as a user-supplied spec: the exact fixed point of the
-    iteration with g = f (the tail equals the PDF)."""
-
-    def log_jet(anchor, order):
-        return -jet_var(anchor, order)
-
-    return D.DistributionSpec(
-        "exp1", {}, D.SupportInterval(0.0, math.inf),
-        lambda a, o: J.exp(log_jet(a, o)), log_pdf_jet=log_jet,
-    )
-
-
 @pytest.fixture(scope="module")
 def g01():
     return D.make_gaussian(0.0, 1.0)
@@ -48,10 +36,7 @@ def g01():
 
 @pytest.fixture(scope="module")
 def chain01(g01):
-    chain = [E.make_seed(g01, SeedKind.PDF, TailSide.RIGHT)]
-    for _ in range(4):
-        chain.append(E.iterate(chain[-1]))
-    return chain
+    return chain(g01, SeedKind.PDF, TailSide.RIGHT, 4)
 
 
 class TestMakeSeed:
@@ -380,10 +365,7 @@ class TestSandwichProperty:
         ids=["gaussian", "beta_prime", "ncchi2_left"],
     )
     def test_iterates_bound_the_oracle(self, dist, seed, side, window):
-        chain = [E.make_seed(dist, seed, side)]
-        for _ in range(3):
-            chain.append(E.iterate(chain[-1]))
-        for it in chain:
+        for it in chain(dist, seed, side, 3):
             cls = E.classify(it, window, GridSpec(128))
             lo = cls.threshold if side is TailSide.RIGHT else window[0]
             hi = window[1] if side is TailSide.RIGHT else cls.threshold
@@ -394,24 +376,6 @@ class TestSandwichProperty:
                     assert v >= truth - 1e-9
                 if cls.verdict in (Verdict.LOWER, Verdict.EXACT):
                     assert v <= truth + 1e-9
-
-    def test_lemma3_ordering(self, chain01):
-        for prev, nxt in zip(chain01, chain01[1:]):
-            cls = E.classify(prev, (1.5, 8.0), GridSpec(128))
-            for x in np.linspace(1.6, 7.5, 25):
-                if cls.verdict is Verdict.UPPER:
-                    assert nxt.value(float(x)) <= prev.value(float(x)) * (1 + 1e-9)
-                elif cls.verdict is Verdict.LOWER:
-                    assert nxt.value(float(x)) >= prev.value(float(x)) * (1 - 1e-9)
-
-    def test_tightness_reflection(self, chain01):
-        # flip U -> L with the tightness condition verified implies
-        # 2(1-F) - P_i <= P_{i+1}
-        cls = E.classify(chain01[1], (0.5, 8.0))
-        assert cls.verdict is Verdict.LOWER and cls.tightness_ok
-        for x in np.linspace(0.6, 7.5, 30):
-            truth = O.gaussian_tail(0.0, 1.0, float(x))
-            assert 2 * truth - chain01[0].value(float(x)) <= chain01[1].value(float(x)) + 1e-12
 
 
 class TestGridPoints:
@@ -479,13 +443,6 @@ def assert_batch_matches_scalar(it, xs, order=1):
     return undefined
 
 
-def _chain_of(dist, seed, side, depth, **kw):
-    chain = [E.make_seed(dist, seed, side, **kw)]
-    for _ in range(depth):
-        chain.append(E.iterate(chain[-1]))
-    return chain
-
-
 class TestBatchedChain:
     """One batched pass over a grid gives, point by point, what the scalar
     evaluation gives at that point, to 1e-13 relative."""
@@ -500,24 +457,24 @@ class TestBatchedChain:
         # mu itself is a grid point
         d = D.make_gaussian(-1.7, 1.9)
         xs = np.sort(np.append(np.linspace(-6.0, 6.0, 60), -1.7))
-        self._check(_chain_of(d, SeedKind.PDF, TailSide.RIGHT, 6), xs)
+        self._check(chain(d, SeedKind.PDF, TailSide.RIGHT, 6), xs)
 
     def test_beta_prime_shifted_seed(self):
         d = D.make_beta_prime(2.1, 1.3)
         xs = np.concatenate(([-0.5, 0.0], np.geomspace(0.02, 80.0, 60)))
-        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 6), xs)
+        self._check(chain(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 6), xs)
 
     def test_ncchi2_left_shifted_seed(self):
         d = D.make_noncentral_chi2(10.0, 2.0)
         xs = np.concatenate(([0.0], np.geomspace(0.01, 30.0, 50)))
-        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.LEFT, 6), xs)
+        self._check(chain(d, SeedKind.SHIFTED_PDF, TailSide.LEFT, 6), xs)
 
     def test_ncchi2_both_bessel_regimes(self):
         # u = sqrt(s x) crosses 30 inside the grid: the Bessel seed takes
         # its vectorised series below and its per-point uniform branch above
         d = D.make_noncentral_chi2(10.0, 50.0)
         xs = np.concatenate(([0.0], np.geomspace(0.05, 90.0, 40)))
-        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.LEFT, 3), xs)
+        self._check(chain(d, SeedKind.SHIFTED_PDF, TailSide.LEFT, 3), xs)
 
     @pytest.mark.parametrize("side", [TailSide.RIGHT, TailSide.LEFT], ids=["right", "left"])
     @pytest.mark.parametrize("k,s", [(3.0, 1.5), (1.0, 1.5), (0.5, 9.0)])
@@ -526,25 +483,25 @@ class TestBatchedChain:
         # below k = 2
         d = D.make_noncentral_chi2(k, s)
         xs = np.concatenate(([0.0], np.geomspace(0.05, 25.0, 24)))
-        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, side, 3), xs)
+        self._check(chain(d, SeedKind.SHIFTED_PDF, side, 3), xs)
 
     def test_central_chi2(self):
         d = D.make_noncentral_chi2(5.0, 0.0)
         xs = np.concatenate(([-1.0], np.geomspace(0.05, 40.0, 40)))
-        self._check(_chain_of(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 4), xs)
+        self._check(chain(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 4), xs)
 
     def test_custom_g_seed(self):
         # g = 1/x raises at x <= 0 (stacked per point on the grid)
         g = connections.markov_h(1.0).evaluator
         d = D.make_gaussian(0.0, 1.0)
         xs = np.linspace(-2.0, 6.0, 41)
-        self._check(_chain_of(d, SeedKind.CUSTOM_G, TailSide.RIGHT, 4, g_jet=g), xs)
+        self._check(chain(d, SeedKind.CUSTOM_G, TailSide.RIGHT, 4, g_jet=g), xs)
 
     def test_direct_h_seed(self):
         d = D.make_beta_prime(2.1, 1.3)
         h = connections.markov_h(2.1 / 0.3).evaluator
         xs = np.concatenate(([-1.0, 0.0], np.geomspace(0.1, 60.0, 40)))
-        self._check(_chain_of(d, SeedKind.DIRECT_H, TailSide.RIGHT, 4, h_jet=h), xs)
+        self._check(chain(d, SeedKind.DIRECT_H, TailSide.RIGHT, 4, h_jet=h), xs)
 
     @pytest.mark.parametrize("make", [
         lambda: (D.make_gaussian(-1.7, 1.9), SeedKind.PDF, TailSide.RIGHT, {},
@@ -564,11 +521,11 @@ class TestBatchedChain:
         # NaN masks included, and its ln f truncates to the ln f jet of
         # every lower order
         d, seed_kind, side, kw, xs = make()
-        chain = _chain_of(d, seed_kind, side, 4, **kw)
+        its = chain(d, seed_kind, side, 4, **kw)
         for o in (0, 1, 2):
-            levels, lf = E.log_chain(chain[-1], xs, o)
-            assert len(levels) == len(chain)
-            for j, (it, level) in enumerate(zip(chain, levels)):
+            levels, lf = E.log_chain(its[-1], xs, o)
+            assert len(levels) == len(its)
+            for j, (it, level) in enumerate(zip(its, levels)):
                 want = it.log_evaluator(xs, o + 4 - j)
                 assert level.order == want.order
                 assert [_bits(c) for c in level.coeffs] == [_bits(c) for c in want.coeffs], (o, j)
@@ -605,7 +562,7 @@ class TestBatchedChain:
         b = a + data.draw(st.floats(min_value=0.1, max_value=30.0), label="width")
         depth = data.draw(st.integers(min_value=0, max_value=4), label="depth")
         xs = np.linspace(a, b, 16)
-        for it in _chain_of(d, seed_kind, side, depth):
+        for it in chain(d, seed_kind, side, depth):
             assert_batch_matches_scalar(it, xs)
 
 
@@ -634,7 +591,7 @@ class TestOneSweep:
     ], ids=["gaussian-P1", "gaussian-P3", "beta-prime-P0", "beta-prime-P4", "ncchi2-P2"])
     def test_classify_reads_ln_f_once_per_pass(self, monkeypatch, make, seed_kind, side, window, depth, bisects):
         d, calls = self._counted(make())
-        it = _chain_of(d, seed_kind, side, depth)[-1]
+        it = chain(d, seed_kind, side, depth)[-1]
         passes = {"grid": 0, "point": 0}
         sweep, conditions = E._sweep, E._conditions
 
@@ -685,21 +642,21 @@ class TestClassifyChain:
     @pytest.mark.parametrize("name", sorted(_SETTINGS))
     def test_equals_per_iterate_classify(self, name, depth):
         make, seed_kind, side, window = _SETTINGS[name]
-        chain = _chain_of(make(), seed_kind, side, depth)
-        want = _outcomes(E.classify(it, window) for it in chain)
-        got = _outcomes(E.tabulate_chain(chain[-1], window, np.empty(0))[0])
+        its = chain(make(), seed_kind, side, depth)
+        want = _outcomes(E.classify(it, window) for it in its)
+        got = _outcomes(E.tabulate_chain(its[-1], window, np.empty(0))[0])
         assert got == want
         if name == "narrow" and depth == 8:
             assert want[-1][0] is WindowTooSmall  # a level that fails stops both
 
     def test_checks_before_the_sweep(self, g01):
-        chain = _chain_of(g01, SeedKind.PDF, TailSide.RIGHT, 2)
+        its = chain(g01, SeedKind.PDF, TailSide.RIGHT, 2)
         with pytest.raises(DomainError, match="not inside the open support"):
-            E.tabulate_chain(chain[-1], (-math.inf, 3.0), np.empty(0))
+            E.tabulate_chain(its[-1], (-math.inf, 3.0), np.empty(0))
 
     def test_one_grid_sweep(self, monkeypatch):
         d, calls = TestOneSweep._counted(D.make_beta_prime(2.1, 1.3))
-        it = _chain_of(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 4)[-1]
+        it = chain(d, SeedKind.SHIFTED_PDF, TailSide.RIGHT, 4)[-1]
         passes, sweeps = [], []
         sweep, conditions = E._sweep, E._conditions
         monkeypatch.setattr(E, "_sweep", lambda it, xs: sweeps.append(it.index) or sweep(it, xs))
@@ -862,11 +819,11 @@ class TestThresholdSearch:
         # the seed's own denominator alpha - (alpha + beta) x/(1 + x) has its
         # zero at alpha/beta; the deeper thresholds are poles of the levels
         alpha, beta = 2.1, 1.3
-        chain = _chain_of(D.make_beta_prime(alpha, beta), SeedKind.SHIFTED_PDF, side, 4 if side is TailSide.RIGHT else 3)
+        its = chain(D.make_beta_prime(alpha, beta), SeedKind.SHIFTED_PDF, side, 4 if side is TailSide.RIGHT else 3)
         a, b = window
         into = 1.0 if side is TailSide.RIGHT else -1.0  # toward the passing side
         searched = 0
-        for it in chain:
+        for it in its:
             passes, searches = self._counting(monkeypatch)
             cls = E.classify(it, window)
             monkeypatch.undo()

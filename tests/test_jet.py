@@ -171,31 +171,6 @@ class TestProperties:
             )
             assert abs(back.coeffs[k] - a.coeffs[k]) / scale < 1e-12
 
-    def test_finite_difference_consistency(self):
-        # order-1 coefficient vs central finite difference for two test
-        # functions at 20 anchors in [-5, 5]
-        def gauss_jet(x0):
-            x = jet_var(x0, 1)
-            return jet_elementary(-0.5 * x * x, "exp")
-
-        def rational_jet(x0):
-            x = jet_var(x0, 1)
-            return 1.0 / (1.0 + x * x)
-
-        def gauss(x):
-            return math.exp(-0.5 * x * x)
-
-        def rational(x):
-            return 1.0 / (1.0 + x * x)
-
-        h = 1e-5
-        anchors = [-5 + 10 * i / 19 for i in range(20)]
-        for build, f in ((gauss_jet, gauss), (rational_jet, rational)):
-            for x0 in anchors:
-                fd = (f(x0 + h) - f(x0 - h)) / (2 * h)
-                d1 = build(x0).coeffs[1]
-                assert close(d1, fd, rel=1e-6, abso=1e-9)
-
 
 class TestGridAnchor:
     """A jet on an array anchor is the scalar jet at every point: within

