@@ -233,14 +233,19 @@ def solve_lambda(cfg: AwgnConfig, which: str = "p0") -> Lambda:
     return Lambda(lam, abs(resid))
 
 
-def oracle_lambda(cfg: AwgnConfig, tol: float = 1e-11) -> float:
+#: Truncation tolerance of the series oracle behind ``oracle_lambda`` and
+#: ``oracle_converse``.
+_ORACLE_TOL = 1e-11
+
+
+def oracle_lambda(cfg: AwgnConfig) -> float:
     """Exact lambda: the root of ln Pr{ncx2(n, n/Omega) > n lambda} = ln eps,
-    with the survival function from the series oracle (tol is its
-    truncation tolerance), by ``_solve_md`` until the bracket is at ulp
-    width or the residual reaches rounding level."""
+    with the survival function from the series oracle, by ``_solve_md``
+    until the bracket is at ulp width or the residual reaches rounding
+    level."""
     n, s_md = cfg.n, cfg.n / cfg.omega
     f_tol = 4.0 * _ULP * abs(math.log(cfg.eps))
-    return _solve_md(cfg, lambda lam: oracle.ncchi2_sf_log(n, s_md, n * lam, tol), f_tol, "oracle")[0]
+    return _solve_md(cfg, lambda lam: oracle.ncchi2_sf_log(n, s_md, n * lam, _ORACLE_TOL), f_tol, "oracle")[0]
 
 
 #: Where ``_solve_md`` seeds its bracket, in units of corr = lambda_asym -
@@ -304,13 +309,13 @@ def _solve_md(cfg: AwgnConfig, log_tail, f_tol: float, which: str) -> tuple[floa
     return rootfind.illinois(excess, lo, hi, f_lo, f_hi, f_tol)
 
 
-def oracle_converse(cfg: AwgnConfig, tol: float = 1e-11) -> float:
+def oracle_converse(cfg: AwgnConfig) -> float:
     """Exact converse rate from the series oracle: -(1/n) log2 F_FA at
     n lambda/(1+Omega), with lambda from ``oracle_lambda``."""
     n, om = cfg.n, cfg.omega
-    lam = oracle_lambda(cfg, tol)
+    lam = oracle_lambda(cfg)
     s_fa = n * (1.0 + om) / om
-    ln_f_fa = oracle.ncchi2_cdf_log(n, s_fa, n * lam / (1.0 + om), tol)
+    ln_f_fa = oracle.ncchi2_cdf_log(n, s_fa, n * lam / (1.0 + om), _ORACLE_TOL)
     return -ln_f_fa / (n * _LN2)
 
 
@@ -374,22 +379,19 @@ def _j_prime(omega: float, lam: float) -> float:
     return -1.0 + (2.0 / omega) / (1.0 + s) - (2.0 * lam / omega) * (2.0 / (omega * s)) / (1.0 + s) ** 2
 
 
-def debye_internals(omega: float, lam: float | None = None, z: float | None = None) -> dict:
-    """The quantities the asymptotic lambda derivation is built from,
-    evaluated for test consumption.
+def debye_internals(omega: float, lam: float | None = None) -> dict:
+    """The quantities the asymptotic lambda derivation is built from, at
+    lambda (lambda0 by default), evaluated for test consumption.
 
     eps_balance is the scaled-displacement equation: eps as a function
     of u = sqrt(n)(lambda - lambda0).
     """
     if omega <= 0.0:
         raise DomainError("omega must be > 0")
-    if lam is None and z is None:
-        lam = lambda0(omega)
-    if z is None:
-        z = 2.0 * math.sqrt(lam / omega)
-    if lam is None:
-        lam = 0.25 * z * z * omega
     lam_0 = lambda0(omega)
+    if lam is None:
+        lam = lam_0
+    z = 2.0 * math.sqrt(lam / omega)
     a = omega / (4.0 * (omega + 2.0))
 
     def eps_balance(u: float) -> float:

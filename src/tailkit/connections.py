@@ -4,7 +4,9 @@ Classifies arbitrary candidate bound functions h(x) and builds the
 concrete h instances: the mean-over-x Markov form, its bounded-support
 variant, and the grid-minimized Chernoff envelope.
 
-A candidate is the direct-h seed P0 = h (``SeedKind.DIRECT_H``), so
+A candidate (``CandidateH``) is h's jet evaluator and the tail side it
+bounds, nothing more. It is the direct-h seed P0 = h
+(``SeedKind.DIRECT_H``), so
 ``classify_h`` is ``engine.classify`` of that seed: h > 0 and the
 governing sign (the relative residual f/(-h') - 1 against the tolerance
 for the right tail, f/h' - 1 for the left) on the grid, with the
@@ -41,7 +43,6 @@ class CandidateH:
 
     evaluator: Callable[[float, int], Jet]
     side: TailSide
-    description: str = ""
 
 
 def classify_h(
@@ -72,8 +73,7 @@ def markov_h(mean: float, r: float = math.inf) -> CandidateH:
         x = J.check(jet_var(anchor, order), anchor <= 0.0, lambda: DomainError("markov_h needs x > 0"))
         return mean / x - shift
 
-    desc = "E{X}/x" if math.isinf(r) else f"E{{X}}/x - E{{X}}/{r:g}"
-    return CandidateH(evaluator, TailSide.RIGHT, desc)
+    return CandidateH(evaluator, TailSide.RIGHT)
 
 
 #: Brent's golden-section fraction (3 - sqrt 5)/2.
@@ -285,5 +285,4 @@ def chernoff_h(
             coeffs = [c.item() for c in coeffs]
         return Jet(anchor, tuple(coeffs) + (0.0,) * (order - 1))
 
-    desc = "min_t M(t)e^{-tx}" + ("" if math.isinf(r) else " (bounded-support variant)")
-    return CandidateH(evaluator, TailSide.RIGHT, desc)
+    return CandidateH(evaluator, TailSide.RIGHT)

@@ -1,18 +1,18 @@
 """Distribution catalog: Gaussian, beta prime, non-central chi-squared.
 
-Each catalog entry exposes a jet-valued PDF (built from jet elementary
-operations so the engine can differentiate it to any order), support
-metadata, and hardcoded closed-form iterates for cross-validation of
-the engine.
+A distribution is its name, parameters, support and one callable, the
+log-PDF jet ``log_pdf_jet`` (built from jet elementary operations so
+the engine can differentiate it to any order); the module also holds
+hardcoded closed-form iterates for cross-validation of the engine.
 
-PDF jets are assembled in log space and exponentiated at the end; the
-log-jet builder itself is kept on the spec (``log_pdf_jet``) because the
-engine's iterates are formed from log quantities to stay finite far out
-in the tails.
+The engine reads a distribution only through ln f, because its iterates
+are formed from log quantities to stay finite far out in the tails;
+``DistributionSpec.pdf_jet`` is its exponential, for the quadrature
+oracle and for tests.
 
 The jet builders take a float anchor or a grid of anchors (see ``jet``);
 the engine calls them with its whole classification grid, so a user
-distribution's jet callables must be built from jet operations too. A
+distribution's log-PDF jet must be built from jet operations too. A
 point outside the support raises on a float anchor and is NaN on a grid.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from . import jet as J
 from . import awgn, specfun
@@ -55,21 +55,16 @@ class DistributionSpec:
     name: str
     params: dict
     support: SupportInterval
-    pdf_jet: Callable[[float, int], Jet]
-    log_pdf_jet: Optional[Callable[[float, int], Jet]] = field(default=None, repr=False)
+    log_pdf_jet: Callable[[float, int], Jet] = field(repr=False)
+
+    def pdf_jet(self, anchor, order: int) -> Jet:
+        return J.exp(self.log_pdf_jet(anchor, order))
 
 
 def _positive_var(anchor, order: int, message: str) -> Jet:
     """The identity jet on a positive support: a non-positive anchor raises
     DomainError, or is NaN on a grid."""
     return J.check(jet_var(anchor, order), anchor <= 0.0, lambda: DomainError(message))
-
-
-def _spec_from_log_jet(name, params, support, log_jet):
-    def pdf_jet(anchor, order: int) -> Jet:
-        return J.exp(log_jet(anchor, order))
-
-    return DistributionSpec(name, params, support, pdf_jet, log_jet)
 
 
 def make_gaussian(mu: float, sigma: float) -> DistributionSpec:
@@ -84,7 +79,7 @@ def make_gaussian(mu: float, sigma: float) -> DistributionSpec:
         return -0.5 * (y * y) - ln_norm
 
     support = SupportInterval(-math.inf, math.inf)
-    return _spec_from_log_jet("gaussian", {"mu": mu, "sigma": sigma}, support, log_jet)
+    return DistributionSpec("gaussian", {"mu": mu, "sigma": sigma}, support, log_jet)
 
 
 def make_beta_prime(alpha: float, beta: float) -> DistributionSpec:
@@ -98,7 +93,7 @@ def make_beta_prime(alpha: float, beta: float) -> DistributionSpec:
         return (alpha - 1.0) * J.ln(x) - (alpha + beta) * J.ln(1.0 + x) - ln_b
 
     support = SupportInterval(0.0, math.inf)
-    return _spec_from_log_jet("beta_prime", {"alpha": alpha, "beta": beta}, support, log_jet)
+    return DistributionSpec("beta_prime", {"alpha": alpha, "beta": beta}, support, log_jet)
 
 
 def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
@@ -124,7 +119,7 @@ def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
             x = _positive_var(anchor, order, "chi2 PDF jet needs anchor > 0")
             return (0.5 * k - 1.0) * J.ln(x) - 0.5 * x - ln_norm
 
-        return _spec_from_log_jet("noncentral_chi2", params, support, log_jet0)
+        return DistributionSpec("noncentral_chi2", params, support, log_jet0)
 
     def log_jet(anchor, order: int) -> Jet:
         x = _positive_var(anchor, order, "noncentral chi2 PDF jet needs anchor > 0")
@@ -139,7 +134,7 @@ def make_noncentral_chi2(k: float, s: float) -> DistributionSpec:
             + log_lower
         )
 
-    return _spec_from_log_jet("noncentral_chi2", params, support, log_jet)
+    return DistributionSpec("noncentral_chi2", params, support, log_jet)
 
 
 # ---------------------------------------------------------------------------

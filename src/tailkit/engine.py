@@ -172,12 +172,6 @@ class BoundIterate:
         return self.evaluator(x, 0).value
 
 
-def _log_pdf_jet(dist: DistributionSpec, anchor, order: int) -> Jet:
-    if dist.log_pdf_jet is not None:
-        return dist.log_pdf_jet(anchor, order)
-    return J.ln(dist.pdf_jet(anchor, order))
-
-
 #: What a seed turns into a pole at one point: errors of the jet
 #: arithmetic and of the user's g/h evaluators.
 _POINT_ERRORS = (DomainError, DivisionByZeroJet, OrderExhausted, OverflowError, ValueError)
@@ -241,10 +235,10 @@ def make_seed(
                 h = J.check(h, d <= 0.0, lambda: PoleEncountered(
                     f"candidate h not positive at x={anchor}", margins=(d,)
                 ))
-                lf = _log_pdf_jet(dist, anchor, order)
+                lf = dist.log_pdf_jet(anchor, order)
                 return J.ln(h) - lf, None, lf, d
             if seed is SeedKind.PDF:  # q_0 = -ln(-+(ln f)'), a_0 = q_0'/(ln f)'
-                lf = _log_pdf_jet(dist, anchor, order + 1)
+                lf = dist.log_pdf_jet(anchor, order + 1)
                 lfd = jet_shift_derivative(lf)
                 d = sign * lfd.value
                 lfd = J.check(lfd, d <= 0.0, lambda: PoleEncountered(
@@ -257,7 +251,7 @@ def make_seed(
                 x = J.check(jet_var(anchor, order), anchor <= lo, lambda: PoleEncountered(
                     f"anchor {anchor} at/below support endpoint {lo}"
                 ))
-                lf = _log_pdf_jet(dist, anchor, order + 1)
+                lf = dist.log_pdf_jet(anchor, order + 1)
                 u = x - lo
                 t = 1.0 + u * truncate(jet_shift_derivative(lf), order)
                 d = sign * t.value
@@ -274,7 +268,7 @@ def make_seed(
             gd = J.check(gd, d <= 0.0, lambda: PoleEncountered(
                 f"custom g not strictly {'decreasing' if sign < 0 else 'increasing'} at x={anchor}", margins=(d,)
             ))
-            lf = _log_pdf_jet(dist, anchor, order)
+            lf = dist.log_pdf_jet(anchor, order)
             return J.ln(truncate(g, order)) - J.ln(sign * gd), None, lf, d
         except PoleEncountered:
             raise

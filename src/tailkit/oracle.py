@@ -308,10 +308,10 @@ def ncchi2_sf_log(k: float, s: float, x: float, tol: float = 1e-12) -> float:
             return _checked(total, rem, tol, win, f"k={k}, s={s}, x={x}")
 
 
-def ncchi2_cdf_series(k: float, s: float, x: float, tol: float = 1e-12) -> float:
+def ncchi2_cdf_series(k: float, s: float, x: float) -> float:
     """Non-central chi-squared CDF as the Poisson-weighted central-chi^2
     series (probability scale)."""
-    return math.exp(ncchi2_cdf_log(k, s, x, tol))
+    return math.exp(ncchi2_cdf_log(k, s, x))
 
 
 def oracle_cdf(dist, x: float) -> float:
@@ -338,8 +338,9 @@ def oracle_tail(dist, x: float) -> float:
     raise DomainError(f"no closed tail for {dist.name!r}")
 
 
-def normalization(dist, tol: float = 1e-10) -> float:
-    """Integral of the PDF over the support (should be 1)."""
+def normalization(dist) -> float:
+    """Integral of the PDF over the support (should be 1), each side by
+    quadrature to 1e-10."""
     support = dist.support
     if math.isfinite(support.lower) and math.isfinite(support.upper):
         mid = 0.5 * (support.lower + support.upper)
@@ -351,6 +352,6 @@ def normalization(dist, tol: float = 1e-10) -> float:
         mid = 0.0
     from .engine import TailSide
 
-    left = tail_by_quadrature(dist, mid, TailSide.LEFT, tol)
-    right = tail_by_quadrature(dist, mid, TailSide.RIGHT, tol)
+    left = tail_by_quadrature(dist, mid, TailSide.LEFT, 1e-10)
+    right = tail_by_quadrature(dist, mid, TailSide.RIGHT, 1e-10)
     return left.value + right.value

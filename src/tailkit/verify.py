@@ -1,8 +1,8 @@
 """Named invariant suites behind `tailkit verify`.
 
-Each check returns (passed, detail); the runner prints one line per
-check and the CLI exits nonzero if any fails.  Tolerances live in a
-registry so the CLI can override them by name.
+Each check takes no argument and returns (passed, detail), with its
+bound written where it compares; the runner prints one line per check
+and the CLI exits nonzero if any fails.
 """
 
 from __future__ import annotations
@@ -14,31 +14,11 @@ from typing import Callable
 import numpy as np
 
 from . import awgn, connections, dist, engine, oracle, specfun
-from . import jet as J
 from .engine import GridSpec, SeedKind, TailSide, Verdict
-from .errors import DomainError, PoleEncountered
+from .errors import PoleEncountered
 from .jet import Jet, jet_elementary, jet_shift_derivative, jet_var
 
-DEFAULT_TOLS = {
-    "jet_product_rule": 1e-12,
-    "jet_fd": 1e-6,
-    "jet_div_roundtrip": 1e-9,
-    "lambert_w": 1e-12,
-    "bessel_recurrence": 1e-9,
-    "debye_crossover": 1e-8,
-    "qinv_roundtrip": 1e-10,
-    "closed_form": 1e-9,
-    "sandwich": 1e-9,
-    "ordering": 1e-9,
-    "rate_agreement": 1e-10,
-    "normalization": 1e-8,
-    "phi_zero": 1e-12,
-    "phi_prime_fd": 1e-9,
-    "appendix_consts": 1e-10,
-    "solve_residual": 1e-10,
-}
-
-Check = tuple[str, Callable[[dict], tuple[bool, str]]]
+Check = tuple[str, Callable[[], tuple[bool, str]]]
 
 
 def _rel(a: float, b: float) -> float:
@@ -49,7 +29,7 @@ def _rel(a: float, b: float) -> float:
 # jet suite
 
 
-def _chk_product_rule(tols):
+def _chk_product_rule():
     rng = random.Random(20260810)
     worst = 0.0
     for _ in range(60):
@@ -63,10 +43,10 @@ def _chk_product_rule(tols):
         ) * jet_shift_derivative(b)
         for x, y in zip(lhs.coeffs, rhs.coeffs):
             worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1.0))
-    return worst <= tols["jet_product_rule"], f"worst rel dev {worst:.2e}"
+    return worst <= 1e-12, f"worst rel dev {worst:.2e}"
 
 
-def _chk_jet_fd(tols):
+def _chk_jet_fd():
     h = 1e-5
     worst = 0.0
     for build, f in (
@@ -80,10 +60,10 @@ def _chk_jet_fd(tols):
             fd = (f(x0 + h) - f(x0 - h)) / (2 * h)
             d1 = build(x0).coeffs[1]
             worst = max(worst, abs(d1 - fd) / max(abs(fd), 1e-9))
-    return worst <= tols["jet_fd"], f"worst rel dev {worst:.2e}"
+    return worst <= 1e-6, f"worst rel dev {worst:.2e}"
 
 
-def _chk_div_roundtrip(tols):
+def _chk_div_roundtrip():
     # error measured against the backward scale (the largest product
     # magnitude entering each coefficient); a divisor with leading
     # coefficient near the 1e-6 floor conditions the quotient by
@@ -102,40 +82,40 @@ def _chk_div_roundtrip(tols):
         for k in range(order + 1):
             scale = max(abs(a.coeffs[k]), max(abs(c.coeffs[j] * b.coeffs[k - j]) for j in range(k + 1)), 1.0)
             worst = max(worst, abs(back.coeffs[k] - a.coeffs[k]) / scale)
-    return worst <= tols["jet_div_roundtrip"], f"worst backward-relative dev {worst:.2e}"
+    return worst <= 1e-9, f"worst backward-relative dev {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
 # specfun suite
 
 
-def _chk_lambert(tols):
+def _chk_lambert():
     worst = 0.0
     for x in np.concatenate((np.geomspace(1e-6, 1e12, 40), np.geomspace(1e-6, 1e12, 60))):
         w = specfun.lambert_w0(float(x))
         worst = max(worst, abs(w * math.exp(w) - x) / x)
-    return worst <= tols["lambert_w"], f"worst residual {worst:.2e}"
+    return worst <= 1e-12, f"worst residual {worst:.2e}"
 
 
-def _chk_bessel_recurrence(tols):
+def _chk_bessel_recurrence():
     worst = 0.0
     for nu, u in ((5.0, 10.0), (50.0, 120.0), (500.0, 900.0)):
         r1 = specfun.log_bessel_i_scaled(nu, u).ratio
         r2 = specfun.log_bessel_i_scaled(nu + 1.0, u).ratio
         worst = max(worst, abs(1.0 / r1 - r2 - 2.0 * nu / u) / (2.0 * nu / u))
-    return worst <= tols["bessel_recurrence"], f"worst residual {worst:.2e}"
+    return worst <= 1e-9, f"worst residual {worst:.2e}"
 
 
-def _chk_debye_crossover(tols):
+def _chk_debye_crossover():
     worst = 0.0
     for mu, u in ((4.0, 30.0), (6.5, 30.0), (199.0, 100.0), (240.0, 120.0)):
         a = specfun._series_pair(mu, np.array([u]))[1].item()
         b = specfun._uniform_pair(mu, u)[0]
         worst = max(worst, _rel(a, b))
-    return worst <= tols["debye_crossover"], f"worst regime gap {worst:.2e}"
+    return worst <= 1e-8, f"worst regime gap {worst:.2e}"
 
 
-def _chk_monotone_ranges(tols):
+def _chk_monotone_ranges():
     # erfc saturates toward the double 2.0 below x ~ -5 (per-step
     # decrements drop under one ulp), so the strict sweep starts there
     xs = np.linspace(-5.0, 6.0, 1000)
@@ -148,15 +128,15 @@ def _chk_monotone_ranges(tols):
     return ok, "erfc decreasing, P(a,x) and I_x(a,b) nondecreasing in range"
 
 
-def _chk_qinv(tols):
+def _chk_qinv():
     worst = 0.0
     for eps in (1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6):
         x = specfun.gaussian_q_inverse(eps)
         worst = max(worst, abs(specfun.gaussian_q(x) - eps) / eps)
-    return worst <= tols["qinv_roundtrip"], f"worst residual {worst:.2e}"
+    return worst <= 1e-10, f"worst residual {worst:.2e}"
 
 
-def _chk_bessel_ranges(tols):
+def _chk_bessel_ranges():
     ok = True
     for nu in (1.0, 2.5, 3.0, 40.0, 77.0):
         for u in np.concatenate((np.geomspace(0.1, 500.0, 60), np.geomspace(0.05, 800.0, 40))):
@@ -184,17 +164,17 @@ def _chain(d, seed, side, depth):
     return c
 
 
-def _chk_closed_form(tols):
+def _chk_closed_form():
     d = dist.make_gaussian(-1.7, 1.9)
     chain = _chain(d, SeedKind.PDF, TailSide.RIGHT, 3)
     worst = 0.0
     for x in np.geomspace(1.0, 30.0, 50):
         for i, it in enumerate(chain):
             worst = max(worst, _rel(it.value(float(x)), dist.gaussian_closed_iterates(-1.7, 1.9, i, float(x))))
-    return worst <= tols["closed_form"], f"worst rel dev {worst:.2e}"
+    return worst <= 1e-9, f"worst rel dev {worst:.2e}"
 
 
-def _chk_sandwich(tols):
+def _chk_sandwich():
     # P0..P4 on two point sets from each verified region's start: 40
     # points offset by 1e-6 of its span and 100 offset by 1e-7 of the
     # start; an EXACT verdict is held to both sides
@@ -221,10 +201,10 @@ def _chk_sandwich(tols):
                     worst = min(worst, v - truth)
                 if cls.verdict in (Verdict.LOWER, Verdict.EXACT):
                     worst = min(worst, truth - v)
-    return worst >= -tols["sandwich"], f"worst signed margin {worst:.2e}"
+    return worst >= -1e-9, f"worst signed margin {worst:.2e}"
 
 
-def _chk_ordering(tols):
+def _chk_ordering():
     # the catalog at depth 3 inside each window, and the standard Gaussian
     # at depth 4 on [1.6, 7.5]; a point where an iterate has a pole is
     # skipped, and a pair that compares no point fails
@@ -247,9 +227,9 @@ def _chk_ordering(tols):
                     pv, nv = prev.value(x), nxt.value(x)
                 except PoleEncountered:
                     continue
-                if cls.verdict is Verdict.UPPER and nv > pv * (1 + tols["ordering"]):
+                if cls.verdict is Verdict.UPPER and nv > pv * (1 + 1e-9):
                     detail.append(f"{d.name} P{nxt.index}>{prev.index} at {x:.3g}")
-                if cls.verdict is Verdict.LOWER and nv < pv * (1 - tols["ordering"]):
+                if cls.verdict is Verdict.LOWER and nv < pv * (1 - 1e-9):
                     detail.append(f"{d.name} P{nxt.index}<{prev.index} at {x:.3g}")
                 pair += cls.verdict in (Verdict.UPPER, Verdict.LOWER)
             if pair == 0:
@@ -258,7 +238,7 @@ def _chk_ordering(tols):
     return not detail, "; ".join(detail) if detail else f"Lemma-3 ordering holds at {compared} points"
 
 
-def _chk_limit_preservation(tols):
+def _chk_limit_preservation():
     # the evaluation edge sits far enough out that the numeric limit
     # surrogate is meaningful (the beta prime tail decays only like
     # x^(-beta), so its edge is much farther than the figure window)
@@ -274,7 +254,7 @@ def _chk_limit_preservation(tols):
     return ok, "edge values below seed and LIMIT_TOL"
 
 
-def _chk_rate_agreement(tols):
+def _chk_rate_agreement():
     # the chain's rates against those of the printed Gaussian iterates
     mu, sigma = -1.7, 1.9
     chain = _chain(dist.make_gaussian(mu, sigma), SeedKind.PDF, TailSide.RIGHT, 2)
@@ -285,10 +265,10 @@ def _chk_rate_agreement(tols):
         for k, it in enumerate(chain):
             worst = max(worst, _rel(engine.figure_rate(it, x), abs(p[k + 1] / p[k] - 1.0)),
                         _rel(engine.convergence_rate(it, x), abs(p[k] / p[k + 1] - 1.0)))
-    return worst <= tols["rate_agreement"], f"worst gap to the printed iterates {worst:.2e}"
+    return worst <= 1e-10, f"worst gap to the printed iterates {worst:.2e}"
 
 
-def _chk_tightness_reflection(tols):
+def _chk_tightness_reflection():
     # on an upper->lower flip with the tightness condition verified,
     # the reflected auxiliary bound stays below the new iterate
     d = dist.make_gaussian(0.0, 1.0)
@@ -312,13 +292,10 @@ def _exp1():
     def log_jet(anchor, order):
         return -jet_var(anchor, order)
 
-    return dist.DistributionSpec(
-        "exp1", {}, dist.SupportInterval(0.0, math.inf),
-        lambda a, o: J.exp(log_jet(a, o)), log_pdf_jet=log_jet,
-    )
+    return dist.DistributionSpec("exp1", {}, dist.SupportInterval(0.0, math.inf), log_jet)
 
 
-def _chk_markov_chernoff(tols):
+def _chk_markov_chernoff():
     # h(x) = E/x meets the governing condition for all x > 0 on Exp(1)
     # (x^2 e^{-x} <= 1), so the whole window verifies
     h = connections.markov_h(1.0)
@@ -333,15 +310,15 @@ def _chk_markov_chernoff(tols):
     return ok, f"markov: {cls.verdict.name} from {cls.threshold:g}, chernoff: {cls2.verdict.name}"
 
 
-def _chk_normalization(tols):
+def _chk_normalization():
     worst = 0.0
     extra = [dist.make_gaussian(0.0, 1.0), dist.make_noncentral_chi2(3.0, 1.5)]
     for d in [d for d, _, _, _ in _catalog()] + extra:
-        worst = max(worst, abs(oracle.normalization(d, 1e-10) - 1.0))
-    return worst <= tols["normalization"], f"worst |integral-1| {worst:.2e}"
+        worst = max(worst, abs(oracle.normalization(d) - 1.0))
+    return worst <= 1e-8, f"worst |integral-1| {worst:.2e}"
 
 
-def _chk_oracle_consistency(tols):
+def _chk_oracle_consistency():
     worst = 0.0
     for d, _, side, window in _catalog():
         for x in np.linspace(window[0] + 0.1, window[1] * 0.5, 20):
@@ -355,7 +332,7 @@ def _chk_oracle_consistency(tols):
 # awgn suite
 
 
-def _chk_appendix_identities(tols):
+def _chk_appendix_identities():
     worst_zero = worst_fd = worst_const = 0.0
     for om in (0.5, 1.0, 2.0, 5.0):
         d = awgn.debye_internals(om)
@@ -374,14 +351,14 @@ def _chk_appendix_identities(tols):
     fd = (awgn._phi(om, lam + h) - awgn._phi(om, lam - h)) / (2 * h)
     worst_fd = max(worst_fd, abs(awgn.debye_internals(om, lam)["phi_prime"] - fd))
     ok = (
-        worst_zero <= tols["phi_zero"]
-        and worst_fd <= tols["phi_prime_fd"]
-        and worst_const <= tols["appendix_consts"]
+        worst_zero <= 1e-12
+        and worst_fd <= 1e-9
+        and worst_const <= 1e-10
     )
     return ok, f"|phi(l0)| {worst_zero:.1e}, phi' by fd {worst_fd:.1e}, consts {worst_const:.1e}"
 
 
-def _chk_awgn_sandwich(tols):
+def _chk_awgn_sandwich():
     ok = True
     detail = []
     for om, eps in ((1.0, 1e-3), (5.0, 1e-5)):
@@ -404,7 +381,7 @@ def _chk_awgn_sandwich(tols):
     return ok, "; ".join(detail) if detail else "oracle inside bounds, gap shrinking"
 
 
-def _chk_solve_residual(tols):
+def _chk_solve_residual():
     # |P(lambda) - eps|/eps, taken from the log bound as expm1(ln P - ln eps)
     worst = 0.0
     for n in (200, 500):
@@ -413,10 +390,10 @@ def _chk_solve_residual(tols):
             for which, log_bound in (("p0", awgn.log_p0_md), ("p1", awgn.log_p1_md)):
                 lam = awgn.solve_lambda(cfg, which)
                 worst = max(worst, abs(math.expm1(log_bound(cfg, lam) - math.log(eps))))
-    return worst <= tols["solve_residual"], f"worst residual {worst:.2e}"
+    return worst <= 1e-10, f"worst residual {worst:.2e}"
 
 
-def _chk_rate_asym_shape(tols):
+def _chk_rate_asym_shape():
     # increasing in n, below capacity, and within 5e-3 bits of it at n = 1e6
     ok = True
     for om in (1.0, 5.0):
@@ -433,7 +410,7 @@ def _chk_rate_asym_shape(tols):
     return ok, "rate_asymptotic increasing in n, below capacity, within 5e-3 of it at n = 1e6"
 
 
-def _chk_csv_rerun(tols):
+def _chk_csv_rerun():
     import os
     import tempfile
 
@@ -500,21 +477,15 @@ SUITES: dict[str, list[Check]] = {
 }
 
 
-def run_check(fn: Callable[[dict], tuple[bool, str]], tols: dict) -> tuple[bool, str]:
+def run_check(fn: Callable[[], tuple[bool, str]]) -> tuple[bool, str]:
     """One check's (passed, detail); a crashed check is a failed check."""
     try:
-        return fn(tols)
+        return fn()
     except Exception as exc:
         return False, f"crashed: {exc!r}"
 
 
-def run_suites(names: list[str], tol_overrides: dict[str, float] | None = None, out=print) -> bool:
-    tols = dict(DEFAULT_TOLS)
-    if tol_overrides:
-        unknown = set(tol_overrides) - set(tols)
-        if unknown:
-            raise DomainError(f"unknown tolerance keys: {sorted(unknown)}")
-        tols.update(tol_overrides)
+def run_suites(names: list[str]) -> bool:
     selected = []
     for name in names:
         if name == "all":
@@ -524,7 +495,7 @@ def run_suites(names: list[str], tol_overrides: dict[str, float] | None = None, 
             selected.extend(SUITES[name])
     all_ok = True
     for label, fn in selected:
-        ok, detail = run_check(fn, tols)
+        ok, detail = run_check(fn)
         all_ok = all_ok and ok
-        out(f"{'PASS' if ok else 'FAIL'}  {label:36s} {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {label:36s} {detail}")
     return all_ok

@@ -5,7 +5,6 @@ import math
 
 from tailkit import dist as D
 from tailkit import engine as E
-from tailkit import jet as J
 from tailkit.jet import jet_var
 
 
@@ -24,7 +23,4 @@ def make_exp1():
     def log_jet(anchor, order):
         return -jet_var(anchor, order)
 
-    return D.DistributionSpec(
-        "exp1", {}, D.SupportInterval(0.0, math.inf),
-        lambda a, o: J.exp(log_jet(a, o)), log_pdf_jet=log_jet,
-    )
+    return D.DistributionSpec("exp1", {}, D.SupportInterval(0.0, math.inf), log_jet)

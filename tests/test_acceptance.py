@@ -14,9 +14,11 @@ beta prime high-iterate slope window (test 04b) and the every-n
 midpoint comparison of the two rate approximations (test 08b).
 """
 
+import ast
 import contextlib
-import inspect
+import io
 import math
+import pathlib
 import re
 import time
 
@@ -58,6 +60,18 @@ def test_02_verdict_sequence():
         p2 = res.iterates[2][0]
         cls2 = E.classify(p2, (0.1, 8.0))
         assert abs(cls2.threshold - math.sqrt(math.sqrt(2.0) - 1.0)) <= 1e-6
+
+
+def test_02_readme_quick_tour():
+    """README's one python block, the Quick tour, runs on the public
+    signatures and prints the verdict sequence of test 02."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(blocks[0], {})
+    assert ast.literal_eval(out.getvalue().splitlines()[0]) == ["U", "L", "U", "L", "U"]
 
 
 def test_03_oracle_sandwich():
@@ -143,7 +157,7 @@ def test_05_exact_rate_value():
     with criterion("05 exact rate value"):
         g = D.make_gaussian(0.0, 1.0)
         seed = E.make_seed(g, SeedKind.PDF, TailSide.RIGHT)
-        assert abs(E.convergence_rate(seed, 2.0) - 0.25) <= 1e-10
+        assert abs(E.convergence_rate(seed, 2.0) - 0.25) < 1e-10
 
 
 def test_06_appendix_identities():
@@ -196,7 +210,7 @@ def test_08c_asym_tighter_than_na_vs_oracle():
 
 
 def test_09_lambda_consistency():
-    """|solve_lambda(P0) - lambda_asymptotic| shrinks by at least 5x
+    """|solve_lambda(P0) - lambda_asymptotic| shrinks by more than 5x
     from n = 10^4 to n = 10^6 for both pairs."""
     with criterion("09 lambda consistency"):
         for om, eps in ((1.0, 1e-3), (5.0, 1e-5)):
@@ -208,7 +222,7 @@ def test_09_lambda_consistency():
                 A.solve_lambda(A.AwgnConfig(10**6, om, eps), "p0")
                 - A.lambda_asymptotic(A.AwgnConfig(10**6, om, eps))
             )
-            assert d6 * 5.0 <= d4, (om, d4, d6)
+            assert d6 * 5.0 < d4, (om, d4, d6)
 
 
 _CHECKS = [check for suite in V.SUITES.values() for check in suite]
@@ -218,23 +232,18 @@ _CHECKS = [check for suite in V.SUITES.values() for check in suite]
 def test_10_invariant(label, check):
     """Each registered invariant (the closed-form iterates, the oracle
     sandwiches, the Lemma-3 ordering, the Appendix identities, ...)
-    passes under the default tolerances."""
+    passes within its bound."""
     with criterion(f"10 {label}", budget_s=5.0):
-        ok, detail = check(dict(V.DEFAULT_TOLS))
+        ok, detail = check()
         assert ok, detail
 
 
 def test_10_registry_is_whole():
-    """Labels are unique and carry their suite's name; each tolerance key
-    is read by some check, and each key a check reads exists."""
+    """Labels are unique and carry their suite's name."""
     labels = [label for label, _ in _CHECKS]
     assert len(set(labels)) == len(labels)
     for suite, checks in V.SUITES.items():
         assert all(label.startswith(suite + ".") for label, _ in checks), suite
-    read = set()
-    for label, check in _CHECKS:
-        read.update(re.findall(r'tols\["(\w+)"\]', inspect.getsource(check)))
-    assert read == set(V.DEFAULT_TOLS)
 
 
 def test_10_ordering_fails_when_no_point_compares(monkeypatch):
@@ -248,12 +257,12 @@ def test_10_ordering_fails_when_no_point_compares(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(E.BoundIterate, "value", raising)
-        ok, detail = V.run_check(check, dict(V.DEFAULT_TOLS))
+        ok, detail = V.run_check(check)
     assert not ok and "TypeError" in detail
 
     def pole(self, x):
         raise PoleEncountered("pole")
 
     monkeypatch.setattr(E.BoundIterate, "value", pole)
-    ok, detail = V.run_check(check, dict(V.DEFAULT_TOLS))
+    ok, detail = V.run_check(check)
     assert not ok and "compared no point" in detail

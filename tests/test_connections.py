@@ -105,7 +105,7 @@ class TestExactCandidates:
                 return Jet(anchor, (tail,))
             return Jet(anchor, (tail, -g.pdf_jet(anchor, 0).value) + (0.0,) * (order - 1))
 
-        cls = C.classify_h(g, C.CandidateH(h_eval, TailSide.RIGHT, "1-F"), (0.5, 8.0))
+        cls = C.classify_h(g, C.CandidateH(h_eval, TailSide.RIGHT), (0.5, 8.0))
         assert cls.verdict is Verdict.EXACT
 
     def test_left_tail_cdf_is_exact(self):
@@ -117,7 +117,7 @@ class TestExactCandidates:
                 return Jet(anchor, (cdf,))
             return Jet(anchor, (cdf, g.pdf_jet(anchor, 0).value) + (0.0,) * (order - 1))
 
-        cls = C.classify_h(g, C.CandidateH(h_eval, TailSide.LEFT, "F"), (-8.0, -0.5))
+        cls = C.classify_h(g, C.CandidateH(h_eval, TailSide.LEFT), (-8.0, -0.5))
         assert cls.verdict is Verdict.EXACT
 
 

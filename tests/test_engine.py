@@ -326,9 +326,6 @@ class TestLeftRightSymmetry:
 
 
 class TestConvergenceRate:
-    def test_exact_value_at_2(self, chain01):
-        assert abs(E.convergence_rate(chain01[0], 2.0) - 0.25) < 1e-10
-
     def test_scales_with_sigma(self):
         g = D.make_gaussian(-1.7, 1.9)
         seed = E.make_seed(g, SeedKind.PDF, TailSide.RIGHT)

@@ -286,4 +286,4 @@ class TestClosedCdfs:
 
     def test_normalization(self, catalog):
         for d in catalog.values():
-            assert abs(O.normalization(d, 1e-10) - 1.0) < 1e-8
+            assert abs(O.normalization(d) - 1.0) < 1e-8
