@@ -644,7 +644,7 @@ def _threshold(
 
     if math.isfinite(q_bad) and q_good > 0.0:
         # to half the width, so that rounding cannot carry the result past it
-        x, _ = rootfind.illinois(minus_q, x_bad, x_good, -q_bad, -q_good, 0.0, 0.5 * x_tol)
+        x, _ = rootfind.illinois(minus_q, (x_bad, x_good, -q_bad, -q_good), 0.0, 0.5 * x_tol)
         ok = seen[x]
         close = x + math.copysign(0.5 * x_tol, x_good - x_bad) * (-1.0 if ok else 1.0)
         if passes(_conditions(it, close, tol)[0]) != ok:

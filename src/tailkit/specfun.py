@@ -29,6 +29,7 @@ the lower order nu - 1 is negative, and both forms hold there as well.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,8 @@ from .errors import DomainError, ToleranceNotMet
 from .jet import Jet, jet_shift_derivative
 
 _SQRT2 = math.sqrt(2.0)
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LN_HALF = math.log(0.5)  # ln Q(0)
 _INV_E = math.exp(-1.0)
 
 
@@ -64,10 +67,13 @@ def gaussian_q_inverse(eps: float) -> float:
     """x such that Q(x) = eps, to 1e-10 relative in Q where Q is a normal
     double.
 
-    Illinois (``rootfind.illinois``) on ln Q(x) - ln eps over
-    [0, sqrt(-2 ln eps)]: Q(x) <= e^{-x^2/2}/2, so at the right end ln Q
-    lies at least ln 2 below ln eps. Where Q underflows to 0, ln Q is
-    -inf, and the root finder bisects there.
+    ``rootfind.illinois`` on ln Q(x) - ln eps over [0, sqrt(-2 ln eps)]:
+    Q(x) <= e^{-x^2/2}/2, so at the right end ln Q lies at least ln 2
+    below ln eps. Each value carries the slope of ln Q, -phi(x)/Q(x), and
+    the steps are Newton's from the right end: ln Q is concave, so they
+    close in from above the root. Where Q is subnormal its value carries
+    no slope, and where it underflows to 0 ln Q is -inf; the steps there
+    are Illinois's, which bisect where ln Q is -inf.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("gaussian_q_inverse needs eps in (0, 1)")
@@ -80,10 +86,14 @@ def gaussian_q_inverse(eps: float) -> float:
 
     def excess(x: float) -> float:
         q = gaussian_q(x)
-        return (math.log(q) if q > 0.0 else -math.inf) - target
+        if q < sys.float_info.min:  # 0, or subnormal: too few bits for a Newton step
+            return (math.log(q) if q > 0.0 else -math.inf) - target
+        ln_q = math.log(q)
+        return rootfind.sloped(ln_q - target, -math.exp(-0.5 * x * x - _LN_SQRT_2PI - ln_q))
 
     hi = math.sqrt(-2.0 * target)
-    return rootfind.illinois(excess, 0.0, hi, excess(0.0), excess(hi), 0.0)[0]
+    f_hi = excess(hi)
+    return rootfind.illinois(excess, (0.0, hi, _LN_HALF - target, f_hi), 0.0, start=(hi, f_hi))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +287,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of w e^w = x for x >= -1/e, Halley-refined to
-    1e-12 relative residual."""
+    """Principal branch of w e^w = x for x >= -1/e: below x = e,
+    Halley-refined to 1e-12 relative residual; from x = e on,
+    ``lambert_w0_exp(ln x)``."""
     if not math.isfinite(x):
         raise DomainError("lambert_w0 needs a finite argument")
     if x < -_INV_E - 1e-15:
@@ -288,15 +299,14 @@ def lambert_w0(x: float) -> float:
     if x < -_INV_E:
         x = -_INV_E
 
+    if x >= math.e:
+        return lambert_w0_exp(math.log(x))
     if x < -0.2:
         # branch-point series in p = sqrt(2(ex + 1))
         p = math.sqrt(2.0 * (math.e * x + 1.0))
         w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    elif x < math.e:
-        w = x / (1.0 + x)  # crude but inside the attraction basin
     else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
+        w = x / (1.0 + x)  # crude but inside the attraction basin
 
     for _ in range(60):
         ew = math.exp(w)
@@ -307,6 +317,23 @@ def lambert_w0(x: float) -> float:
         dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         w -= dw
         if abs(dw) <= 1e-16 * (1.0 + abs(w)):
+            break
+    return w
+
+
+def lambert_w0_exp(log_x: float) -> float:
+    """W0(e^log_x), also where e^log_x overflows: from log_x = 1 on, Newton
+    on w + ln w = log_x from w = log_x - ln log_x to 1e-15 relative step;
+    below it ``lambert_w0(e^log_x)``."""
+    if not math.isfinite(log_x):
+        raise DomainError("lambert_w0_exp needs a finite argument")
+    if log_x < 1.0:
+        return lambert_w0(math.exp(log_x))
+    w = log_x - math.log(log_x)
+    for _ in range(60):
+        dw = (w + math.log(w) - log_x) * w / (w + 1.0)
+        w -= dw
+        if abs(dw) <= 1e-15 * w:
             break
     return w
 

@@ -15,25 +15,50 @@ CFG200 = A.AwgnConfig(200, 1.0, 1e-3)
 PAIRS = [(om, eps) for om in (0.5, 1.0, 5.0) for eps in (1e-3, 1e-5)]
 
 
-def mp_log_first_iterate(k, s, x, right):
-    """ln f - ln(-+(ln P0)') at 30 digits from mpmath's I_{nu-1}, I_nu,
-    nu = k/2, u = sqrt(s x), with the derivatives by the quotient rule on
+def mp_log_i(mu, u):
+    """ln I_mu(u) at the working precision: mpmath's besseli, or from
+    order 1e5 on, where besseli is too slow, the Debye series over
+    ``specfun._DEBYE_U``'s exact rationals (its first omitted term is
+    below mu^-9 = 1e-45 there)."""
+    if mu < 1e5:
+        return mp.log(mp.besseli(mu, u, maxterms=10**6))
+    z = u / mu
+    w = mp.sqrt(1 + z * z)
+    p = 1 / w
+    series = mp.fsum(
+        mp.fsum(mp.mpf(c.numerator) / c.denominator * p**j for j, c in enumerate(poly)) / mu**k
+        for k, poly in enumerate(sf._DEBYE_U)
+    )
+    return mu * (w + mp.log(z / (1 + w))) - mp.log(2 * mp.pi) / 2 - mp.log(mu) / 2 - mp.log(w) / 2 + mp.log(series)
+
+
+def mp_log_bound(k, s, x, right, iterate):
+    """ln P0 (the seed 2 x f / bracket), or with ``iterate`` ln f - ln(-+(ln P0)'),
+    at the working precision from ln I_{nu-1}, ln I_nu, nu = k/2,
+    u = sqrt(s x), with the derivatives by the quotient rule on
     I'_{nu-1} = I_nu + ((nu-1)/u) I_{nu-1} and I'_nu = I_{nu-1} - (nu/u) I_nu."""
+    k, s, x = mp.mpf(k), mp.mpf(s), mp.mpf(x)
+    nu = k / 2
+    u = mp.sqrt(s * x)
+    du = s / (2 * u)
+    log_i0 = mp_log_i(nu - 1, u)
+    r = mp.exp(mp_log_i(nu, u) - log_i0)  # I_nu / I_{nu-1}
+    ln_f = -mp.log(2) - (x + s) / 2 + (nu - 1) / 2 * mp.log(x / s) + log_i0
+    ur = u * r
+    bracket = (x - k + 2 - ur) if right else (k - x + ur)
+    if not iterate:
+        return mp.log(2 * x) + ln_f - mp.log(bracket)
+    d_ln_f = -mp.mpf(1) / 2 + (nu - 1) / (2 * x) + (r + (nu - 1) / u) * du
+    d_ur = du * (r + u * (1 - nu / u * r - r * (r + (nu - 1) / u)))
+    d_bracket = (1 - d_ur) if right else (d_ur - 1)
+    d_lp0 = 1 / x + d_ln_f - d_bracket / bracket
+    return ln_f - mp.log(-d_lp0 if right else d_lp0)
+
+
+def mp_log_first_iterate(k, s, x, right):
+    """ln f - ln(-+(ln P0)') at 30 digits (``mp_log_bound``)."""
     with mp.workdps(30):
-        k, s, x = mp.mpf(k), mp.mpf(s), mp.mpf(x)
-        nu = k / 2
-        u = mp.sqrt(s * x)
-        du = s / (2 * u)
-        i0 = mp.besseli(nu - 1, u, maxterms=10**6)
-        i1 = mp.besseli(nu, u, maxterms=10**6)
-        di0, di1 = i1 + (nu - 1) / u * i0, i0 - nu / u * i1
-        ln_f = -mp.log(2) - (x + s) / 2 + (nu - 1) / 2 * mp.log(x / s) + mp.log(i0)
-        d_ln_f = -mp.mpf(1) / 2 + (nu - 1) / (2 * x) + di0 / i0 * du
-        ur = u * i1 / i0
-        d_ur = du * (i1 / i0 + u * (di1 * i0 - i1 * di0) / (i0 * i0))
-        bracket, d_bracket = (x - k + 2 - ur, 1 - d_ur) if right else (k - x + ur, d_ur - 1)
-        d_lp0 = 1 / x + d_ln_f - d_bracket / bracket
-        return float(ln_f - mp.log(-d_lp0 if right else d_lp0))
+        return float(mp_log_bound(k, s, x, right, True))
 
 
 def jet_log_first_iterate(k, s, x, right):
@@ -119,6 +144,30 @@ class TestFirstIterate:
             assert abs(got - want) <= 1e-10 * abs(want), (right, got, want)
 
 
+class TestSlopes:
+    """The slope each log bound carries, its derivative in lambda, against
+    mpmath's numerical derivative of the same bound at 40 digits: the MD
+    bounds at n lambda (the solves step on these) and the FA bounds at
+    n lambda/(1 + Omega)."""
+
+    @pytest.mark.parametrize("n", [200, 10**4, 10**6])
+    @pytest.mark.parametrize("om, eps", PAIRS)
+    def test_matches_mpmath_derivative(self, n, om, eps):
+        cfg = A.AwgnConfig(n, om, eps)
+        lam = A.lambda_asymptotic(cfg)
+        # (ln P1)' takes (ln P0)'', whose O(n) terms cancel more than (ln P0)''s
+        for log_bound, args, right, iterate, rel in (
+            (A.log_p0_md, A._md_args, True, False, 1e-15 * n),
+            (A.log_p1_md, A._md_args, True, True, 4e-14 * n),
+            (A.log_p0_fa, A._fa_args, False, False, 1e-15 * n),
+            (A.log_p1_fa, A._fa_args, False, True, 4e-14 * n),
+        ):
+            with mp.workdps(40):
+                want = float(mp.diff(lambda L: mp_log_bound(*args(cfg, L), right, iterate), mp.mpf(lam)))
+            got = log_bound(cfg, lam).slope
+            assert abs(got - want) <= rel * abs(want), (log_bound.__name__, got, want)
+
+
 class TestSolveLambda:
     def test_solution_above_lambda0(self):
         assert A.solve_lambda(CFG200, "p0") > 2.0
@@ -141,8 +190,22 @@ class TestSolveLambda:
         for om, eps in PAIRS:
             for which in ("p0", "p1"):
                 calls.clear()
-                A.solve_lambda(A.AwgnConfig(n, om, eps), which)
-                assert len(calls) <= 16, (om, eps, which, len(calls))
+                lam = A.solve_lambda(A.AwgnConfig(n, om, eps), which)
+                assert len(calls) <= 5, (om, eps, which, len(calls))
+                assert lam.evaluations == len(calls)
+
+    def test_plain_float_bound_solves_by_the_fallback(self, monkeypatch):
+        # a bound without a slope takes the seeded bracket and Illinois steps
+        for n in (200, 10**4):
+            cfg = A.AwgnConfig(n, 1.0, 1e-3)
+            for which, name in (("p0", "log_p0_md"), ("p1", "log_p1_md")):
+                want = A.solve_lambda(cfg, which)
+                bound = getattr(A, name)
+                monkeypatch.setattr(A, name, lambda cfg, lam, bound=bound: float(bound(cfg, lam)))
+                got = A.solve_lambda(cfg, which)
+                monkeypatch.undo()
+                assert got.evaluations > want.evaluations and got.log_residual <= 1e-10
+                assert abs(got - want) <= 1e-12 * want, (n, which, got, want)
 
     @pytest.mark.parametrize("n", [10**4, 10**7])
     def test_point_carries_the_solve_residuals(self, monkeypatch, n):

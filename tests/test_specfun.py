@@ -167,6 +167,19 @@ class TestLambertW:
         with pytest.raises(DomainError):
             sf.lambert_w0(-1.0)
 
+    @pytest.mark.parametrize("x", [1e-3, 0.5, math.e, 10.0, 1e3, 1e100, 1e300])
+    def test_from_the_logarithm(self, x):
+        # from x = e on lambert_w0 is lambert_w0_exp(ln x): both against mpmath
+        want = mp.lambertw(x)
+        for w in (sf.lambert_w0(x), sf.lambert_w0_exp(math.log(x))):
+            assert abs(w - want) <= 1e-15 * want, (w, want)
+
+    @pytest.mark.parametrize("log_x", [710.0, 1384.0, 1e5])
+    def test_from_the_logarithm_past_overflow(self, log_x):
+        # e^log_x is not a double, but it is an mpf
+        want = mp.lambertw(mp.exp(log_x))
+        assert abs(sf.lambert_w0_exp(log_x) - want) <= 1e-15 * want
+
 
 def _series_log_scaled(mu, u):
     """ln(e^{-u} I_mu(u)) by the ascending series, one order per loop: the
