@@ -9,8 +9,9 @@ an atomic rename, so a partial CSV is never left behind.
 
 Exit codes: 0 ok, 1 verification failure, 2 bad flags (a window outside
 the support, a seed the distribution cannot take), 3 invalid seed,
-4 an ``awgn`` row failed (its cells are empty and its ``status`` names
-the error; the other rows are written).
+4 a cell of an ``awgn`` row failed (the cell is empty, and the row's
+``status`` names it and the error's class, as ``r_na:OverflowError``,
+cells joined by ';'; the other cells and rows are written).
 """
 
 from __future__ import annotations
@@ -187,20 +188,24 @@ def cmd_awgn(args) -> int:
     )
     failed = False
     for cfg in cfgs:
-        try:
-            p = awgn.converse_bounds(cfg)
-            oc = ""
-            if args.oracle == "on" and cfg.n <= _ORACLE_N_CAP:
-                oc = _fmt(awgn.oracle_converse(cfg))
-        except (TailkitError, ArithmeticError) as exc:
-            # the row keeps its n, its cells stay empty, and the sweep goes
-            # on (an extreme --eps or --omega overflows: ArithmeticError)
-            print(f"tailkit: n={cfg.n}: {exc}", file=sys.stderr)
-            lines.append(f"{cfg.n},,,,,,,,,,{type(exc).__name__}")
-            failed = True
-            continue
-        cells = (p.lambda_p0, p.lambda_p1, p.lambda_asym, p.r_lower, p.r_upper, p.r_asym, p.r_na, p.capacity)
-        lines.append(",".join([str(cfg.n), *map(_fmt, cells), oc, "ok"]))
+        # a cell whose formula raises stays empty, the row's status names it
+        # and the error's class, and the other cells and rows are written (an
+        # extreme --eps or --omega overflows, ArithmeticError, or leaves a
+        # logarithm's domain, ValueError)
+        p = awgn.converse_bounds(cfg)
+        errors = dict(p.failed)
+        oc = math.nan
+        if args.oracle == "on" and cfg.n <= _ORACLE_N_CAP:
+            try:
+                oc = awgn.oracle_converse(cfg)
+            except (TailkitError, ArithmeticError, ValueError) as exc:
+                errors["oracle_converse"] = exc
+        for name, exc in errors.items():
+            print(f"tailkit: n={cfg.n}: {name}: {exc}", file=sys.stderr)
+        failed = failed or bool(errors)
+        status = ";".join(f"{name}:{type(exc).__name__}" for name, exc in errors.items()) or "ok"
+        cells = (p.lambda_p0, p.lambda_p1, p.lambda_asym, p.r_lower, p.r_upper, p.r_asym, p.r_na, p.capacity, oc)
+        lines.append(",".join([str(cfg.n), *map(_fmt, cells), status]))
     _write_rows(args.out, lines)
     return 4 if failed else 0
 

@@ -1,13 +1,14 @@
-"""The library's one root finder: Newton steps where f's values carry
-their slope, and Illinois (Dowell & Jarratt 1971) on a bracket otherwise.
-Illinois is regula falsi that halves the value kept at an end which two
-steps in a row left in place, so that both ends close in superlinearly.
+"""The library's one root finder: Halley steps where f's values carry
+their slope and curvature, Newton steps where they carry only the slope,
+and Illinois (Dowell & Jarratt 1971) on a bracket otherwise. Illinois is
+regula falsi that halves the value kept at an end which two steps in a
+row left in place, so that both ends close in superlinearly.
 
 It serves the AWGN lambda solves (``awgn.solve_lambda`` and
 ``awgn.oracle_lambda``, through ``awgn._solve_md``), the inverse
 Gaussian Q function (``specfun.gaussian_q_inverse``) and the validity
-thresholds of ``engine.classify``. The first two hand it slopes; the
-thresholds do not, and get Illinois alone.
+thresholds of ``engine.classify``. The first two hand it slopes and
+curvatures; the thresholds do not, and get Illinois alone.
 """
 
 from __future__ import annotations
@@ -16,40 +17,49 @@ import math
 
 
 class Sloped(float):
-    """A value of f that carries ``slope``, f' at the same point (made by
-    ``sloped``)."""
+    """A value of f that carries ``slope`` and ``curvature``, f' and f''
+    at the same point (made by ``sloped``); a curvature of 0 stands for
+    none."""
 
-    __slots__ = ("slope",)
+    __slots__ = ("slope", "curvature")
 
 
-def sloped(value: float, slope: float) -> Sloped:
-    """value as a ``Sloped`` float that carries slope. (Setting the slot
-    after a plain float construction costs a third of a ``__new__``.)"""
+def sloped(value: float, slope: float, curvature: float) -> Sloped:
+    """value as a ``Sloped`` float that carries slope and curvature.
+    (Setting the slots after a plain float construction costs a third of
+    a ``__new__``.)"""
     obj = Sloped(value)
     obj.slope = slope
+    obj.curvature = curvature
     return obj
 
 
-def illinois(f, bracket, f_tol: float, x_tol: float = 0.0, start=None) -> tuple[float, float]:
+def illinois(
+    f, bracket, f_tol: float, x_tol: float = 0.0, start=None, f_floor: float = 0.0
+) -> tuple[float, float]:
     """A root of f, with bracket = (a, b, f(a), f(b)) where f(a) > 0 > f(b);
     a may lie on either side of b.
 
-    Steps are Newton's, x - f(x)/f'(x), from start = (x, f(x)) (by
-    default the bracket end with the smaller |f|), for as long as f's
-    values carry a nonzero ``slope`` (``Sloped``) and each step lands
-    strictly inside the bracket, where f is defined, and halves |f| or
-    the bracket. From the first step that does not, the steps are
-    Illinois steps.
+    Steps are Halley's, x - (f/f') / (1 - f f''/(2 f'^2)), or Newton's,
+    x - f/f', where f carries no curvature or f f''/(2 f'^2) is not
+    within +-1/2, from start = (x, f(x)) (by default the bracket end with
+    the smaller |f|), for as long as f's values carry a nonzero ``slope``
+    (``Sloped``) and each step lands strictly inside the bracket, where f
+    is defined, and halves |f| or the bracket. From the first step that
+    does not, the steps are Illinois steps, except that a step from a
+    point where |f| <= f_floor, the rounding level of f's evaluation,
+    that does not halve |f| ends the search: no step can do better there.
 
     bracket may instead be a function that returns the tuple, where a
     start is given. It is called at the first Illinois step, unless the
     points seen by then straddle the root, and the latest point seen on
     either side of the root replaces that end where it lies inside.
 
-    Stops once |f| <= f_tol at a step, the bracket is at most x_tol wide,
-    or it or a Newton step is at ulp width, and returns the point with the
-    smallest |f| seen and f there. f may return None where it is undefined
-    on a's side of the root; such a point becomes the new a, keeping f(a).
+    Stops once |f| <= f_tol at a step, at the rounding level as above,
+    once the bracket is at most x_tol wide, or once it or a step is at ulp
+    width, and returns the point with the smallest |f| seen and f there.
+    f may return None where it is undefined on a's side of the root; such
+    a point becomes the new a, keeping f(a).
     """
     known = not callable(bracket)  # both ends of the bracket
     if known:
@@ -77,7 +87,12 @@ def illinois(f, bracket, f_tol: float, x_tol: float = 0.0, start=None) -> tuple[
             break
         if newton:
             slope = getattr(v, "slope", 0.0)
-            mid = x - v / slope if slope else math.nan
+            if slope:
+                step = v / slope
+                half_ratio = 0.5 * step * getattr(v, "curvature", 0.0) / slope  # f f''/(2 f'^2)
+                mid = x - (step / (1.0 - half_ratio) if abs(half_ratio) <= 0.5 else step)
+            else:
+                mid = math.nan
             if mid == x:
                 break
             newton = (a < mid < b or b < mid < a) if known else math.isfinite(mid)
@@ -121,7 +136,10 @@ def illinois(f, bracket, f_tol: float, x_tol: float = 0.0, start=None) -> tuple[
             kept = 1
         if newton:
             kept = 0
-            newton = abs(v) <= 0.5 * abs(v_prev) or (known and abs(b - a) <= 0.5 * width)
+            halved = abs(v) <= 0.5 * abs(v_prev)
+            if not halved and abs(v_prev) <= f_floor:
+                break
+            newton = halved or (known and abs(b - a) <= 0.5 * width)
             if not known:
                 known = f_a is not None and f_b is not None
     return best, best_f

@@ -69,11 +69,11 @@ def gaussian_q_inverse(eps: float) -> float:
 
     ``rootfind.illinois`` on ln Q(x) - ln eps over [0, sqrt(-2 ln eps)]:
     Q(x) <= e^{-x^2/2}/2, so at the right end ln Q lies at least ln 2
-    below ln eps. Each value carries the slope of ln Q, -phi(x)/Q(x), and
-    the steps are Newton's from the right end: ln Q is concave, so they
-    close in from above the root. Where Q is subnormal its value carries
-    no slope, and where it underflows to 0 ln Q is -inf; the steps there
-    are Illinois's, which bisect where ln Q is -inf.
+    below ln eps. Each value carries the slope of ln Q, g = -phi(x)/Q(x),
+    and its curvature, g (-x - g), and the steps are Halley's from the
+    right end. Where Q is subnormal its value carries neither, and where
+    it underflows to 0 ln Q is -inf; the steps there are Illinois's,
+    which bisect where ln Q is -inf.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("gaussian_q_inverse needs eps in (0, 1)")
@@ -89,7 +89,8 @@ def gaussian_q_inverse(eps: float) -> float:
         if q < sys.float_info.min:  # 0, or subnormal: too few bits for a Newton step
             return (math.log(q) if q > 0.0 else -math.inf) - target
         ln_q = math.log(q)
-        return rootfind.sloped(ln_q - target, -math.exp(-0.5 * x * x - _LN_SQRT_2PI - ln_q))
+        slope = -math.exp(-0.5 * x * x - _LN_SQRT_2PI - ln_q)
+        return rootfind.sloped(ln_q - target, slope, slope * (-x - slope))
 
     hi = math.sqrt(-2.0 * target)
     f_hi = excess(hi)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,19 +16,36 @@ CFG200 = A.AwgnConfig(200, 1.0, 1e-3)
 PAIRS = [(om, eps) for om in (0.5, 1.0, 5.0) for eps in (1e-3, 1e-5)]
 
 
+def debye_u(count):
+    """The polynomials U_0 .. U_{count-1} of the Debye expansion of I_mu, as
+    exact coefficient lists in p, from the recurrence of DLMF 10.41.10:
+    U_{k+1}(p) = p^2 (1 - p^2) U_k'(p)/2 + (1/8) int_0^p (1 - 5 t^2) U_k(t) dt."""
+    polys = [[Fraction(1)]]
+    for _ in range(count - 1):
+        nxt = [Fraction(0)] * (len(polys[-1]) + 3)
+        for j, c in enumerate(polys[-1]):
+            nxt[j + 1] += Fraction(j, 2) * c + c / (8 * (j + 1))
+            nxt[j + 3] -= Fraction(j, 2) * c + 5 * c / (8 * (j + 3))
+        polys.append(nxt)
+    return polys
+
+
+#: 20 terms: the first omitted one is below 1e-59 from order 1e3 on
+DEBYE_U = debye_u(20)
+
+
 def mp_log_i(mu, u):
-    """ln I_mu(u) at the working precision: mpmath's besseli, or from
-    order 1e5 on, where besseli is too slow, the Debye series over
-    ``specfun._DEBYE_U``'s exact rationals (its first omitted term is
-    below mu^-9 = 1e-45 there)."""
-    if mu < 1e5:
+    """ln I_mu(u) at the working precision: mpmath's besseli below order
+    1e3, and from there on, where besseli slows down, the Debye series
+    over ``DEBYE_U`` (DLMF 10.41.3)."""
+    if mu < 1000:
         return mp.log(mp.besseli(mu, u, maxterms=10**6))
     z = u / mu
     w = mp.sqrt(1 + z * z)
     p = 1 / w
     series = mp.fsum(
-        mp.fsum(mp.mpf(c.numerator) / c.denominator * p**j for j, c in enumerate(poly)) / mu**k
-        for k, poly in enumerate(sf._DEBYE_U)
+        mp.fsum(mp.mpf(c.numerator) / c.denominator * p**j for j, c in enumerate(poly) if c) / mu**k
+        for k, poly in enumerate(DEBYE_U)
     )
     return mu * (w + mp.log(z / (1 + w))) - mp.log(2 * mp.pi) / 2 - mp.log(mu) / 2 - mp.log(w) / 2 + mp.log(series)
 
@@ -167,6 +185,27 @@ class TestSlopes:
             got = log_bound(cfg, lam).slope
             assert abs(got - want) <= rel * abs(want), (log_bound.__name__, got, want)
 
+    @pytest.mark.parametrize("n", [200, 10**4, 10**6])
+    @pytest.mark.parametrize("om, eps", PAIRS)
+    def test_curvature_matches_mpmath_second_derivative(self, n, om, eps):
+        # the curvature the Halley steps take, against mpmath's second
+        # derivative of the same bound at 40 digits. Each derivative taken
+        # through the Riccati equation cancels O(1) terms down to O(1/n):
+        # (ln P0)'' holds about n^1.5 ulp, and (ln P1)'', which takes the
+        # third derivative of ln P0, about n^2 ulp (1.2e-4 relative at n = 1e6)
+        cfg = A.AwgnConfig(n, om, eps)
+        lam = A.lambda_asymptotic(cfg)
+        for log_bound, args, right, iterate, rel in (
+            (A.log_p0_md, A._md_args, True, False, 1e-15 * n**1.5),
+            (A.log_p1_md, A._md_args, True, True, 1e-15 * n**2),
+            (A.log_p0_fa, A._fa_args, False, False, 1e-15 * n**1.5),
+            (A.log_p1_fa, A._fa_args, False, True, 1e-15 * n**2),
+        ):
+            with mp.workdps(40):
+                want = float(mp.diff(lambda L: mp_log_bound(*args(cfg, L), right, iterate), mp.mpf(lam), 2))
+            got = log_bound(cfg, lam).curvature
+            assert abs(got - want) <= rel * abs(want), (log_bound.__name__, got, want)
+
 
 class TestSolveLambda:
     def test_solution_above_lambda0(self):
@@ -191,8 +230,23 @@ class TestSolveLambda:
             for which in ("p0", "p1"):
                 calls.clear()
                 lam = A.solve_lambda(A.AwgnConfig(n, om, eps), which)
-                assert len(calls) <= 5, (om, eps, which, len(calls))
+                assert len(calls) <= 3, (om, eps, which, len(calls))
                 assert lam.evaluations == len(calls)
+
+    @pytest.mark.parametrize("n", [10**3, 10**5, 10**7, 10**8])
+    def test_bound_evaluations_per_job(self, monkeypatch, n):
+        # one wrapped call per Bessel pair, all counted by the two solves: the
+        # P1 solve starts at lambda_p0 from the P0 solve's pair there, and a
+        # solve ends at the bound's rounding level rather than seeding a bracket
+        calls = []
+        for name in ("log_p0_md", "log_p1_md"):
+            bound = getattr(A, name)
+            monkeypatch.setattr(A, name, lambda cfg, lam, bound=bound: calls.append(lam) or bound(cfg, lam))
+        for om, eps in PAIRS:
+            calls.clear()
+            p = A.converse_bounds(A.AwgnConfig(n, om, eps))
+            assert len(calls) == p.lambda_p0.evaluations + p.lambda_p1.evaluations
+            assert len(calls) <= (5 if n <= 10**5 else 8), (om, eps, len(calls))
 
     def test_plain_float_bound_solves_by_the_fallback(self, monkeypatch):
         # a bound without a slope takes the seeded bracket and Illinois steps
@@ -217,9 +271,10 @@ class TestSolveLambda:
         p = A.converse_bounds(cfg)
         in_bounds = len(calls)
         calls.clear()
-        for which in ("p0", "p1"):
-            A.solve_lambda(cfg, which)
-        assert in_bounds == len(calls)  # the residuals cost no evaluation
+        assert A.solve_lambda(cfg, "p0").evaluations == len(calls) == p.lambda_p0.evaluations
+        # the residuals cost no evaluation (the P1 solve starts at lambda_p0,
+        # from the P0 solve's Bessel pair there)
+        assert in_bounds == p.lambda_p0.evaluations + p.lambda_p1.evaluations
         monkeypatch.undo()
         assert p.log_residual_p0 == abs(A.log_p0_md(cfg, p.lambda_p0) - math.log(cfg.eps))
         assert p.log_residual_p1 == abs(A.log_p1_md(cfg, p.lambda_p1) - math.log(cfg.eps))

@@ -222,9 +222,10 @@ class TestAwgnCsv:
 
     @pytest.mark.parametrize("n_list", ["2,1000", "1000,2"])
     def test_failed_row_keeps_the_sweep(self, tmp_path, capsys, n_list):
-        # n = 2 has no converse (the seed fails its validity check): its row
-        # keeps n with empty cells and the error's class, the other rows are
-        # those of a sweep without it, and the exit code is 4
+        # n = 2 has no converse (the false-alarm seed fails its validity
+        # check at the solved lambdas): its rate cells are empty, its status
+        # names them and the error's class, its other cells are written,
+        # the other rows are those of a sweep without it, and the exit code is 4
         out, alone = tmp_path / "sweep.csv", tmp_path / "alone.csv"
         flags = ["awgn", "--omega", "1", "--eps", "1e-3", "--oracle", "on"]
         assert run(flags + ["--n-list", n_list, "--out", str(out)] + TS) == 4
@@ -233,7 +234,8 @@ class TestAwgnCsv:
         _, header, rows = parse_csv(out)
         byn = {int(r[0]): r for r in rows}
         assert [int(r[0]) for r in rows] == [int(n) for n in n_list.split(",")]
-        assert byn[2] == ["2"] + [""] * 9 + ["OutOfValidity"]
+        assert [c == "" for c in byn[2]] == [False] * 4 + [True] * 2 + [False] * 5
+        assert byn[2][-1] == "r_lower:OutOfValidity;r_upper:OutOfValidity"
         assert byn[1000] == parse_csv(alone)[2][0]
         assert len(header) == 11
 
@@ -269,14 +271,19 @@ class TestAwgnCsv:
         # eps^2 underflows, and lambda_asym takes Lambert W from its logarithm
         ("--omega 1 --eps 1e-160", 0, "ok,ok"),
         # at n = 1e3 the false-alarm seed's bracket is negative at the solved lambda
-        ("--omega 1 --eps 1e-300", 4, "OutOfValidity,ok"),
-        ("--omega 1e300 --eps 1e-3", 4, "OverflowError,OverflowError"),
+        ("--omega 1 --eps 1e-300", 4, "r_lower:OutOfValidity;r_upper:OutOfValidity,ok"),
+        # only the normal approximation overflows, at (Omega + 1)^2
+        ("--omega 1e300 --eps 1e-3", 4, "r_na:OverflowError,r_na:OverflowError"),
+        # s x, the square of the Bessel argument, overflows in the solves, and
+        # r_asym takes log2(0)
+        ("--omega 1e-300 --eps 1e-3", 4, ",".join(["lambda_p0:DomainError;lambda_p1:DomainError;r_asym:ValueError"] * 2)),
     ], ids=["n-min-nan", "n-min-0", "n-min-neg", "n-max-inf", "omega-db-3100", "eps-1e-160", "eps-1e-300",
-            "omega-1e300"])
+            "omega-1e300", "omega-1e-300"])
     def test_extreme_flags_without_traceback(self, tmp_path, capsys, flags, code, named):
-        # a value no sweep can take exits 2 naming its flag, and a row whose
-        # arithmetic fails gets the error's class as its status (``named``
-        # lists the statuses of the rows at n = 1e3 and 1e6)
+        # a value no sweep can take exits 2 naming its flag, and a cell whose
+        # arithmetic fails stays empty while the row's status names it and
+        # the error's class (``named`` lists the statuses of the rows at
+        # n = 1e3 and 1e6); the row's other cells are written
         out = tmp_path / "x.csv"
         try:
             rc = run(["awgn", "--n-points", "2", "--out", str(out)] + flags.split() + TS)
@@ -286,7 +293,13 @@ class TestAwgnCsv:
         if code == 2:
             assert named in capsys.readouterr().err and not out.exists()
         else:
-            assert [r[-1] for r in parse_csv(out)[2]] == named.split(",")
+            _, header, rows = parse_csv(out)
+            assert [r[-1] for r in rows] == named.split(",")
+            needs = {"r_lower": "lambda_p0", "r_upper": "lambda_p1"}
+            for row in rows:
+                bad = {cell.split(":")[0] for cell in row[-1].split(";")}
+                kept = [h for h, c in zip(header[:-2], row) if c != ""]
+                assert kept == [h for h in header[:-2] if h not in bad and needs.get(h) not in bad]
 
     def test_omega_db(self, tmp_path):
         out = tmp_path / "db.csv"
